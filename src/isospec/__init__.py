@@ -15,6 +15,7 @@ from .bicoherent import (
     ResolutionResult,
     build_ladders,
     build_ladders_level2,
+    coherent_grid,
     coherent_pair,
     coherent_pair_level2,
     convergence_for_system,

@@ -37,6 +37,8 @@ from .linalg import (
 
 # Growth-fit grid over the allowed exponent range [0, 1/2].
 ALPHA_GRID_POINTS = 33
+ALPHAS = np.linspace(0.0, 0.5, ALPHA_GRID_POINTS)
+ALPHAS.flags.writeable = False
 # Floor for the fitted growth base r.
 GROWTH_R_FLOOR = 1e-12
 # Tail-estimation window for the radius limits.
@@ -45,6 +47,8 @@ RADIUS_TAIL_WINDOW = 8
 RADIUS_GROWTH_THRESHOLD = 0.02
 # Consecutive-term ratio above which a truncated series is not trusted.
 TAIL_RATIO_LIMIT = 0.9
+# Double-precision unit roundoff, the floor of every reported tail bound.
+_UNIT_ROUNDOFF = float(np.finfo(float).eps)
 # Default Gauss-type quadrature size for radial measures.
 DEFAULT_QUADRATURE_NODES = 64
 # Relative moment defect allowed for a measure to count as moment-valid.
@@ -172,28 +176,28 @@ def _family_norms(family) -> np.ndarray:
     return norms.astype(float)
 
 
-def _fit_growth_from_norms(norms: np.ndarray, eps: EpsilonSequence):
+def _growth_factorials(eps: EpsilonSequence, count: int) -> np.ndarray:
+    if len(eps) < count:
+        raise DimensionError(f"need {count} epsilon values, got {len(eps)}")
+    return eps.factorials(count)
+
+
+def _fit_growth_from_norms(norms: np.ndarray, facts: np.ndarray):
+    """(r, alpha) for one norm sequence, ``facts`` holding eps_0! .. eps_{n-1}!."""
     if norms[0] > 1.0 + 1e-12:
         raise GrowthError(
             f"||phi_0|| = {norms[0]:.6g} > 1: the bound r^n (eps_n!)^alpha "
             "equals 1 at n = 0, so no admissible (r, alpha) exists"
         )
-    count = norms.size
-    if len(eps) < count:
-        raise DimensionError(f"need {count} epsilon values, got {len(eps)}")
-    facts = eps.factorials(count)
-    alphas = np.linspace(0.0, 0.5, ALPHA_GRID_POINTS)
-    rs = []
-    for alpha in alphas:
-        r = GROWTH_R_FLOOR
-        for n in range(1, count):
-            r = max(r, (norms[n] / facts[n] ** alpha) ** (1.0 / n))
-        rs.append(r)
-    threshold = max(1.0, min(rs)) * (1.0 + 1e-12)
-    for alpha, r in zip(alphas, rs):
-        if r <= threshold:
-            return float(r), float(alpha)
-    return float(rs[-1]), float(alphas[-1])
+    # (n - 1) x alphas: the minimal admissible r of each (n, alpha)
+    roots = 1.0 / np.arange(1, norms.size, dtype=float)[:, None]
+    bounds = (norms[1:, None] / facts[1:, None] ** ALPHAS) ** roots
+    # fmax skips NaN bounds, as the scalar max(r, nan) does
+    rs = np.fmax.reduce(bounds, axis=0, initial=GROWTH_R_FLOOR)
+    threshold = max(1.0, float(rs.min())) * (1.0 + 1e-12)
+    # the smallest r always passes, so argmax finds the first passing alpha
+    best = int(np.argmax(rs <= threshold))
+    return float(rs[best]), float(ALPHAS[best])
 
 
 def fit_norm_growth(family, eps) -> tuple[float, float]:
@@ -207,7 +211,8 @@ def fit_norm_growth(family, eps) -> tuple[float, float]:
     """
     if not isinstance(eps, EpsilonSequence):
         eps = EpsilonSequence(np.asarray(eps, dtype=float))
-    return _fit_growth_from_norms(_family_norms(family), eps)
+    norms = _family_norms(family)
+    return _fit_growth_from_norms(norms, _growth_factorials(eps, norms.size))
 
 
 @dataclass(frozen=True)
@@ -299,8 +304,9 @@ def convergence_for_system(system: BiorthogonalSystem, eps, order=None) -> Conve
     order = system.size if order is None else int(order)
     hphi = _family_norms(system.phi[:, :order])
     hpsi = _family_norms(system.psi[:, :order])
-    r_phi, a_phi = _fit_growth_from_norms(hphi / hphi[0], eps)
-    r_psi, a_psi = _fit_growth_from_norms(hpsi / hpsi[0], eps)
+    facts = _growth_factorials(eps, hphi.size)
+    r_phi, a_phi = _fit_growth_from_norms(hphi / hphi[0], facts)
+    r_psi, a_psi = _fit_growth_from_norms(hpsi / hpsi[0], facts)
     return radius(r_phi, a_phi, r_psi, a_psi, eps)
 
 
@@ -317,6 +323,7 @@ class BicoherentState:
     ``tail_bound`` is |z| times the last retained term magnitude, which is
     exactly the norm of A phi(z) - z phi(z) at truncation; ``converged``
     reports whether the consecutive term ratio stayed below 0.9.
+    ``convergence`` is the disc z was checked against.
     """
 
     z: complex
@@ -329,15 +336,26 @@ class BicoherentState:
     overlap: complex
     tail_bound: float
     converged: bool
+    convergence: ConvergenceData
 
     @property
     def overlap_defect(self) -> float:
         return abs(self.overlap - 1.0)
 
 
-def _assemble_state(
-    system: BiorthogonalSystem, eps: EpsilonSequence, z: complex, order: int, level: int
-) -> BicoherentState:
+def _assemble_states(
+    system: BiorthogonalSystem,
+    eps: EpsilonSequence,
+    zs: np.ndarray,
+    order: int,
+    level: int,
+    conv: ConvergenceData,
+) -> list[BicoherentState]:
+    """One state per entry of ``zs`` from a single (z x k) coefficient matrix.
+
+    The weights |z|^(2k) / eps_k! are taken in log space and normalized by
+    log-sum-exp, so no power of |z| overflows on the way to N(|z|).
+    """
     if not 1 <= order <= system.size:
         raise DimensionError(
             f"order must lie in 1..{system.size} (system size), got {order}"
@@ -348,66 +366,111 @@ def _assemble_state(
     if np.any(pairing <= 0):
         bad = int(np.argmin(pairing))
         raise KernelError(f"pairing constant at index {bad} is not positive")
-    z = complex(z)
-    facts = eps.factorials(order)
-    az2 = abs(z) ** 2
-    weights = np.array([az2**k / facts[k] for k in range(order)])
-    normalization = 1.0 / math.sqrt(float(np.sum(weights)))
-    powers = np.array([z**k for k in range(order)], dtype=complex)
-    coeff = normalization * powers / np.sqrt(facts * pairing)
-    if not np.all(np.isfinite(coeff)):
-        raise DivergenceError("series coefficients overflowed at this z")
-    vector_phi = system.phi[:, :order] @ coeff
-    vector_psi = system.psi[:, :order] @ coeff
-    overlap = complex(np.vdot(vector_phi, vector_psi))
-    col_norms = np.linalg.norm(system.phi[:, :order], axis=0)
-    terms = np.abs(coeff) * col_norms
+    phi = system.phi[:, :order]
+    absz = np.abs(zs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log|z|^(2k) - log eps_k!; the k = 0 column is log 1 = 0, also at z = 0
+        log_w = np.multiply.outer(np.log(absz), np.arange(0.0, 2.0 * order, 2.0))
+        log_w[:, 0] = 0.0
+        log_w -= np.log(eps.factorials(order))
+        top = log_w.max(axis=1, keepdims=True)
+        log_norm2 = top + np.log(np.exp(log_w - top).sum(axis=1, keepdims=True))
+        # |c_k| = N |z|^k / sqrt(eps_k! p_k); the phase is (z/|z|)^k
+        magnitude = np.exp(0.5 * (log_w - log_norm2 - np.log(pairing)))
+        unit = np.where(absz > 0, zs / absz, 1.0)
+    coeff = magnitude * np.power.outer(unit, np.arange(order))
+    if not np.isfinite(coeff).all():
+        bad = zs[np.argmin(np.isfinite(coeff).all(axis=1))]
+        raise DivergenceError(f"series coefficients are not finite at z = {bad:.6g}")
+    vector_phi = coeff @ phi.T
+    vector_psi = coeff @ system.psi[:, :order].T
+    overlap = np.einsum("ij,ij->i", vector_phi.conj(), vector_psi)
+    terms = magnitude * np.linalg.norm(phi, axis=0)
     # The analytic tail |z|*|c_{M-1}|*||phi_{M-1}|| can underflow far below
     # unit roundoff; a truncated series cannot certify residuals below the
     # arithmetic's resolution, so the reported bound is floored there.
-    rounding_floor = (
-        system.dim * np.finfo(float).eps * (1.0 + abs(z)) * float(np.sum(terms))
-    )
-    tail_bound = max(abs(z) * float(terms[-1]), rounding_floor)
-    if order >= 2 and terms[-2] > 0:
-        converged = bool(terms[-1] / terms[-2] <= TAIL_RATIO_LIMIT)
-    else:
-        converged = True
-    return BicoherentState(
-        z=z,
-        order=order,
-        level=level,
-        coefficients=coeff,
-        vector_phi=vector_phi,
-        vector_psi=vector_psi,
-        normalization=normalization,
-        overlap=overlap,
-        tail_bound=tail_bound,
-        converged=converged,
-    )
+    rounding_floor = system.dim * _UNIT_ROUNDOFF * (1.0 + absz) * terms.sum(axis=1)
+    tail_bound = np.maximum(absz * terms[:, -1], rounding_floor)
+    converged = np.ones(zs.size, dtype=bool)
+    if order >= 2:
+        last, prev = terms[:, -1], terms[:, -2]
+        live = prev > 0
+        converged[live] = last[live] / prev[live] <= TAIL_RATIO_LIMIT
+    normalization = np.exp(-0.5 * log_norm2[:, 0])
+    return [
+        BicoherentState(
+            z=z,
+            order=order,
+            level=level,
+            coefficients=c,
+            vector_phi=vphi,
+            vector_psi=vpsi,
+            normalization=norm,
+            overlap=ov,
+            tail_bound=tail,
+            converged=ok,
+            convergence=conv,
+        )
+        for z, c, vphi, vpsi, norm, ov, tail, ok in zip(
+            zs.tolist(),
+            coeff,
+            vector_phi,
+            vector_psi,
+            normalization.tolist(),
+            overlap.tolist(),
+            tail_bound.tolist(),
+            converged.tolist(),
+        )
+    ]
 
 
-def _radius_gate(system: BiorthogonalSystem, eps: EpsilonSequence, z: complex, order: int):
+def _radius_gate(
+    system: BiorthogonalSystem, eps: EpsilonSequence, zs: np.ndarray, order: int
+) -> ConvergenceData:
+    """One growth fit for every z: refuse non-finite z and |z| >= rho."""
+    if not np.isfinite(zs).all():
+        raise ParameterError("z must be finite")
     conv = convergence_for_system(system, eps, order)
-    if math.isfinite(conv.rho) and abs(z) >= conv.rho:
+    largest = float(np.abs(zs).max(initial=0.0))
+    if math.isfinite(conv.rho) and largest >= conv.rho:
         raise DivergenceError(
-            f"|z| = {abs(z):.6g} is outside the convergence disc of radius "
+            f"|z| = {largest:.6g} is outside the convergence disc of radius "
             f"{conv.rho:.6g}"
         )
     return conv
+
+
+def _states(
+    system: BiorthogonalSystem, eps: EpsilonSequence, zs, order: int, level: int
+) -> list[BicoherentState]:
+    """Gate once, then assemble: the one path every state takes."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    conv = _radius_gate(system, eps, zs, order)
+    return _assemble_states(system, eps, zs, order, level, conv)
 
 
 def coherent_pair(system: BiorthogonalSystem, eps, z: complex, order: int) -> BicoherentState:
     """Level-1 state pair phi(z) = N(|z|) sum z^k / sqrt(eps_k!) phi_k (and psi).
 
     N is computed on the same truncation, so <phi(z), psi(z)> = 1 up to the
-    system's pairing defect.  z outside the estimated convergence disc is
-    refused.
+    system's pairing defect.  Non-finite z, and z outside the estimated
+    convergence disc, are refused.
     """
     if not isinstance(eps, EpsilonSequence):
         eps = EpsilonSequence(np.asarray(eps, dtype=float))
-    _radius_gate(system, eps, z, order)
-    return _assemble_state(system, eps, z, order, level=1)
+    return _states(system, eps, [z], order, level=1)[0]
+
+
+def coherent_grid(system: BiorthogonalSystem, eps, zs, order: int) -> list[BicoherentState]:
+    """Level-1 states for every z of ``zs``, in order: coherent_pair for each.
+
+    The convergence disc is fitted once and checked against the largest
+    |z|; the states come from one coefficient matrix and two matrix
+    products.
+    """
+    if not isinstance(eps, EpsilonSequence):
+        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    return _states(system, eps, zs, order, level=1)
 
 
 def coherent_pair_level2(
@@ -434,8 +497,7 @@ def coherent_pair_level2(
             f"pairing constant at index {bad} vanishes (kernel mode); use "
             "filter_and_build to drop kernel indices first"
         )
-    _radius_gate(system2, eps, z, order)
-    return _assemble_state(system2, eps, z, order, level=2)
+    return _states(system2, eps, [z], order, level=2)[0]
 
 
 def filter_system(
@@ -502,8 +564,7 @@ def filter_and_build(
         raise DimensionError(
             f"order {order} exceeds the {tilde.size} surviving modes"
         )
-    _radius_gate(tilde, delta, z, order)
-    return _assemble_state(tilde, delta, z, order, level=2)
+    return _states(tilde, delta, [z], order, level=2)[0]
 
 
 # ---------------------------------------------------------------------------

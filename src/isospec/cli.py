@@ -31,8 +31,7 @@ import numpy as np
 from . import io as iomod
 from .bicoherent import (
     build_ladders,
-    coherent_pair,
-    convergence_for_system,
+    coherent_grid,
     quantize,
     resolution_check,
     solve_moment_measure,
@@ -376,37 +375,31 @@ def cmd_coherent(config: RunConfig) -> int:
     if order > system.size:
         raise ParameterError(f"order {order} exceeds system size {system.size}")
 
-    conv = convergence_for_system(system, eps, order)
-    if math.isfinite(conv.rho) and config.grid_rmax >= conv.rho:
-        raise DivergenceError(
-            f"grid max radius {config.grid_rmax} reaches the convergence "
-            f"radius {conv.rho:.6g}"
-        )
-    ladder = build_ladders(system, eps)
-
     radii = [config.grid_rmax * (i + 1) / config.grid_radial for i in range(config.grid_radial)]
     angles = [2.0 * math.pi * j / config.grid_angular for j in range(config.grid_angular)]
+    zs = np.array([complex(r * math.cos(th), r * math.sin(th)) for r in radii for th in angles])
+    # the gate refuses the grid when its largest |z|, grid_rmax up to rounding, reaches rho
+    states = coherent_grid(system, eps, zs, order)
+    conv = states[0].convergence
+    ladder = build_ladders(system, eps)
+
+    vectors = np.array([state.vector_phi for state in states])
+    residuals = np.linalg.norm(vectors @ ladder.a.T - zs[:, None] * vectors, axis=1)
     rows = []
     max_overlap_defect = 0.0
     max_eigen_ratio = 0.0
     all_converged = True
     states_pass = True
-    for r in radii:
-        for th in angles:
-            z = complex(r * math.cos(th), r * math.sin(th))
-            state = coherent_pair(system, eps, z, order)
-            residual = float(
-                np.linalg.norm(ladder.a @ state.vector_phi - z * state.vector_phi)
-            )
-            rows.append((z.real, z.imag, state.normalization, abs(state.overlap), residual))
-            max_overlap_defect = max(max_overlap_defect, state.overlap_defect)
-            if state.tail_bound > 0:
-                max_eigen_ratio = max(max_eigen_ratio, residual / state.tail_bound)
-            all_converged = all_converged and state.converged
-            if state.overlap_defect > state.tail_bound + 1e-12:
-                states_pass = False
-            if residual > 10.0 * state.tail_bound + 1e-12:
-                states_pass = False
+    for z, state, residual in zip(zs.tolist(), states, residuals.tolist()):
+        rows.append((z.real, z.imag, state.normalization, abs(state.overlap), residual))
+        max_overlap_defect = max(max_overlap_defect, state.overlap_defect)
+        if state.tail_bound > 0:
+            max_eigen_ratio = max(max_eigen_ratio, residual / state.tail_bound)
+        all_converged = all_converged and state.converged
+        if state.overlap_defect > state.tail_bound + 1e-12:
+            states_pass = False
+        if residual > 10.0 * state.tail_bound + 1e-12:
+            states_pass = False
 
     os.makedirs(config.outdir, exist_ok=True)
     csv_path = os.path.join(config.outdir, "coherent_sweep.csv")

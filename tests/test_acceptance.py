@@ -69,7 +69,7 @@ def test_acceptance_1_closed_form_two_level_model():
     rep = verify_relations(m, tol=1e-10)
     worst = max(rep.residuals.values())
     if not rep.all_passed:
-        failures.append(f"relation residual {worst:.3e} >= 1e-10 ({rep.failures})")
+        failures.append(f"relation residual {worst:.3e} >= 1e-10 ({rep.failures()})")
 
     _report(1, "closed-form-two-level-model", failures, time.perf_counter() - t0, 1.0)
 
@@ -237,7 +237,7 @@ def test_acceptance_7_random_ensemble():
         rep = verify_relations(m, tol=1e-8)
         worst_relation = max(worst_relation, max(rep.residuals.values()))
         if not rep.all_passed:
-            failures.append(f"seed {seed}: relations failed {rep.failures}")
+            failures.append(f"seed {seed}: relations failed {rep.failures()}")
             continue
 
         values1 = eig(m.theta1).values
@@ -256,7 +256,7 @@ def test_acceptance_7_random_ensemble():
             prep = structure_check(m, tol=1e-8)
             prop1_runs += 1
             if not prep.all_passed:
-                failures.append(f"seed {seed}: structure checks failed {prep.failures}")
+                failures.append(f"seed {seed}: structure checks failed {prep.failures()}")
 
     if prop1_runs != 40:
         failures.append(f"expected 40 self-adjoint instances, saw {prop1_runs}")
@@ -270,7 +270,7 @@ def test_acceptance_8_ladder_axioms():
     a, b, eps, phi0, eta0 = standard_boson(12)
     rep = nlpb_verify(a, b, eps, phi0, eta0, 10, tol=1e-10)
     if not rep.all_passed:
-        failures.append(f"standard family failed: {rep.failures}")
+        failures.append(f"standard family failed: {rep.failures()}")
 
     fault = b.copy()
     fault[7, 6] += 1e-3

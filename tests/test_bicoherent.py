@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isospec import (
     BiorthogonalSystem,
@@ -19,6 +21,7 @@ from isospec import (
     build_ladders,
     build_ladders_level2,
     coherent_demo,
+    coherent_grid,
     coherent_pair,
     coherent_pair_level2,
     convergence_for_system,
@@ -34,6 +37,7 @@ from isospec import (
     solve_moment_measure,
     standard_boson,
 )
+from isospec.bicoherent import _fit_growth_from_norms
 from isospec.io import canonical_json
 
 FACTORIZATION_TOL = 1e-10
@@ -167,6 +171,41 @@ def test_fit_rejects_oversized_first_vector():
         fit_norm_growth(1.5 * np.eye(6, dtype=complex), EpsilonSequence.linear(1.0, 6))
 
 
+def _loop_fit(norms, facts):
+    """Reference growth fit: the scalar double loop over alpha and n."""
+    alphas = np.linspace(0.0, 0.5, 33)
+    rs = []
+    for alpha in alphas:
+        r = 1e-12
+        for n in range(1, norms.size):
+            r = max(r, (norms[n] / facts[n] ** alpha) ** (1.0 / n))
+        rs.append(r)
+    threshold = max(1.0, min(rs)) * (1.0 + 1e-12)
+    for alpha, r in zip(alphas, rs):
+        if r <= threshold:
+            return float(r), float(alpha)
+    return float(rs[-1]), float(alphas[-1])
+
+
+@given(
+    st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=40),
+    st.lists(st.floats(1e-2, 1e2), min_size=39, max_size=39),
+)
+@example([0.0] * 10, [1.0] * 39)
+@example([0.0] * 10, [0.5] * 39)
+@example([0.0, -50.0, -50.0, 3.0], [1.0] * 39)
+@settings(max_examples=200, deadline=None)
+def test_vectorized_fit_matches_the_loop(log_norms, steps):
+    # log10 norms, the first capped at 0 so that ||phi_0|| <= 1
+    norms = 10.0 ** np.minimum(np.array(log_norms), [0.0] + [np.inf] * (len(log_norms) - 1))
+    facts = EpsilonSequence(np.concatenate(([0.0], np.cumsum(steps)))).factorials(norms.size)
+    r, alpha = _fit_growth_from_norms(norms, facts)
+    r_loop, alpha_loop = _loop_fit(norms, facts)
+    # numpy's vectorized power may differ from scalar pow by one ulp
+    assert alpha == alpha_loop
+    assert r == pytest.approx(r_loop, rel=1e-15, abs=0.0)
+
+
 def test_radius_unbounded_sequence():
     conv = radius(1.0, 0.0, 1.0, 0.0, EpsilonSequence.linear(1.0, 40))
     assert math.isinf(conv.rho)
@@ -261,6 +300,68 @@ def test_state_flags_slow_tail():
     system = _orthonormal_system(40)
     state = coherent_pair(system, _bounded_eps(40), 1.95, 40)
     assert not state.converged
+
+
+@pytest.mark.parametrize("alpha1", [0.5, 1.0, 2.0])
+def test_grid_matches_per_z_states(alpha1):
+    f = coherent_demo(alpha1, 32)
+    system = f.model.system1()
+    eps = EpsilonSequence(f.expected["epsilon"])
+    rmax = 2.0 * math.sqrt(alpha1)
+    zs = [0.0] + [
+        r * complex(math.cos(t), math.sin(t))
+        for r in np.linspace(rmax / 5.0, rmax, 5)
+        for t in np.linspace(0.3, 2.0 * math.pi + 0.3, 6, endpoint=False)
+    ]
+    grid = coherent_grid(system, eps, zs, 60)
+    assert len(grid) == len(zs)
+    for z, state in zip(zs, grid):
+        single = coherent_pair(system, eps, z, 60)
+        assert state.z == single.z == complex(z)
+        assert state.converged == single.converged
+        assert state.convergence == single.convergence
+        assert state.normalization == pytest.approx(single.normalization, rel=1e-13)
+        assert state.overlap == pytest.approx(single.overlap, rel=1e-13)
+        assert state.tail_bound == pytest.approx(single.tail_bound, rel=1e-13)
+        for got, want in (
+            (state.coefficients, single.coefficients),
+            (state.vector_phi, single.vector_phi),
+            (state.vector_psi, single.vector_psi),
+        ):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_grid_refuses_z_at_and_beyond_the_radius():
+    system = _orthonormal_system(40)
+    eps = _bounded_eps(40)
+    rho = convergence_for_system(system, eps, 40).rho
+    assert math.isfinite(rho)
+    for edge in (rho, 2.0 * rho):
+        with pytest.raises(DivergenceError):
+            coherent_grid(system, eps, [0.5, edge * 1j], 40)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), math.inf, complex(0.0, -math.inf)])
+def test_non_finite_z_is_a_parameter_error(z):
+    f = coherent_demo(1.0, 32)
+    system = f.model.system1()
+    eps = EpsilonSequence(f.expected["epsilon"])
+    with pytest.raises(ParameterError, match="finite"):
+        coherent_pair(system, eps, z, 32)
+    with pytest.raises(ParameterError, match="finite"):
+        coherent_grid(system, eps, [0.5, z], 32)
+
+
+def test_state_far_outside_the_truncation_is_finite_and_flagged():
+    # rho is infinite here; only the order-60 truncation fails, and the
+    # log-space weights keep |z|^(2k) from overflowing
+    f = coherent_demo(1.0, 32)
+    system = f.model.system1()
+    eps = EpsilonSequence(f.expected["epsilon"])
+    state = coherent_pair(system, eps, 1e3, 60)
+    assert not state.converged
+    assert np.all(np.isfinite(state.coefficients))
+    assert abs(state.overlap - 1.0) < 1e-9
 
 
 def test_level2_states_on_two_modes():

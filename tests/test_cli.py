@@ -201,6 +201,30 @@ def test_coherent_sweep_artifacts_and_report(tmp_path):
     assert (tmp_path / "quantize_zbar.json").exists()
 
 
+def test_coherent_sweep_past_the_truncation_exits_3(tmp_path):
+    # rho is infinite, so the grid passes the gate; at |z| up to 1e6 the
+    # order-60 truncation cannot converge, which is a verification failure
+    proc = run_cli(
+        "coherent",
+        "--fixture",
+        "coherent_demo",
+        "--params",
+        "alpha1=1.0,n_blocks=32",
+        "--order",
+        "60",
+        "--grid-rmax",
+        "1e6",
+        "--outdir",
+        str(tmp_path),
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "coherent_report.json").read_text())
+    assert report["all_converged"] is False
+    assert report["all_passed"] is False
+    assert len((tmp_path / "coherent_sweep.csv").read_text().splitlines()) == 2 + 320
+
+
 def test_coherent_rejects_nonconforming_spectrum(tmp_path):
     proc = run_cli("coherent", "--fixture", "ex3x3", "--outdir", str(tmp_path))
     assert proc.returncode == 2
