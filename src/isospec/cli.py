@@ -101,7 +101,6 @@ class RunConfig:
     kernel_tol: float = 1e-10
     relation_tol: float = 1e-9
     multiplicity_tol: float = 1e-8
-    tail_ratio: float = 0.9
     nodes: int = 64
     grid_radial: int = 20
     grid_angular: int = 16
@@ -113,7 +112,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.truncation < 4:
             raise ParameterError("truncation must be at least 4")
-        for name in ("kernel_tol", "relation_tol", "multiplicity_tol", "tail_ratio"):
+        for name in ("kernel_tol", "relation_tol", "multiplicity_tol"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
         if self.nodes < 2:
@@ -285,7 +284,7 @@ def cmd_verify(config: RunConfig) -> int:
         multiplicity_tolerance=config.multiplicity_tol,
     )
     stored_theta2 = doc["theta2_matrix"]
-    theta2_residual = opnorm(model.theta2 - stored_theta2) / max(1.0, opnorm(model.theta2))
+    theta2_residual = opnorm(model.theta2 - stored_theta2) / max(1.0, model.theta2_norm)
     stored_tilde = np.asarray(doc.get("tilde_k", []), dtype=float)
     if stored_tilde.shape == model.tilde_k.shape:
         tilde_residual = float(np.max(np.abs(stored_tilde - model.tilde_k)))

@@ -13,6 +13,7 @@ on the partner side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,11 +31,11 @@ from .linalg import (
     RANK_TOL,
     BiorthogonalSystem,
     Eigensystem,
-    adjoint,
+    _eig,
+    _pairwise_gaps,
+    _strictly_positive,
     as_matrix,
     biorthogonal_partner,
-    eig,
-    is_strictly_positive,
     opnorm,
 )
 
@@ -48,9 +49,9 @@ CASE_INVERTIBLE_COMMUTING = "InvertibleCommuting"
 CASE_NONINVERTIBLE = "NonInvertible"
 
 
-def _rel_comm(a: np.ndarray, b: np.ndarray) -> float:
-    """||[A,B]|| relative to ||A|| ||B||."""
-    scale = opnorm(a) * opnorm(b)
+def _rel_comm(a: np.ndarray, b: np.ndarray, norm_a: float, norm_b: float) -> float:
+    """||[A,B]|| relative to ||A|| ||B||, given those two norms."""
+    scale = norm_a * norm_b
     if scale == 0.0:
         return 0.0
     return opnorm(a @ b - b @ a) / scale
@@ -66,6 +67,53 @@ def _check_shapes(theta1: np.ndarray, x: np.ndarray) -> None:
         )
 
 
+def _grams(x: np.ndarray):
+    """X-adjoint, N1 = X X-adjoint and N2 = X-adjoint X; an overflowed Gram is refused."""
+    xh = x.conj().T
+    return xh, as_matrix(x @ xh), as_matrix(xh @ x)
+
+
+def _noninvertible_preconditions(theta1, n1, n2, tol: float) -> dict:
+    """Check N2 > 0 and [N1, Theta1] = 0; return the operand norms measured."""
+    n2_norm = opnorm(n2)
+    if not _strictly_positive(n2, n2_norm, tol):
+        raise RegimeError(
+            "N2 = X-adjoint X is not strictly positive; the non-invertible "
+            "regime needs full column rank"
+        )
+    norms = {"n2_norm": n2_norm, "n1_norm": opnorm(n1), "theta1_norm": opnorm(theta1)}
+    comm = _rel_comm(n1, theta1, norms["n1_norm"], norms["theta1_norm"])
+    if comm > tol:
+        raise RegimeError(
+            f"[N1, Theta1] relative norm {comm:.3e} exceeds {tol:.1e}; the "
+            "non-invertible regime needs the seed to commute with N1"
+        )
+    return norms
+
+
+def _classify(theta1, x, n1, n2, tol: float):
+    """Regime of validated (Theta1, X) with Grams N1, N2.
+
+    Returns (case, norms, s): ``norms`` maps IntertwiningModel norm names to
+    the operand norms classification measured, and ``s`` holds the singular
+    values of a square X (None for rectangular X).
+    """
+    d1, d2 = x.shape
+    if d1 != d2:
+        return CASE_NONINVERTIBLE, _noninvertible_preconditions(theta1, n1, n2, tol), None
+    s = np.linalg.svd(x, compute_uv=False)
+    if not (s[0] > 0 and s[-1] > tol * s[0]):
+        raise RegimeError(
+            "square X is singular: a square non-invertible intertwiner cannot "
+            "have strictly positive N2 = X-adjoint X, so no regime applies "
+            "(finite-dimensional no-go)"
+        )
+    norms = {"n1_norm": opnorm(n1), "theta1_norm": opnorm(theta1)}
+    if _rel_comm(n1, theta1, norms["n1_norm"], norms["theta1_norm"]) <= tol:
+        return CASE_INVERTIBLE_COMMUTING, norms, s
+    return CASE_INVERTIBLE, norms, s
+
+
 def classify(theta1, x, tol: float = RELATION_TOL) -> str:
     """Decide which construction regime applies to (Theta1, X).
 
@@ -77,32 +125,20 @@ def classify(theta1, x, tol: float = RELATION_TOL) -> str:
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
     _check_shapes(theta1, x)
-    d1, d2 = x.shape
-    n1 = x @ x.conj().T
-    if d1 == d2:
-        s = np.linalg.svd(x, compute_uv=False)
-        if s[0] > 0 and s[-1] > tol * s[0]:
-            if _rel_comm(n1, theta1) <= tol:
-                return CASE_INVERTIBLE_COMMUTING
-            return CASE_INVERTIBLE
-        raise RegimeError(
-            "square X is singular: a square non-invertible intertwiner cannot "
-            "have strictly positive N2 = X-adjoint X, so no regime applies "
-            "(finite-dimensional no-go)"
-        )
-    n2 = x.conj().T @ x
-    if not is_strictly_positive(n2, tol):
-        raise RegimeError(
-            "N2 = X-adjoint X is not strictly positive; the non-invertible "
-            "regime needs full column rank"
-        )
-    comm = _rel_comm(n1, theta1)
-    if comm > tol:
-        raise RegimeError(
-            f"[N1, Theta1] relative norm {comm:.3e} exceeds {tol:.1e}; the "
-            "non-invertible regime needs the seed to commute with N1"
-        )
-    return CASE_NONINVERTIBLE
+    _, n1, n2 = _grams(x)
+    return _classify(theta1, x, n1, n2, tol)[0]
+
+
+def _similarity_partner(theta1, x, s) -> np.ndarray:
+    """X^{-1} Theta1 X for square X with singular values ``s``."""
+    if s[0] == 0 or s[-1] <= RANK_TOL * s[0]:
+        raise SingularityError("X is numerically singular; similarity unavailable")
+    return np.linalg.solve(x, theta1 @ x)
+
+
+def _noninvertible_partner(theta1, x, xh, n2) -> np.ndarray:
+    """N2^{-1} (X-adjoint Theta1 X)."""
+    return np.linalg.solve(n2, xh @ theta1 @ x)
 
 
 def build_case1(theta1, x) -> np.ndarray:
@@ -112,10 +148,7 @@ def build_case1(theta1, x) -> np.ndarray:
     _check_shapes(theta1, x)
     if x.shape[0] != x.shape[1]:
         raise SingularityError(f"similarity construction needs square X, got {x.shape}")
-    s = np.linalg.svd(x, compute_uv=False)
-    if s[0] == 0 or s[-1] <= RANK_TOL * s[0]:
-        raise SingularityError("X is numerically singular; similarity unavailable")
-    return np.linalg.solve(x, theta1 @ x)
+    return _similarity_partner(theta1, x, np.linalg.svd(x, compute_uv=False))
 
 
 def build_case3(theta1, x, tol: float = RELATION_TOL) -> np.ndarray:
@@ -128,16 +161,9 @@ def build_case3(theta1, x, tol: float = RELATION_TOL) -> np.ndarray:
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
     _check_shapes(theta1, x)
-    xh = x.conj().T
-    n2 = xh @ x
-    if not is_strictly_positive(n2, tol):
-        raise RegimeError("precondition failed: N2 = X-adjoint X not strictly positive")
-    comm = _rel_comm(x @ xh, theta1)
-    if comm > tol:
-        raise RegimeError(
-            f"precondition failed: [N1, Theta1] relative norm {comm:.3e} > {tol:.1e}"
-        )
-    return np.linalg.solve(n2, xh @ theta1 @ x)
+    xh, n1, n2 = _grams(x)
+    _noninvertible_preconditions(theta1, n1, n2, tol)
+    return _noninvertible_partner(theta1, x, xh, n2)
 
 
 @dataclass(frozen=True)
@@ -168,27 +194,27 @@ def map_eigensystem(x, eigensystem: Eigensystem, tol: float = KERNEL_TOL) -> Map
             "eigensystem has (numerically) repeated eigenvalues; refusing to "
             "transport a non-simple spectrum"
         )
-    phi1 = eigensystem.vectors
-    if x.shape[0] != phi1.shape[0]:
+    xh = x.conj().T
+    return _transport(eigensystem.vectors, xh, x @ xh, xh @ x, tol)
+
+
+def _transport(phi1, xh, n1, n2, tol: float) -> MappedEigensystem:
+    """``map_eigensystem`` of the columns ``phi1`` given X-adjoint, N1 and N2."""
+    if xh.shape[1] != phi1.shape[0]:
         raise DimensionError("intertwiner rows must match the seed space dimension")
-    phi2 = x.conj().T @ phi1
+    phi2 = xh @ phi1
     norms1 = np.linalg.norm(phi1, axis=0)
     norms2 = np.linalg.norm(phi2, axis=0)
     kernel_mask = norms2 <= tol * norms1
     tilde_k = np.where(kernel_mask, 0.0, (norms2 / norms1) ** 2)
-    n1 = x @ x.conj().T
-    n2 = x.conj().T @ x
-    count = phi1.shape[1]
-    res1 = np.full(count, np.nan)
-    res2 = np.full(count, np.nan)
-    for n in range(count):
-        if kernel_mask[n]:
-            continue
-        res1[n] = np.linalg.norm(n1 @ phi1[:, n] - tilde_k[n] * phi1[:, n]) / norms1[n]
-        res2[n] = np.linalg.norm(n2 @ phi2[:, n] - tilde_k[n] * phi2[:, n]) / norms2[n]
-    survivors = [n for n in range(count) if not kernel_mask[n]]
+    alive = ~kernel_mask
+    res1 = np.full(phi1.shape[1], np.nan)
+    res2 = np.full(phi1.shape[1], np.nan)
+    p1, p2, k = phi1[:, alive], phi2[:, alive], tilde_k[alive]
+    res1[alive] = np.linalg.norm(n1 @ p1 - p1 * k, axis=0) / norms1[alive]
+    res2[alive] = np.linalg.norm(n2 @ p2 - p2 * k, axis=0) / norms2[alive]
     classes: list[list[int]] = []
-    for n in survivors:
+    for n in np.flatnonzero(alive).tolist():
         for cls in classes:
             if abs(tilde_k[n] - tilde_k[cls[0]]) <= DEGENERACY_TOL:
                 cls.append(n)
@@ -279,6 +305,11 @@ class IntertwiningModel:
     ``kernel_set`` indexes (0-based, in eigenvalue order) the seed
     eigenvectors annihilated by X-adjoint; their eigenvalues are absent
     from the partner spectrum.  ``tilde_k`` is 0.0 on kernel indices.
+
+    The model is a snapshot: the spectral norms ``theta1_norm``,
+    ``x_norm``, ``n1_norm``, ``n2_norm`` and ``theta2_norm`` are each
+    computed once, on first use (or seeded by ``build_model``), so its
+    arrays must not be mutated in place.
     """
 
     theta1: np.ndarray
@@ -295,6 +326,26 @@ class IntertwiningModel:
     kernel_set: tuple[int, ...]
     tilde_k: np.ndarray
     degeneracy_classes: tuple[tuple[int, ...], ...] = ()
+
+    @cached_property
+    def theta1_norm(self) -> float:
+        return opnorm(self.theta1)
+
+    @cached_property
+    def x_norm(self) -> float:
+        return opnorm(self.x)
+
+    @cached_property
+    def n1_norm(self) -> float:
+        return opnorm(self.n1)
+
+    @cached_property
+    def n2_norm(self) -> float:
+        return opnorm(self.n2)
+
+    @cached_property
+    def theta2_norm(self) -> float:
+        return opnorm(self.theta2)
 
     @property
     def commuting(self) -> bool:
@@ -365,41 +416,51 @@ def build_model(
     """
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
-    case = classify(theta1, x, relation_tol)
+    _check_shapes(theta1, x)
+    xh, n1, n2 = _grams(x)
+    case, norms, s = _classify(theta1, x, n1, n2, relation_tol)
     if case == CASE_NONINVERTIBLE:
-        theta2 = build_case3(theta1, x, relation_tol)
+        theta2 = _noninvertible_partner(theta1, x, xh, n2)
     else:
-        theta2 = build_case1(theta1, x)
+        theta2 = _similarity_partner(theta1, x, s)
     if eigensystem is None:
-        eigensystem = eig(theta1, multiplicity_tolerance)
+        eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1_norm"])
     if not eigensystem.simple_spectrum:
         raise SpectrumError(
             "seed spectrum is not simple at the configured multiplicity "
             "tolerance; near-degenerate eigenvalues are never merged"
         )
     psi1 = biorthogonal_partner(eigensystem.vectors)
-    mapped = map_eigensystem(x, eigensystem, kernel_tol)
-    psi2 = x.conj().T @ psi1
-    return IntertwiningModel(
+    mapped = _transport(eigensystem.vectors, xh, n1, n2, kernel_tol)
+    model = IntertwiningModel(
         theta1=theta1,
         x=x,
         theta2=theta2,
-        n1=x @ x.conj().T,
-        n2=x.conj().T @ x,
+        n1=n1,
+        n2=n2,
         case=case,
         values=eigensystem.values,
         phi1=eigensystem.vectors,
         psi1=psi1,
         phi2=mapped.phi2,
-        psi2=psi2,
+        psi2=xh @ psi1,
         kernel_set=mapped.kernel_set,
         tilde_k=mapped.tilde_k,
         degeneracy_classes=mapped.degeneracy_classes,
     )
+    # the cached norms are still unset: seed those classification measured
+    model.__dict__.update(norms)
+    return model
 
 
-def _rel(num: float, scale: float) -> float:
-    return num / max(scale, 1e-300)
+def _rel(num, scale):
+    return num / np.maximum(scale, 1e-300)
+
+
+def _worst_column(op, vectors, values, scale: float) -> float:
+    """max_n ||op v_n - values_n v_n|| / (scale ||v_n||) over the columns v_n (0.0 if none)."""
+    defect = np.linalg.norm(op @ vectors - vectors * values, axis=0)
+    return float(np.max(_rel(defect, scale * np.linalg.norm(vectors, axis=0)), initial=0.0))
 
 
 def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> RelationReport:
@@ -411,13 +472,13 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
     t1, t2, x = model.theta1, model.theta2, model.x
     xh = x.conj().T
     n1, n2 = model.n1, model.n2
-    st = opnorm(t1)
-    sx = opnorm(x)
+    st = model.theta1_norm
+    sx = model.x_norm
     residuals: dict[str, float] = {}
     skipped: dict[str, str] = {}
 
     residuals["intertwine"] = _rel(opnorm(x @ t2 - t1 @ x), st * sx)
-    residuals["intertwine_n"] = _rel(opnorm(x @ n2 - n1 @ x), opnorm(n1) * sx)
+    residuals["intertwine_n"] = _rel(opnorm(x @ n2 - n1 @ x), model.n1_norm * sx)
     tp1, tp2 = t1, t2
     for n in range(2, 5):
         tp1 = tp1 @ t1
@@ -426,74 +487,44 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
 
     gram1 = model.phi1.conj().T @ model.psi1
     residuals["pairing_level1"] = float(np.max(np.abs(gram1 - np.eye(gram1.shape[0]))))
+    residuals["psi1_eigen"] = _worst_column(t1.conj().T, model.psi1, np.conj(model.values), st)
 
-    psi_defect = 0.0
-    for n in range(len(model.values)):
-        psi = model.psi1[:, n]
-        r = np.linalg.norm(t1.conj().T @ psi - np.conj(model.values[n]) * psi)
-        psi_defect = max(psi_defect, _rel(r, st * np.linalg.norm(psi)))
-    residuals["psi1_eigen"] = psi_defect
-
-    st2 = opnorm(t2)
+    st2 = model.theta2_norm
     if model.commuting:
         residuals["intertwine_adjoint_side"] = _rel(opnorm(t2 @ xh - xh @ t1), st * sx)
         residuals["intertwine_dagger"] = _rel(
             opnorm(x @ t2.conj().T - t1.conj().T @ x), st * sx
         )
-        residuals["commute_n2_theta2"] = _rel_comm(n2, t2)
+        residuals["commute_n2_theta2"] = _rel_comm(n2, t2, model.n2_norm, st2)
 
         gram2 = model.phi2.conj().T @ model.psi2
         target = np.diag(model.tilde_k)
         kscale = max(1.0, float(np.max(model.tilde_k, initial=0.0)))
         residuals["pairing_level2"] = float(np.max(np.abs(gram2 - target))) / kscale
 
-        eig2 = 0.0
-        psi2_def = 0.0
-        for n in model.survivors:
-            p2 = model.phi2[:, n]
-            eig2 = max(
-                eig2,
-                _rel(
-                    np.linalg.norm(t2 @ p2 - model.values[n] * p2),
-                    st2 * np.linalg.norm(p2),
-                ),
-            )
-            q2 = model.psi2[:, n]
-            psi2_def = max(
-                psi2_def,
-                _rel(
-                    np.linalg.norm(t2.conj().T @ q2 - np.conj(model.values[n]) * q2),
-                    st2 * np.linalg.norm(q2),
-                ),
-            )
-        residuals["theta2_eigen"] = eig2
-        residuals["psi2_eigen"] = psi2_def
+        alive = list(model.survivors)
+        values, tilde_k = model.values[alive], model.tilde_k[alive]
+        phi1, phi2, psi2 = model.phi1[:, alive], model.phi2[:, alive], model.psi2[:, alive]
+        residuals["theta2_eigen"] = _worst_column(t2, phi2, values, st2)
+        residuals["psi2_eigen"] = _worst_column(t2.conj().T, psi2, np.conj(values), st2)
 
         if model.kernel_set:
-            kphi = max(
-                np.linalg.norm(model.phi2[:, n]) / np.linalg.norm(model.phi1[:, n])
-                for n in model.kernel_set
-            )
-            kpsi = max(
-                np.linalg.norm(model.psi2[:, n]) / np.linalg.norm(model.psi1[:, n])
-                for n in model.kernel_set
-            )
-            residuals["kernel_phi2_zero"] = float(kphi)
-            residuals["kernel_psi2_zero"] = float(kpsi)
+            dead = list(model.kernel_set)
+            norms = {
+                name: np.linalg.norm(getattr(model, name)[:, dead], axis=0)
+                for name in ("phi1", "phi2", "psi1", "psi2")
+            }
+            residuals["kernel_phi2_zero"] = float(np.max(norms["phi2"] / norms["phi1"]))
+            residuals["kernel_psi2_zero"] = float(np.max(norms["psi2"] / norms["psi1"]))
         else:
             skipped["kernel_phi2_zero"] = "kernel set empty"
             skipped["kernel_psi2_zero"] = "kernel set empty"
 
-        nr = 0.0
-        for n in model.survivors:
-            p1 = model.phi1[:, n]
-            p2 = model.phi2[:, n]
-            nr = max(
-                nr,
-                np.linalg.norm(n1 @ p1 - model.tilde_k[n] * p1) / np.linalg.norm(p1),
-                np.linalg.norm(n2 @ p2 - model.tilde_k[n] * p2) / np.linalg.norm(p2),
-            )
-        residuals["n_eigen"] = _rel(nr, max(opnorm(n1), 1.0))
+        nr = max(
+            _worst_column(n1, phi1, tilde_k, 1.0),
+            _worst_column(n2, phi2, tilde_k, 1.0),
+        )
+        residuals["n_eigen"] = _rel(nr, max(model.n1_norm, 1.0))
     else:
         for name in (
             "intertwine_adjoint_side",
@@ -505,15 +536,8 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
         ):
             skipped[name] = "requires the commuting hypothesis [N1, Theta1] = 0"
         # similarity regime: partner eigenvectors come from X inverse
-        eig2 = 0.0
         phit = np.linalg.solve(x, model.phi1)
-        for n in range(len(model.values)):
-            v = phit[:, n]
-            eig2 = max(
-                eig2,
-                _rel(np.linalg.norm(t2 @ v - model.values[n] * v), st2 * np.linalg.norm(v)),
-            )
-        residuals["theta2_eigen"] = eig2
+        residuals["theta2_eigen"] = _worst_column(t2, phit, model.values, st2)
 
     report = RelationReport(
         residuals=residuals,
@@ -539,16 +563,16 @@ def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rela
     residuals: dict[str, float] = {}
     skipped: dict[str, str] = {}
 
-    residuals["commutator_n2_theta2"] = _rel_comm(n2, t2)
+    residuals["commutator_n2_theta2"] = _rel_comm(n2, t2, model.n2_norm, model.theta2_norm)
 
-    sa1 = _rel(opnorm(t1 - t1.conj().T), max(1.0, opnorm(t1)))
-    sa2 = _rel(opnorm(t2 - t2.conj().T), max(1.0, opnorm(t2)))
+    sa1 = _rel(opnorm(t1 - t1.conj().T), max(1.0, model.theta1_norm))
+    sa2 = _rel(opnorm(t2 - t2.conj().T), max(1.0, model.theta2_norm))
     if sa1 <= tol:
         residuals["theta2_self_adjoint"] = sa2
     else:
         skipped["theta2_self_adjoint"] = f"seed not self-adjoint (defect {sa1:.3e})"
 
-    n1_positive = is_strictly_positive(n1, tol)
+    n1_positive = _strictly_positive(n1, model.n1_norm, tol)
     if sa2 <= tol and n1_positive:
         residuals["theta1_self_adjoint"] = sa1
     else:
@@ -563,10 +587,10 @@ def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rela
         n1_inv = np.linalg.inv(n1)
         n2_inv = np.linalg.inv(n2)
         residuals["n_inverse_intertwine"] = _rel(
-            opnorm(x @ n2_inv - n1_inv @ x), opnorm(n1_inv) * opnorm(x)
+            opnorm(x @ n2_inv - n1_inv @ x), opnorm(n1_inv) * model.x_norm
         )
         residuals["theta1_reconstruction"] = _rel(
-            opnorm(t1 - n1_inv @ (x @ t2 @ x.conj().T)), max(1.0, opnorm(t1))
+            opnorm(t1 - n1_inv @ (x @ t2 @ x.conj().T)), max(1.0, model.theta1_norm)
         )
     else:
         skipped["n_inverse_intertwine"] = "N1 singular"
@@ -585,7 +609,7 @@ def adjoint_descent(model: IntertwiningModel) -> float:
         raise RegimeError("adjoint-descent comparison targets the non-invertible regime")
     xh = model.x.conj().T
     lifted = np.linalg.solve(model.n2, xh @ model.theta1.conj().T @ model.x)
-    return _rel(opnorm(lifted - model.theta2.conj().T), max(1.0, opnorm(model.theta2)))
+    return _rel(opnorm(lifted - model.theta2.conj().T), max(1.0, model.theta2_norm))
 
 
 def make_commuting_pair(dim1: int, dim2: int, seed: int, hermitian: bool = False):
@@ -630,11 +654,6 @@ def make_commuting_pair(dim1: int, dim2: int, seed: int, hermitian: bool = False
         if hermitian:
             theta1 = (theta1 + theta1.conj().T) / 2
         vals = np.linalg.eigvals(theta1)
-        gaps = [
-            abs(vals[i] - vals[j])
-            for i in range(dim1)
-            for j in range(i + 1, dim1)
-        ]
-        if min(gaps) > 1e-6:
+        if _pairwise_gaps(vals).min() > 1e-6:
             return theta1, x
     raise NumericalError("could not draw a simple-spectrum commuting pair in 64 tries")

@@ -80,14 +80,21 @@ def kernel_basis(m, tol: float = KERNEL_TOL) -> list[np.ndarray]:
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive."""
+    rows = np.argmax(np.abs(vectors), axis=0)
+    pivot = vectors[rows, np.arange(vectors.shape[1])]
+    # hypot, not np.abs: numpy's vectorized complex abs can differ by an ulp
+    size = np.hypot(pivot.real, pivot.imag)
+    # scaled in place in a C-ordered copy: later column norms round by layout
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        i = int(np.argmax(np.abs(v)))
-        pivot = v[i]
-        if pivot != 0:
-            out[:, j] = v * (abs(pivot) / pivot)
+    out *= np.divide(size, pivot, out=np.ones_like(pivot), where=pivot != 0)
     return out
+
+
+def _pairwise_gaps(values: np.ndarray) -> np.ndarray:
+    """|values[i] - values[j]| for every i < j, rounded as scalar abs() rounds it."""
+    i, j = np.triu_indices(len(values), 1)
+    d = values[i] - values[j]
+    return np.hypot(d.real, d.imag)
 
 
 @dataclass(frozen=True)
@@ -113,12 +120,7 @@ class Eigensystem:
     @property
     def simple_spectrum(self) -> bool:
         """True iff all pairwise eigenvalue gaps exceed the multiplicity tolerance."""
-        vals = self.values
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if abs(vals[i] - vals[j]) <= self.multiplicity_tolerance:
-                    return False
-        return True
+        return not np.any(_pairwise_gaps(self.values) <= self.multiplicity_tolerance)
 
     @property
     def dim(self) -> int:
@@ -135,6 +137,11 @@ def eig(m, multiplicity_tolerance: float = MULTIPLICITY_TOL) -> Eigensystem:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"eig needs a square matrix, got {m.shape}")
+    return _eig(m, multiplicity_tolerance, opnorm(m))
+
+
+def _eig(m: np.ndarray, multiplicity_tolerance: float, scale: float) -> Eigensystem:
+    """``eig`` on a validated square matrix whose norm ``scale`` = ||M|| is known."""
     try:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
@@ -144,7 +151,6 @@ def eig(m, multiplicity_tolerance: float = MULTIPLICITY_TOL) -> Eigensystem:
     vectors = vectors[:, order]
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     vectors = _fix_phase(vectors)
-    scale = opnorm(m)
     if scale == 0.0:
         max_res = 0.0
     else:
@@ -181,7 +187,12 @@ def is_strictly_positive(m, tol: float = KERNEL_TOL) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"positivity test needs a square matrix, got {m.shape}")
-    scale = max(1.0, opnorm(m))
+    return _strictly_positive(m, opnorm(m), tol)
+
+
+def _strictly_positive(m: np.ndarray, norm: float, tol: float) -> bool:
+    """``is_strictly_positive`` on a validated square matrix with ``norm`` = ||m||."""
+    scale = max(1.0, norm)
     if opnorm(m - m.conj().T) > tol * scale:
         return False
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)

@@ -193,6 +193,18 @@ def test_eig_flags_degenerate_spectrum():
     assert not es.simple_spectrum
 
 
+@pytest.mark.parametrize("direction", [1.0, -1.0, 1j])
+def test_simple_spectrum_gap_edge(direction):
+    tol = 1e-8
+
+    def simple(gap):
+        values = np.array([5.0, 0.0, direction * gap])
+        return Eigensystem(values, np.eye(3, dtype=complex), tol).simple_spectrum
+
+    assert not simple(tol)
+    assert simple(np.nextafter(tol, 1.0))
+
+
 @given(st.integers(0, 10**6), st.integers(2, 8))
 @settings(max_examples=40, deadline=None)
 def test_eig_residual_invariant(seed, n):

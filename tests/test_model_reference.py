@@ -1,0 +1,408 @@
+"""The model layer against reference copies of its former per-column loops.
+
+``build_model`` measures each operand norm once and the relation checks
+work on whole column blocks.  The functions prefixed ``_reference_`` below
+are the earlier loop implementations, kept verbatim in substance: every
+norm recomputed, one column at a time.  Whole-matrix residuals must come
+out bit-identical; column residuals (now matrix products and axis norms,
+summed in another order) within 1e-15 absolute.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import isospec.intertwining as intertwining
+import isospec.linalg as linalg
+from isospec import (
+    CASE_NONINVERTIBLE,
+    Eigensystem,
+    NumericalError,
+    adjoint_descent,
+    build_model,
+    eig,
+    get_fixture,
+    is_strictly_positive,
+    make_commuting_pair,
+    opnorm,
+    structure_check,
+    verify_relations,
+)
+
+DEGENERACY_TOL = 1e-8
+COLUMN_RESIDUALS = {
+    "psi1_eigen",
+    "theta2_eigen",
+    "psi2_eigen",
+    "kernel_phi2_zero",
+    "kernel_psi2_zero",
+    "n_eigen",
+}
+COLUMN_ATOL = 1e-15
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the per-column implementations
+
+
+def _reference_fix_phase(vectors):
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        v = out[:, j]
+        i = int(np.argmax(np.abs(v)))
+        pivot = v[i]
+        if pivot != 0:
+            out[:, j] = v * (abs(pivot) / pivot)
+    return out
+
+
+def _reference_simple_spectrum(vals, tol):
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if abs(vals[i] - vals[j]) <= tol:
+                return False
+    return True
+
+
+def _reference_make_commuting_pair(dim1, dim2, seed, hermitian=False):
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        x = rng.standard_normal((dim1, dim2)) + 1j * rng.standard_normal((dim1, dim2))
+        s = np.linalg.svd(x, compute_uv=False)
+        if s[-1] <= 1e-6 * s[0]:
+            continue
+        n1 = x @ x.conj().T
+        w, u = np.linalg.eigh(n1)
+        groups = []
+        for i in range(dim1):
+            if groups and abs(w[i] - w[groups[-1][0]]) <= 1e-8 * max(w[-1], 1.0):
+                groups[-1].append(i)
+            else:
+                groups.append([i])
+        c = np.zeros((dim1, dim1), dtype=complex)
+        for g in groups:
+            blk = rng.standard_normal((len(g), len(g))) + 1j * rng.standard_normal(
+                (len(g), len(g))
+            )
+            if hermitian:
+                blk = (blk + blk.conj().T) / 2
+            c[np.ix_(g, g)] = blk
+        theta1 = u @ c @ u.conj().T
+        if hermitian:
+            theta1 = (theta1 + theta1.conj().T) / 2
+        vals = np.linalg.eigvals(theta1)
+        gaps = [abs(vals[i] - vals[j]) for i in range(dim1) for j in range(i + 1, dim1)]
+        if min(gaps) > 1e-6:
+            return theta1, x
+    raise NumericalError("could not draw a simple-spectrum commuting pair in 64 tries")
+
+
+def _reference_map(x, phi1, tol=1e-10):
+    """kernel_set, tilde_k, N-residuals and degeneracy classes, column by column."""
+    phi2 = x.conj().T @ phi1
+    norms1 = np.linalg.norm(phi1, axis=0)
+    norms2 = np.linalg.norm(phi2, axis=0)
+    kernel_mask = norms2 <= tol * norms1
+    tilde_k = np.where(kernel_mask, 0.0, (norms2 / norms1) ** 2)
+    n1 = x @ x.conj().T
+    n2 = x.conj().T @ x
+    count = phi1.shape[1]
+    res1 = np.full(count, np.nan)
+    res2 = np.full(count, np.nan)
+    for n in range(count):
+        if kernel_mask[n]:
+            continue
+        res1[n] = np.linalg.norm(n1 @ phi1[:, n] - tilde_k[n] * phi1[:, n]) / norms1[n]
+        res2[n] = np.linalg.norm(n2 @ phi2[:, n] - tilde_k[n] * phi2[:, n]) / norms2[n]
+    classes = []
+    for n in [n for n in range(count) if not kernel_mask[n]]:
+        for cls in classes:
+            if abs(tilde_k[n] - tilde_k[cls[0]]) <= DEGENERACY_TOL:
+                cls.append(n)
+                break
+        else:
+            classes.append([n])
+    kernel_set = tuple(int(n) for n in np.nonzero(kernel_mask)[0])
+    return kernel_set, tilde_k, res1, res2, tuple(tuple(c) for c in classes)
+
+
+def _rel(num, scale):
+    return num / max(scale, 1e-300)
+
+
+def _rel_comm(a, b):
+    scale = opnorm(a) * opnorm(b)
+    if scale == 0.0:
+        return 0.0
+    return opnorm(a @ b - b @ a) / scale
+
+
+def _reference_verify(model):
+    """Residuals and skipped names of the per-column ``verify_relations``."""
+    t1, t2, x = model.theta1, model.theta2, model.x
+    xh = x.conj().T
+    n1, n2 = model.n1, model.n2
+    st1 = opnorm(t1)
+    sx = opnorm(x)
+    residuals = {}
+    skipped = set()
+    residuals["intertwine"] = _rel(opnorm(x @ t2 - t1 @ x), st1 * sx)
+    residuals["intertwine_n"] = _rel(opnorm(x @ n2 - n1 @ x), opnorm(n1) * sx)
+    tp1, tp2 = t1, t2
+    for n in range(2, 5):
+        tp1 = tp1 @ t1
+        tp2 = tp2 @ t2
+        residuals[f"intertwine_power_{n}"] = _rel(opnorm(x @ tp2 - tp1 @ x), opnorm(tp1) * sx)
+    gram1 = model.phi1.conj().T @ model.psi1
+    residuals["pairing_level1"] = float(np.max(np.abs(gram1 - np.eye(gram1.shape[0]))))
+    psi_defect = 0.0
+    for n in range(len(model.values)):
+        psi = model.psi1[:, n]
+        r = np.linalg.norm(t1.conj().T @ psi - np.conj(model.values[n]) * psi)
+        psi_defect = max(psi_defect, _rel(r, st1 * np.linalg.norm(psi)))
+    residuals["psi1_eigen"] = psi_defect
+    st2 = opnorm(t2)
+    if model.commuting:
+        residuals["intertwine_adjoint_side"] = _rel(opnorm(t2 @ xh - xh @ t1), st1 * sx)
+        residuals["intertwine_dagger"] = _rel(
+            opnorm(x @ t2.conj().T - t1.conj().T @ x), st1 * sx
+        )
+        residuals["commute_n2_theta2"] = _rel_comm(n2, t2)
+        gram2 = model.phi2.conj().T @ model.psi2
+        kscale = max(1.0, float(np.max(model.tilde_k, initial=0.0)))
+        residuals["pairing_level2"] = (
+            float(np.max(np.abs(gram2 - np.diag(model.tilde_k)))) / kscale
+        )
+        eig2 = 0.0
+        psi2_def = 0.0
+        for n in model.survivors:
+            p2 = model.phi2[:, n]
+            r = np.linalg.norm(t2 @ p2 - model.values[n] * p2)
+            eig2 = max(eig2, _rel(r, st2 * np.linalg.norm(p2)))
+            q2 = model.psi2[:, n]
+            r = np.linalg.norm(t2.conj().T @ q2 - np.conj(model.values[n]) * q2)
+            psi2_def = max(psi2_def, _rel(r, st2 * np.linalg.norm(q2)))
+        residuals["theta2_eigen"] = eig2
+        residuals["psi2_eigen"] = psi2_def
+        if model.kernel_set:
+            residuals["kernel_phi2_zero"] = float(
+                max(
+                    np.linalg.norm(model.phi2[:, n]) / np.linalg.norm(model.phi1[:, n])
+                    for n in model.kernel_set
+                )
+            )
+            residuals["kernel_psi2_zero"] = float(
+                max(
+                    np.linalg.norm(model.psi2[:, n]) / np.linalg.norm(model.psi1[:, n])
+                    for n in model.kernel_set
+                )
+            )
+        else:
+            skipped |= {"kernel_phi2_zero", "kernel_psi2_zero"}
+        nr = 0.0
+        for n in model.survivors:
+            p1 = model.phi1[:, n]
+            p2 = model.phi2[:, n]
+            nr = max(
+                nr,
+                np.linalg.norm(n1 @ p1 - model.tilde_k[n] * p1) / np.linalg.norm(p1),
+                np.linalg.norm(n2 @ p2 - model.tilde_k[n] * p2) / np.linalg.norm(p2),
+            )
+        residuals["n_eigen"] = _rel(nr, max(opnorm(n1), 1.0))
+    else:
+        skipped |= {
+            "intertwine_adjoint_side",
+            "intertwine_dagger",
+            "commute_n2_theta2",
+            "pairing_level2",
+            "psi2_eigen",
+            "n_eigen",
+        }
+        eig2 = 0.0
+        phit = np.linalg.solve(x, model.phi1)
+        for n in range(len(model.values)):
+            v = phit[:, n]
+            r = np.linalg.norm(t2 @ v - model.values[n] * v)
+            eig2 = max(eig2, _rel(r, st2 * np.linalg.norm(v)))
+        residuals["theta2_eigen"] = eig2
+    return residuals, skipped
+
+
+def _reference_structure(model, tol=1e-9):
+    """Residuals of ``structure_check`` and ``adjoint_descent``, norms recomputed."""
+    t1, t2, x = model.theta1, model.theta2, model.x
+    n1, n2 = model.n1, model.n2
+    residuals = {"commutator_n2_theta2": _rel_comm(n2, t2)}
+    sa1 = _rel(opnorm(t1 - t1.conj().T), max(1.0, opnorm(t1)))
+    sa2 = _rel(opnorm(t2 - t2.conj().T), max(1.0, opnorm(t2)))
+    if sa1 <= tol:
+        residuals["theta2_self_adjoint"] = sa2
+    n1_positive = is_strictly_positive(n1, tol)
+    if sa2 <= tol and n1_positive:
+        residuals["theta1_self_adjoint"] = sa1
+    if n1_positive:
+        n1_inv = np.linalg.inv(n1)
+        n2_inv = np.linalg.inv(n2)
+        residuals["n_inverse_intertwine"] = _rel(
+            opnorm(x @ n2_inv - n1_inv @ x), opnorm(n1_inv) * opnorm(x)
+        )
+        residuals["theta1_reconstruction"] = _rel(
+            opnorm(t1 - n1_inv @ (x @ t2 @ x.conj().T)), max(1.0, opnorm(t1))
+        )
+    lifted = np.linalg.solve(n2, x.conj().T @ t1.conj().T @ x)
+    residuals["adjoint_descent"] = _rel(
+        opnorm(lifted - t2.conj().T), max(1.0, opnorm(t2))
+    )
+    return residuals
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def _assert_residuals_match(got, want):
+    assert set(got) == set(want)
+    for name, value in want.items():
+        if name in COLUMN_RESIDUALS:
+            assert abs(got[name] - value) <= COLUMN_ATOL, (name, got[name], value)
+        else:
+            assert got[name] == value, (name, got[name], value)
+
+
+def _check_against_reference(model, eigensystem):
+    theta1, x = model.theta1, model.x
+    if model.case == CASE_NONINVERTIBLE:
+        theta2 = np.linalg.solve(x.conj().T @ x, x.conj().T @ theta1 @ x)
+    else:
+        theta2 = np.linalg.solve(x, theta1 @ x)
+    assert np.array_equal(model.theta2, theta2)
+    assert np.array_equal(model.phi1, eigensystem.vectors)
+    kernel_set, tilde_k, _, _, classes = _reference_map(x, eigensystem.vectors)
+    assert model.kernel_set == kernel_set
+    assert np.array_equal(model.tilde_k, tilde_k)
+    assert model.degeneracy_classes == classes
+
+    report = verify_relations(model)
+    residuals, skipped = _reference_verify(model)
+    _assert_residuals_match(report.residuals, residuals)
+    assert set(report.skipped) == skipped
+    assert report.all_passed == all(v <= report.tolerance for v in residuals.values())
+    if model.case == CASE_NONINVERTIBLE:
+        structure = structure_check(model)
+        got = dict(structure.residuals, adjoint_descent=adjoint_descent(model))
+        _assert_residuals_match(got, _reference_structure(model))
+
+
+def _square_pair(seed, n):
+    rng = np.random.default_rng(seed)
+    theta1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return theta1, q * rng.uniform(1.0, 4.0, n)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    dim2=st.integers(1, 8),
+    extra=st.integers(1, 8),
+    hermitian=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_commuting_pairs_match_the_column_loops(seed, dim2, extra, hermitian):
+    theta1, x = make_commuting_pair(dim2 + extra, dim2, seed, hermitian=hermitian)
+    model = build_model(theta1, x)
+    _check_against_reference(model, eig(theta1))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
+@settings(max_examples=30, deadline=None)
+def test_similarity_pairs_match_the_column_loops(seed, n):
+    theta1, x = _square_pair(seed, n)
+    model = build_model(theta1, x)
+    _check_against_reference(model, eig(theta1))
+
+
+@pytest.mark.parametrize("fixture_id", ["ex3x3", "shift", "block", "coherent_demo"])
+def test_kernel_fixtures_match_the_column_loops(fixture_id):
+    model = get_fixture(fixture_id).model
+    assert model.kernel_set
+    _check_against_reference(model, Eigensystem(model.values, model.phi1))
+
+
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 12), cols=st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_fix_phase_matches_the_column_loop(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    vectors[:, rng.random(cols) < 0.2] = 0.0
+    if seed % 2:
+        vectors = np.asfortranarray(vectors)
+    got = linalg._fix_phase(vectors)
+    want = _reference_fix_phase(vectors)
+    # numpy's complex multiply may fuse or not depending on strides: a few ulps
+    scale = np.max(np.abs(vectors), initial=1.0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.finfo(float).eps * scale)
+    # the memory layout is the reference's, so later axis reductions round alike
+    assert got.flags["C_CONTIGUOUS"] == want.flags["C_CONTIGUOUS"]
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 30), tol=st.sampled_from([1e-8, 0.3]))
+@settings(max_examples=40, deadline=None)
+def test_simple_spectrum_matches_the_pair_loop(seed, n, tol):
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1)
+    system = Eigensystem(values, np.eye(n, dtype=complex), tol)
+    assert system.simple_spectrum == _reference_simple_spectrum(values, tol)
+
+
+@pytest.mark.parametrize("dims", [(8, 4), (40, 20)])
+@pytest.mark.parametrize("seed", range(20))
+def test_commuting_pair_draws_are_unchanged(dims, seed):
+    theta1, x = make_commuting_pair(*dims, seed)
+    ref_theta1, ref_x = _reference_make_commuting_pair(*dims, seed)
+    assert np.array_equal(theta1, ref_theta1)
+    assert np.array_equal(x, ref_x)
+
+
+# ---------------------------------------------------------------------------
+# SVD budget: every operand norm of a model is measured once
+
+
+@pytest.fixture
+def svd_count(monkeypatch):
+    calls = []
+    original = linalg.opnorm
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(intertwining, "opnorm", counted)
+    monkeypatch.setattr(linalg, "opnorm", counted)
+    return calls
+
+
+def test_noninvertible_model_svd_budget(svd_count):
+    theta1, x = make_commuting_pair(12, 6, 0)
+    model = build_model(theta1, x)
+    # N2, N2 - N2-adjoint, N1, Theta1, [N1, Theta1]; eig reuses ||Theta1||
+    assert len(svd_count) == 5
+    verify_relations(model)
+    # ||X||, ||Theta2|| and one numerator per whole-matrix relation
+    assert len(svd_count) == 5 + 13
+    structure_check(model)
+    assert len(svd_count) == 5 + 13 + 4
+    adjoint_descent(model)
+    assert len(svd_count) == 5 + 13 + 4 + 1
+    # a second check measures no operand again
+    verify_relations(model)
+    assert len(svd_count) == 5 + 13 + 4 + 1 + 11
+
+
+def test_similarity_model_svd_budget(svd_count):
+    theta1, x = _square_pair(3, 6)
+    model = build_model(theta1, x)
+    # N1, Theta1, [N1, Theta1]; sigma(X) comes from one SVD outside opnorm
+    assert len(svd_count) == 3
+    verify_relations(model)
+    assert len(svd_count) == 3 + 10
