@@ -91,8 +91,7 @@ def build_ladders(system: BiorthogonalSystem, eps: EpsilonSequence) -> LadderPai
     from 0.  B A phi_n = eps_n phi_n holds for every n of the truncation;
     A B loses only the top mode.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     defect = float(np.max(np.abs(system.pairing - 1.0)))
     if defect > 1e-8:
         raise PairingError(
@@ -101,23 +100,7 @@ def build_ladders(system: BiorthogonalSystem, eps: EpsilonSequence) -> LadderPai
         )
     if not eps.strictly_increasing:
         raise ParameterError("epsilon sequence must increase strictly from 0")
-    m = system.size
-    if len(eps) < m:
-        raise DimensionError(f"need {m} epsilon values, got {len(eps)}")
-    roots = np.sqrt(eps.values[:m])
-    lower = np.zeros((m, m))
-    upper = np.zeros((m, m))
-    for k in range(1, m):
-        lower[k - 1, k] = roots[k]
-        upper[k, k - 1] = roots[k]
-    psih = system.psi.conj().T
-    return LadderPair(
-        a=system.phi @ lower @ psih,
-        b=system.phi @ upper @ psih,
-        level=1,
-        system=system,
-        eps=eps,
-    )
+    return _ladder_pair(system, eps, np.ones(system.size), level=1)
 
 
 def build_ladders_level2(
@@ -129,8 +112,7 @@ def build_ladders_level2(
     dyads carry 1/tk because <psi_k, phi_k> = tk_k rather than 1.  Vanishing
     pairing constants are refused: filter the kernel first.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     tk = system2.pairing if tilde_k is None else np.asarray(tilde_k, dtype=float)
     m = system2.size
     if tk.shape != (m,):
@@ -141,20 +123,22 @@ def build_ladders_level2(
             f"pairing constant at index {bad} is not positive; kernel modes "
             "must be filtered out before building level-2 ladders"
         )
+    return _ladder_pair(system2, eps, tk, level=2)
+
+
+def _ladder_pair(system: BiorthogonalSystem, eps: EpsilonSequence, tk, level: int) -> LadderPair:
+    """A phi_k = sqrt(eps_k * tk_k / tk_{k-1}) phi_{k-1}, B dually, on the
+    dyads |phi_k><psi_k| / tk_k; the level-1 ladders are the case tk = 1."""
+    m = system.size
     if len(eps) < m:
         raise DimensionError(f"need {m} epsilon values, got {len(eps)}")
-    lower = np.zeros((m, m))
-    upper = np.zeros((m, m))
-    for k in range(1, m):
-        lower[k - 1, k] = math.sqrt(eps.values[k] * tk[k] / tk[k - 1])
-        upper[k, k - 1] = math.sqrt(eps.values[k] * tk[k - 1] / tk[k])
-    weighted = system2.psi @ np.diag(1.0 / tk)
-    psih = weighted.conj().T
+    steps = eps.values[1:m]
+    psih = (system.psi * (1.0 / tk)).conj().T
     return LadderPair(
-        a=system2.phi @ lower @ psih,
-        b=system2.phi @ upper @ psih,
-        level=2,
-        system=system2,
+        a=system.phi @ np.diag(np.sqrt(steps * tk[1:] / tk[:-1]), 1) @ psih,
+        b=system.phi @ np.diag(np.sqrt(steps * tk[:-1] / tk[1:]), -1) @ psih,
+        level=level,
+        system=system,
         eps=eps,
     )
 
@@ -209,8 +193,7 @@ def fit_norm_growth(family, eps) -> tuple[float, float]:
     is the smallest whose r is within a relative 1e-12 of the best
     achievable (never above max(1, best)).
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     norms = _family_norms(family)
     return _fit_growth_from_norms(norms, _growth_factorials(eps, norms.size))
 
@@ -272,8 +255,7 @@ def radius(r_phi, alpha_phi, r_psi, alpha_psi, eps) -> ConvergenceData:
     rho_phi = (1/r_phi) * lim_k eps_{k+1}^{1/2 - alpha_phi} (and dually),
     rho_hat = lim_k eps_k, each limit estimated from the truncated tail.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     if not eps.strictly_increasing:
         raise ParameterError("epsilon sequence must increase strictly from 0")
     tail = eps.values[1:]
@@ -299,8 +281,7 @@ def convergence_for_system(system: BiorthogonalSystem, eps, order=None) -> Conve
     a constant prefactor never changes the convergence radius, and the
     strict n = 0 bound would otherwise reject families with ||phi_0|| > 1.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     order = system.size if order is None else int(order)
     hphi = _family_norms(system.phi[:, :order])
     hpsi = _family_norms(system.psi[:, :order])
@@ -441,9 +422,10 @@ def _radius_gate(
 
 
 def _states(
-    system: BiorthogonalSystem, eps: EpsilonSequence, zs, order: int, level: int
+    system: BiorthogonalSystem, eps, zs, order: int, level: int
 ) -> list[BicoherentState]:
     """Gate once, then assemble: the one path every state takes."""
+    eps = EpsilonSequence.of(eps)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     conv = _radius_gate(system, eps, zs, order)
     return _assemble_states(system, eps, zs, order, level, conv)
@@ -456,8 +438,6 @@ def coherent_pair(system: BiorthogonalSystem, eps, z: complex, order: int) -> Bi
     system's pairing defect.  Non-finite z, and z outside the estimated
     convergence disc, are refused.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
     return _states(system, eps, [z], order, level=1)[0]
 
 
@@ -468,8 +448,6 @@ def coherent_grid(system: BiorthogonalSystem, eps, zs, order: int) -> list[Bicoh
     |z|; the states come from one coefficient matrix and two matrix
     products.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
     return _states(system, eps, zs, order, level=1)
 
 
@@ -481,8 +459,6 @@ def coherent_pair_level2(
     All pairing constants up to ``order`` must be positive; systems that
     still contain kernel modes belong in filter_and_build instead.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
     if tilde_k is not None:
         system2 = BiorthogonalSystem(
             phi=system2.phi,
@@ -511,8 +487,7 @@ def filter_system(
     original index; "relabeled" re-applies the factorial to the surviving
     eigenvalues as a fresh sequence.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     if convention not in ("original", "relabeled"):
         raise ParameterError(
             f"unknown factorial convention {convention!r}; use 'original' or 'relabeled'"
@@ -598,8 +573,7 @@ class RadialMeasure:
 
     def moment_defects(self, eps, order: int) -> np.ndarray:
         """Relative defects |quadrature - eps_k!/(2 pi)| / (eps_k!/(2 pi))."""
-        if not isinstance(eps, EpsilonSequence):
-            eps = EpsilonSequence(np.asarray(eps, dtype=float))
+        eps = EpsilonSequence.of(eps)
         facts = eps.factorials(order)
         out = np.empty(order)
         for k in range(order):
@@ -625,8 +599,7 @@ def solve_moment_measure(
     moments up to k = 2*nodes - 1.  Any other sequence has no closed form
     here and raises; callers fall back to the sum-form identity.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     if len(eps) < max(2, order):
         raise DimensionError(f"need at least {max(2, order)} epsilon values")
     s = float(eps.values[1])
@@ -684,8 +657,7 @@ def resolution_check(
     leaving radial moments evaluated by the measure's quadrature; moment
     defects therefore propagate honestly into the residual.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     if not 1 <= order <= system.size:
         raise DimensionError(f"order must lie in 1..{system.size}, got {order}")
     f = np.asarray(f, dtype=complex).reshape(-1)
@@ -725,8 +697,7 @@ def quantize(
     from the measure, so with exact moments the result is the lowering
     ladder (symbol z) or the raising ladder (symbol zbar).
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     if symbol not in ("z", "zbar"):
         raise ParameterError(f"unsupported symbol {symbol!r}; use 'z' or 'zbar'")
     if not 2 <= order <= system.size:

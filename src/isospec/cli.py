@@ -36,22 +36,7 @@ from .bicoherent import (
     resolution_check,
     solve_moment_measure,
 )
-from .errors import (
-    DegenerateError,
-    DimensionError,
-    DivergenceError,
-    GrowthError,
-    IsospecError,
-    KernelError,
-    MomentError,
-    NumericalError,
-    PairingError,
-    ParameterError,
-    RegimeError,
-    SeedVectorError,
-    SingularityError,
-    SpectrumError,
-)
+from .errors import IsospecError, MomentError, ParameterError, RegimeError
 from .intertwining import (
     CASE_NONINVERTIBLE,
     adjoint_descent,
@@ -65,23 +50,7 @@ from .zoo import FIXTURE_IDS, get_fixture
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_REGIME = 2
 EXIT_VERIFY = 3
-
-_INPUT_ERRORS = (DimensionError, ParameterError)
-_REGIME_ERRORS = (
-    RegimeError,
-    SingularityError,
-    SpectrumError,
-    DegenerateError,
-    MomentError,
-    DivergenceError,
-    KernelError,
-    PairingError,
-    GrowthError,
-    SeedVectorError,
-    NumericalError,
-)
 
 
 @dataclass
@@ -105,7 +74,6 @@ class RunConfig:
     grid_radial: int = 20
     grid_angular: int = 16
     grid_rmax: float = 2.0
-    convention: str = "original"
     symbol: str = "z"
     order: int | None = None
 
@@ -121,8 +89,6 @@ class RunConfig:
             raise ParameterError("grid counts must be at least 1")
         if self.grid_rmax <= 0:
             raise ParameterError("grid max radius must be positive")
-        if self.convention not in ("original", "relabeled"):
-            raise ParameterError("convention must be 'original' or 'relabeled'")
         if self.symbol not in ("z", "zbar"):
             raise ParameterError("symbol must be 'z' or 'zbar'")
 
@@ -192,6 +158,17 @@ def _outpath(config: RunConfig, default_name: str) -> str:
     return os.path.join(config.outdir, default_name)
 
 
+def _build(config: RunConfig, theta1, x):
+    """build_model with the run's relation, kernel and multiplicity tolerances."""
+    return build_model(
+        theta1,
+        x,
+        relation_tol=config.relation_tol,
+        kernel_tol=config.kernel_tol,
+        multiplicity_tolerance=config.multiplicity_tol,
+    )
+
+
 def _build_target_model(config: RunConfig):
     """Resolve the model a command operates on (fixture, files, or random)."""
     sources = [
@@ -215,33 +192,14 @@ def _build_target_model(config: RunConfig):
             raise ParameterError(
                 f"--random expects D1xD2 (e.g. 8x5), got {config.random!r}"
             ) from exc
-        theta1, x = make_commuting_pair(d1, d2, _seed())
-        return build_model(
-            theta1,
-            x,
-            relation_tol=config.relation_tol,
-            kernel_tol=config.kernel_tol,
-            multiplicity_tolerance=config.multiplicity_tol,
-        )
+        return _build(config, *make_commuting_pair(d1, d2, _seed()))
     if config.model_path is not None:
         doc = _load_model_doc(config.model_path)
-        return build_model(
-            doc["theta1_matrix"],
-            doc["x_matrix"],
-            relation_tol=config.relation_tol,
-            kernel_tol=config.kernel_tol,
-            multiplicity_tolerance=config.multiplicity_tol,
-        )
+        return _build(config, doc["theta1_matrix"], doc["x_matrix"])
     if config.theta1_path is None or config.x_path is None:
         raise ParameterError("--theta1 and --x must be given together")
-    theta1 = _load_matrix_any(config.theta1_path)
-    x = _load_matrix_any(config.x_path)
-    return build_model(
-        theta1,
-        x,
-        relation_tol=config.relation_tol,
-        kernel_tol=config.kernel_tol,
-        multiplicity_tolerance=config.multiplicity_tol,
+    return _build(
+        config, _load_matrix_any(config.theta1_path), _load_matrix_any(config.x_path)
     )
 
 
@@ -276,13 +234,7 @@ def cmd_verify(config: RunConfig) -> int:
     if config.model_path is None:
         raise ParameterError("verify needs --model FILE")
     doc = _load_model_doc(config.model_path)
-    model = build_model(
-        doc["theta1_matrix"],
-        doc["x_matrix"],
-        relation_tol=config.relation_tol,
-        kernel_tol=config.kernel_tol,
-        multiplicity_tolerance=config.multiplicity_tol,
-    )
+    model = _build(config, doc["theta1_matrix"], doc["x_matrix"])
     stored_theta2 = doc["theta2_matrix"]
     theta2_residual = opnorm(model.theta2 - stored_theta2) / max(1.0, model.theta2_norm)
     stored_tilde = np.asarray(doc.get("tilde_k", []), dtype=float)
@@ -365,14 +317,35 @@ def _eps_from_model(model) -> EpsilonSequence:
     return eps
 
 
-def cmd_coherent(config: RunConfig) -> int:
-    """Sweep a z-grid: per-z CSV, measure report, resolution, quantization."""
+def _level1_inputs(config: RunConfig):
+    """(level-1 system, eps sequence, series order) of the run's target model."""
     model = _build_target_model(config)
     eps = _eps_from_model(model)
     system = model.system1()
     order = config.order or min(config.truncation, system.size)
     if order > system.size:
         raise ParameterError(f"order {order} exceeds system size {system.size}")
+    return system, eps, order
+
+
+def _ladder_defect(system: BiorthogonalSystem, eps, order: int, symbol: str, op) -> float:
+    """Max-entry distance of a quantized symbol from its ladder, relative to
+    that ladder's largest entry; both live on the first ``order`` modes."""
+    truncated = BiorthogonalSystem(
+        phi=system.phi[:, :order],
+        psi=system.psi[:, :order],
+        values=system.values[:order],
+        pairing=system.pairing[:order],
+    )
+    ladder = build_ladders(truncated, EpsilonSequence(eps.values[:order]))
+    target = ladder.a if symbol == "z" else ladder.b
+    scale = max(1.0, float(np.max(np.abs(target))))
+    return float(np.max(np.abs(op - target))) / scale
+
+
+def cmd_coherent(config: RunConfig) -> int:
+    """Sweep a z-grid: per-z CSV, measure report, resolution, quantization."""
+    system, eps, order = _level1_inputs(config)
 
     radii = [config.grid_rmax * (i + 1) / config.grid_radial for i in range(config.grid_radial)]
     angles = [2.0 * math.pi * j / config.grid_angular for j in range(config.grid_angular)]
@@ -460,17 +433,8 @@ def cmd_coherent(config: RunConfig) -> int:
     if measure is not None:
         op_z = quantize("z", system, eps, measure, order)
         op_zbar = quantize("zbar", system, eps, measure, order)
-        # compare where both are defined: the ladder truncated to the same order
-        system_t = BiorthogonalSystem(
-            phi=system.phi[:, :order],
-            psi=system.psi[:, :order],
-            values=system.values[:order],
-            pairing=system.pairing[:order],
-        )
-        ladder_t = build_ladders(system_t, EpsilonSequence(eps.values[:order]))
-        scale = max(1.0, float(np.max(np.abs(ladder_t.a))))
-        defect_z = float(np.max(np.abs(op_z - ladder_t.a))) / scale
-        defect_zbar = float(np.max(np.abs(op_zbar - ladder_t.b))) / scale
+        defect_z = _ladder_defect(system, eps, order, "z", op_z)
+        defect_zbar = _ladder_defect(system, eps, order, "zbar", op_zbar)
         iomod.save_report(
             iomod.matrix_to_jsonable(op_z), os.path.join(config.outdir, "quantize_z.json")
         )
@@ -534,23 +498,10 @@ def cmd_fixture(config: RunConfig, action: str) -> int:
 
 def cmd_quantize(config: RunConfig) -> int:
     """Write the quantized-symbol matrix and its ladder-agreement defect."""
-    model = _build_target_model(config)
-    eps = _eps_from_model(model)
-    system = model.system1()
-    order = config.order or min(config.truncation, system.size)
+    system, eps, order = _level1_inputs(config)
     measure = solve_moment_measure(eps, order, config.nodes)
     op = quantize(config.symbol, system, eps, measure, order)
-    # compare where both are defined: the ladder truncated to the same order
-    system_t = BiorthogonalSystem(
-        phi=system.phi[:, :order],
-        psi=system.psi[:, :order],
-        values=system.values[:order],
-        pairing=system.pairing[:order],
-    )
-    ladder = build_ladders(system_t, EpsilonSequence(eps.values[:order]))
-    target = ladder.a if config.symbol == "z" else ladder.b
-    scale = max(1.0, float(np.max(np.abs(target))))
-    defect = float(np.max(np.abs(op - target))) / scale
+    defect = _ladder_defect(system, eps, order, config.symbol, op)
     out = {
         "schema": "isospec-quantize-v1",
         "symbol": config.symbol,
@@ -607,7 +558,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--grid-radial", type=int, dest="grid_radial")
     p_coh.add_argument("--grid-angular", type=int, dest="grid_angular")
     p_coh.add_argument("--grid-rmax", type=float, dest="grid_rmax")
-    p_coh.add_argument("--convention", choices=("original", "relabeled"))
 
     p_fix = sub.add_parser("fixture", help="list fixtures or build one")
     fix_sub = p_fix.add_subparsers(dest="fixture_action", required=True)
@@ -676,15 +626,9 @@ def main(argv=None) -> int:
         if args.command == "quantize":
             return cmd_quantize(config)
         raise ParameterError(f"unknown command {args.command!r}")
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _REGIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     except IsospecError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -194,12 +194,31 @@ def map_eigensystem(x, eigensystem: Eigensystem, tol: float = KERNEL_TOL) -> Map
             "eigensystem has (numerically) repeated eigenvalues; refusing to "
             "transport a non-simple spectrum"
         )
+    phi1 = eigensystem.vectors
     xh = x.conj().T
-    return _transport(eigensystem.vectors, xh, x @ xh, xh @ x, tol)
+    phi2, kernel_set, tilde_k, classes = _transport(phi1, xh, tol)
+    alive = np.ones(phi1.shape[1], dtype=bool)
+    alive[list(kernel_set)] = False
+    res1 = np.full(phi1.shape[1], np.nan)
+    res2 = np.full(phi1.shape[1], np.nan)
+    p1, p2, k = phi1[:, alive], phi2[:, alive], tilde_k[alive]
+    # norms of the whole families, then indexed: a column's norm rounds by layout
+    norms1 = np.linalg.norm(phi1, axis=0)[alive]
+    norms2 = np.linalg.norm(phi2, axis=0)[alive]
+    res1[alive] = np.linalg.norm((x @ xh) @ p1 - p1 * k, axis=0) / norms1
+    res2[alive] = np.linalg.norm((xh @ x) @ p2 - p2 * k, axis=0) / norms2
+    return MappedEigensystem(
+        phi2=phi2,
+        kernel_set=kernel_set,
+        tilde_k=tilde_k,
+        n1_residuals=res1,
+        n2_residuals=res2,
+        degeneracy_classes=classes,
+    )
 
 
-def _transport(phi1, xh, n1, n2, tol: float) -> MappedEigensystem:
-    """``map_eigensystem`` of the columns ``phi1`` given X-adjoint, N1 and N2."""
+def _transport(phi1, xh, tol: float):
+    """(phi2, kernel_set, tilde_k, degeneracy_classes) of the columns ``phi1``."""
     if xh.shape[1] != phi1.shape[0]:
         raise DimensionError("intertwiner rows must match the seed space dimension")
     phi2 = xh @ phi1
@@ -207,28 +226,16 @@ def _transport(phi1, xh, n1, n2, tol: float) -> MappedEigensystem:
     norms2 = np.linalg.norm(phi2, axis=0)
     kernel_mask = norms2 <= tol * norms1
     tilde_k = np.where(kernel_mask, 0.0, (norms2 / norms1) ** 2)
-    alive = ~kernel_mask
-    res1 = np.full(phi1.shape[1], np.nan)
-    res2 = np.full(phi1.shape[1], np.nan)
-    p1, p2, k = phi1[:, alive], phi2[:, alive], tilde_k[alive]
-    res1[alive] = np.linalg.norm(n1 @ p1 - p1 * k, axis=0) / norms1[alive]
-    res2[alive] = np.linalg.norm(n2 @ p2 - p2 * k, axis=0) / norms2[alive]
     classes: list[list[int]] = []
-    for n in np.flatnonzero(alive).tolist():
+    for n in np.flatnonzero(~kernel_mask).tolist():
         for cls in classes:
             if abs(tilde_k[n] - tilde_k[cls[0]]) <= DEGENERACY_TOL:
                 cls.append(n)
                 break
         else:
             classes.append([n])
-    return MappedEigensystem(
-        phi2=phi2,
-        kernel_set=tuple(int(n) for n in np.nonzero(kernel_mask)[0]),
-        tilde_k=tilde_k,
-        n1_residuals=res1,
-        n2_residuals=res2,
-        degeneracy_classes=tuple(tuple(c) for c in classes),
-    )
+    kernel_set = tuple(int(n) for n in np.nonzero(kernel_mask)[0])
+    return phi2, kernel_set, tilde_k, tuple(tuple(c) for c in classes)
 
 
 def inverse_map(x, phi2, tilde_k, phi1=None):
@@ -431,7 +438,7 @@ def build_model(
             "tolerance; near-degenerate eigenvalues are never merged"
         )
     psi1 = biorthogonal_partner(eigensystem.vectors)
-    mapped = _transport(eigensystem.vectors, xh, n1, n2, kernel_tol)
+    phi2, kernel_set, tilde_k, classes = _transport(eigensystem.vectors, xh, kernel_tol)
     model = IntertwiningModel(
         theta1=theta1,
         x=x,
@@ -442,11 +449,11 @@ def build_model(
         values=eigensystem.values,
         phi1=eigensystem.vectors,
         psi1=psi1,
-        phi2=mapped.phi2,
+        phi2=phi2,
         psi2=xh @ psi1,
-        kernel_set=mapped.kernel_set,
-        tilde_k=mapped.tilde_k,
-        degeneracy_classes=mapped.degeneracy_classes,
+        kernel_set=kernel_set,
+        tilde_k=tilde_k,
+        degeneracy_classes=classes,
     )
     # the cached norms are still unset: seed those classification measured
     model.__dict__.update(norms)

@@ -221,6 +221,11 @@ class EpsilonSequence:
         object.__setattr__(self, "strictly_increasing", increasing)
 
     @classmethod
+    def of(cls, eps) -> "EpsilonSequence":
+        """``eps`` itself if it is a sequence already, else one built from its values."""
+        return eps if isinstance(eps, EpsilonSequence) else cls(np.asarray(eps, dtype=float))
+
+    @classmethod
     def linear(cls, s: float, count: int) -> "EpsilonSequence":
         """The sequence eps_k = s*k, k = 0..count-1."""
         return cls(s * np.arange(count, dtype=float))

@@ -234,8 +234,7 @@ def fixture_shift(eps, theta, n: int) -> Fixture:
     C^n with X e_k = sqrt(eps_{k+1}) e_{k+1}, so X-adjoint lowers and
     annihilates e_0.  The partner is the once-shifted diagonal.
     """
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     if n < 2:
         raise DimensionError("shift example needs at least 2 modes")
     if len(eps) < n:
@@ -579,8 +578,7 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DimensionError("a and b must be square with equal shape")
     dim = a.shape[0]
-    if not isinstance(eps, EpsilonSequence):
-        eps = EpsilonSequence(np.asarray(eps, dtype=float))
+    eps = EpsilonSequence.of(eps)
     if n_modes < 2:
         raise DimensionError("need at least 2 modes to check ladder steps")
     if len(eps) < n_modes:

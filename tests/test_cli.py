@@ -2,13 +2,16 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isospec import get_fixture
+import isospec.cli as cli
+from isospec import errors, get_fixture
 from isospec.io import jsonable_to_matrix, save_matrix_csv, save_matrix_json
 
 CLI = [sys.executable, "-m", "isospec.cli"]
@@ -344,6 +347,22 @@ def test_quantize_zbar_symbol(tmp_path):
     )
 
 
+def test_quantize_order_above_the_system_size_is_an_input_error(tmp_path):
+    proc = run_cli(
+        "quantize",
+        "--fixture",
+        "coherent_demo",
+        "--params",
+        "alpha1=1.0,n_blocks=4",
+        "--order",
+        "9",
+        "--outdir",
+        str(tmp_path),
+    )
+    assert proc.returncode == 1
+    assert "order 9 exceeds system size 8" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # fixture
 
@@ -362,3 +381,48 @@ def test_fixture_build_by_id(tmp_path):
     doc = json.loads((tmp_path / "model.json").read_text())
     assert doc["case"] == "NonInvertible"
     assert doc["kernel_set"] == [0, 2, 4, 6, 8]
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+def _readme_exit_codes() -> dict:
+    """Error class name -> exit code, read from the README's exit-code table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Exit codes", 1)[1]
+    codes = {}
+    for line in section.split("\n\n", 2)[1].splitlines():
+        row = re.match(r"\| (\d) ", line)
+        if row:
+            codes.update((name, int(row.group(1))) for name in re.findall(r"`(\w+Error)`", line))
+    return codes
+
+
+ERROR_CLASSES = sorted(
+    (
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.IsospecError)
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def test_readme_exit_code_table_names_every_error_class():
+    subclasses = {cls.__name__ for cls in ERROR_CLASSES} - {"IsospecError"}
+    assert set(_readme_exit_codes()) == subclasses
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_ends_the_run_with_its_exit_code(cls, monkeypatch, capsys):
+    # the base class is an input error, as the README's note on the table says
+    expected = _readme_exit_codes().get(cls.__name__, 1)
+    assert cls.exit_code == expected
+
+    def refuse(config):
+        raise cls("refused")
+
+    monkeypatch.setattr(cli, "cmd_build", refuse)
+    assert cli.main(["build", "--fixture", "ex2x2"]) == expected
+    assert "error: refused" in capsys.readouterr().err
