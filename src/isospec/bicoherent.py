@@ -274,16 +274,21 @@ def radius(r_phi, alpha_phi, r_psi, alpha_psi, eps) -> ConvergenceData:
     )
 
 
-def convergence_for_system(system: BiorthogonalSystem, eps, order=None) -> ConvergenceData:
+def convergence_for_system(
+    system: BiorthogonalSystem, eps, order=None, *, phi_norms=None
+) -> ConvergenceData:
     """Radius for a concrete system, fitting growth on both families.
 
     The norm sequences are rescaled by their first entries before fitting:
     a constant prefactor never changes the convergence radius, and the
     strict n = 0 bound would otherwise reject families with ||phi_0|| > 1.
+    ``phi_norms``, when given, are the column norms of
+    ``system.phi[:, :order]``, so a caller that has them is not made to
+    compute them again.
     """
     eps = EpsilonSequence.of(eps)
     order = system.size if order is None else int(order)
-    hphi = _family_norms(system.phi[:, :order])
+    hphi = _family_norms(system.phi[:, :order]) if phi_norms is None else phi_norms
     hpsi = _family_norms(system.psi[:, :order])
     facts = _growth_factorials(eps, hphi.size)
     r_phi, a_phi = _fit_growth_from_norms(hphi / hphi[0], facts)
@@ -331,11 +336,14 @@ def _assemble_states(
     order: int,
     level: int,
     conv: ConvergenceData,
+    phi_norms: np.ndarray,
 ) -> list[BicoherentState]:
     """One state per entry of ``zs`` from a single (z x k) coefficient matrix.
 
     The weights |z|^(2k) / eps_k! are taken in log space and normalized by
     log-sum-exp, so no power of |z| overflows on the way to N(|z|).
+    ``phi_norms`` are the column norms of ``system.phi[:, :order]``, as the
+    radius gate measured them.
     """
     if not 1 <= order <= system.size:
         raise DimensionError(
@@ -366,7 +374,7 @@ def _assemble_states(
     vector_phi = coeff @ phi.T
     vector_psi = coeff @ system.psi[:, :order].T
     overlap = np.einsum("ij,ij->i", vector_phi.conj(), vector_psi)
-    terms = magnitude * np.linalg.norm(phi, axis=0)
+    terms = magnitude * phi_norms
     # The analytic tail |z|*|c_{M-1}|*||phi_{M-1}|| can underflow far below
     # unit roundoff; a truncated series cannot certify residuals below the
     # arithmetic's resolution, so the reported bound is floored there.
@@ -407,18 +415,22 @@ def _assemble_states(
 
 def _radius_gate(
     system: BiorthogonalSystem, eps: EpsilonSequence, zs: np.ndarray, order: int
-) -> ConvergenceData:
-    """One growth fit for every z: refuse non-finite z and |z| >= rho."""
+) -> tuple[ConvergenceData, np.ndarray]:
+    """One growth fit for every z: refuse non-finite z and |z| >= rho.
+
+    Returns the disc and the phi column norms it was fitted on.
+    """
     if not np.isfinite(zs).all():
         raise ParameterError("z must be finite")
-    conv = convergence_for_system(system, eps, order)
+    phi_norms = _family_norms(system.phi[:, :order])
+    conv = convergence_for_system(system, eps, order, phi_norms=phi_norms)
     largest = float(np.abs(zs).max(initial=0.0))
     if math.isfinite(conv.rho) and largest >= conv.rho:
         raise DivergenceError(
             f"|z| = {largest:.6g} is outside the convergence disc of radius "
             f"{conv.rho:.6g}"
         )
-    return conv
+    return conv, phi_norms
 
 
 def _states(
@@ -427,8 +439,8 @@ def _states(
     """Gate once, then assemble: the one path every state takes."""
     eps = EpsilonSequence.of(eps)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    conv = _radius_gate(system, eps, zs, order)
-    return _assemble_states(system, eps, zs, order, level, conv)
+    conv, phi_norms = _radius_gate(system, eps, zs, order)
+    return _assemble_states(system, eps, zs, order, level, conv, phi_norms)
 
 
 def coherent_pair(system: BiorthogonalSystem, eps, z: complex, order: int) -> BicoherentState:

@@ -375,11 +375,9 @@ def cmd_coherent(config: RunConfig) -> int:
 
     os.makedirs(config.outdir, exist_ok=True)
     csv_path = os.path.join(config.outdir, "coherent_sweep.csv")
-    with open(csv_path, "w", encoding="utf-8") as handle:
-        handle.write(iomod.CSV_HEADER + "\n")
-        handle.write("# re_z,im_z,normalization,overlap_abs,eigenstate_residual\n")
-        for row in rows:
-            handle.write(",".join(iomod._fmt_float(v) for v in row) + "\n")
+    iomod.save_table_csv(
+        rows, csv_path, columns="re_z,im_z,normalization,overlap_abs,eigenstate_residual"
+    )
 
     # measure, resolution, quantization
     rng = np.random.default_rng(_seed())
@@ -435,17 +433,15 @@ def cmd_coherent(config: RunConfig) -> int:
         op_zbar = quantize("zbar", system, eps, measure, order)
         defect_z = _ladder_defect(system, eps, order, "z", op_z)
         defect_zbar = _ladder_defect(system, eps, order, "zbar", op_zbar)
-        iomod.save_report(
-            iomod.matrix_to_jsonable(op_z), os.path.join(config.outdir, "quantize_z.json")
-        )
-        iomod.save_report(
-            iomod.matrix_to_jsonable(op_zbar),
-            os.path.join(config.outdir, "quantize_zbar.json"),
-        )
+        # named apart from cmd_quantize's quantize_<symbol>.json, so both
+        # commands can share one --outdir
+        files = ["coherent_quantize_z.json", "coherent_quantize_zbar.json"]
+        for op, name in zip((op_z, op_zbar), files):
+            iomod.save_report(iomod.matrix_to_jsonable(op), os.path.join(config.outdir, name))
         quant_info = {
             "defect_z": defect_z,
             "defect_zbar": defect_zbar,
-            "files": ["quantize_z.json", "quantize_zbar.json"],
+            "files": files,
         }
         quant_pass = max(defect_z, defect_zbar) <= 1e-8
 

@@ -165,6 +165,38 @@ def test_verify_missing_model_is_an_input_error(tmp_path):
     assert "not found" in proc.stderr
 
 
+MALFORMED_MATRIX_FILES = {
+    "pairs.json": '{"rows": 1, "cols": 2, "entries": [[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]]}',
+    "count.json": '{"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}',
+    "strings.json": '{"rows": 1, "cols": 1, "entries": [["1", "0"]]}',
+    "odd.csv": "1.0,0.0,2.0\n",
+    "ragged.csv": "1.0,0.0,2.0,0.0\n1.0,0.0\n",
+    "text.csv": "1.0,zero\n",
+    "header.csv": "# isospec-csv-v1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MATRIX_FILES))
+def test_malformed_matrix_file_is_an_input_error(name, tmp_path, capsys):
+    bad = tmp_path / name
+    bad.write_text(MALFORMED_MATRIX_FILES[name])
+    save_matrix_json(np.eye(2, dtype=complex), tmp_path / "x.json")
+    code = cli.main(["build", "--theta1", str(bad), "--x", str(tmp_path / "x.json"),
+                     "--outdir", str(tmp_path)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_verify_of_a_model_with_broken_entries_is_an_input_error(built_model, tmp_path, capsys):
+    doc = json.loads(built_model.read_text())
+    doc["theta2"]["entries"][0] = [1.0]
+    bad = tmp_path / "model_bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--model", str(bad), "--outdir", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # coherent sweep
 
@@ -200,8 +232,8 @@ def test_coherent_sweep_artifacts_and_report(tmp_path):
     assert report["measure"]["available"] is True
     assert report["quantization"]["defect_z"] < 1e-8
     assert report["quantization"]["defect_zbar"] < 1e-8
-    assert (tmp_path / "quantize_z.json").exists()
-    assert (tmp_path / "quantize_zbar.json").exists()
+    assert (tmp_path / "coherent_quantize_z.json").exists()
+    assert (tmp_path / "coherent_quantize_zbar.json").exists()
 
 
 def test_coherent_sweep_past_the_truncation_exits_3(tmp_path):
@@ -361,6 +393,28 @@ def test_quantize_order_above_the_system_size_is_an_input_error(tmp_path):
     )
     assert proc.returncode == 1
     assert "order 9 exceeds system size 8" in proc.stderr
+
+
+def test_coherent_and_quantize_share_an_outdir(tmp_path, capsys):
+    source = ["--fixture", "coherent_demo", "--params", "alpha1=1.0,n_blocks=8",
+              "--order", "10", "--outdir", str(tmp_path)]
+    assert cli.main(["coherent", *source, "--grid-radial", "3", "--grid-angular", "4"]) == 0
+    assert cli.main(["quantize", *source, "--symbol", "z"]) == 0
+    report = json.loads((tmp_path / "coherent_report.json").read_text())
+    assert report["quantization"]["files"] == [
+        "coherent_quantize_z.json",
+        "coherent_quantize_zbar.json",
+    ]
+    # the sweep's matrix documents survive next to the quantize report
+    for name in report["quantization"]["files"]:
+        doc = json.loads((tmp_path / name).read_text())
+        assert set(doc) == {"rows", "cols", "entries"}
+    quantized = json.loads((tmp_path / "quantize_z.json").read_text())
+    assert quantized["schema"] == "isospec-quantize-v1"
+    np.testing.assert_array_equal(
+        jsonable_to_matrix(quantized["matrix"]),
+        jsonable_to_matrix(json.loads((tmp_path / "coherent_quantize_z.json").read_text())),
+    )
 
 
 # ---------------------------------------------------------------------------

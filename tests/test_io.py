@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isospec.errors import DimensionError
 from isospec.io import (
     CSV_HEADER,
     canonical_json,
@@ -97,3 +98,62 @@ def test_jsonable_rejects_inconsistent_shape():
     doc = {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}
     with pytest.raises(Exception):
         jsonable_to_matrix(doc)
+
+
+# ---------------------------------------------------------------------------
+# the readers' error contract: malformed input is a typed input error
+
+BAD_MATRIX_DOCUMENTS = {
+    "triples": {"rows": 1, "cols": 2, "entries": [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]},
+    "singletons": {"rows": 1, "cols": 2, "entries": [[1.0], [2.0]]},
+    "flat numbers": {"rows": 1, "cols": 2, "entries": [1.0, 2.0]},
+    "mixed pairs": {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [2.0]]},
+    "strings": {"rows": 1, "cols": 1, "entries": [["1", "0"]]},
+    "nulls": {"rows": 1, "cols": 1, "entries": [[None, 0.0]]},
+    "wrong count": {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]] * 3},
+    "no rows": {"rows": 0, "cols": 2, "entries": []},
+    "missing key": {"rows": 1, "entries": [[1.0, 0.0]]},
+}
+
+BAD_CSV_FILES = {
+    "odd width": (DimensionError, "1.0,0.0,2.0\n"),
+    "ragged": (DimensionError, "1.0,0.0,2.0,0.0\n1.0,0.0\n"),
+    "odd row among even": (DimensionError, "1.0,0.0\n1.0,0.0,2.0\n"),
+    "non-numeric": (ValueError, "1.0,zero\n"),
+    "empty cell": (ValueError, "1.0,,2.0,0.0\n"),
+    "header only": (DimensionError, CSV_HEADER + "\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MATRIX_DOCUMENTS))
+def test_malformed_matrix_documents_are_dimension_errors(name):
+    with pytest.raises(DimensionError):
+        jsonable_to_matrix(BAD_MATRIX_DOCUMENTS[name])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CSV_FILES))
+def test_malformed_matrix_csv_raises_its_input_error(name, tmp_path):
+    error, text = BAD_CSV_FILES[name]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(error):
+        load_matrix_csv(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_matrix_is_not_written_as_csv(bad, tmp_path):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(DimensionError):
+        save_matrix_csv(m, tmp_path / "m.csv")
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_matrix_readers_keep_every_bit(tmp_path):
+    # signed zeros are the exception: the canonical text writes -0 as 0
+    m = np.array([[complex(0.1, 5e-324), complex(1e308, -1e-308)], [-1.0 / 3.0, 2.0]])
+    save_matrix_csv(m, tmp_path / "m.csv")
+    from_csv = load_matrix_csv(tmp_path / "m.csv")
+    from_json = jsonable_to_matrix(json.loads(canonical_json(matrix_to_jsonable(m))))
+    assert from_csv.tobytes() == m.tobytes()
+    assert from_json.tobytes() == m.tobytes()
