@@ -51,8 +51,6 @@ TAIL_RATIO_LIMIT = 0.9
 _UNIT_ROUNDOFF = float(np.finfo(float).eps)
 # Default Gauss-type quadrature size for radial measures.
 DEFAULT_QUADRATURE_NODES = 64
-# Relative moment defect allowed for a measure to count as moment-valid.
-MOMENT_REL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +158,6 @@ def _family_norms(family) -> np.ndarray:
     return norms.astype(float)
 
 
-def _growth_factorials(eps: EpsilonSequence, count: int) -> np.ndarray:
-    if len(eps) < count:
-        raise DimensionError(f"need {count} epsilon values, got {len(eps)}")
-    return eps.factorials(count)
-
-
 def _fit_growth_from_norms(norms: np.ndarray, facts: np.ndarray):
     """(r, alpha) for one norm sequence, ``facts`` holding eps_0! .. eps_{n-1}!."""
     if norms[0] > 1.0 + 1e-12:
@@ -195,7 +187,7 @@ def fit_norm_growth(family, eps) -> tuple[float, float]:
     """
     eps = EpsilonSequence.of(eps)
     norms = _family_norms(family)
-    return _fit_growth_from_norms(norms, _growth_factorials(eps, norms.size))
+    return _fit_growth_from_norms(norms, eps.factorials(norms.size))
 
 
 @dataclass(frozen=True)
@@ -290,7 +282,7 @@ def convergence_for_system(
     order = system.size if order is None else int(order)
     hphi = _family_norms(system.phi[:, :order]) if phi_norms is None else phi_norms
     hpsi = _family_norms(system.psi[:, :order])
-    facts = _growth_factorials(eps, hphi.size)
+    facts = eps.factorials(hphi.size)
     r_phi, a_phi = _fit_growth_from_norms(hphi / hphi[0], facts)
     r_psi, a_psi = _fit_growth_from_norms(hpsi / hpsi[0], facts)
     return radius(r_phi, a_phi, r_psi, a_psi, eps)
@@ -349,8 +341,6 @@ def _assemble_states(
         raise DimensionError(
             f"order must lie in 1..{system.size} (system size), got {order}"
         )
-    if len(eps) < order:
-        raise DimensionError(f"need {order} epsilon values, got {len(eps)}")
     pairing = system.pairing[:order]
     if np.any(pairing <= 0):
         bad = int(np.argmin(pairing))
@@ -488,9 +478,7 @@ def coherent_pair_level2(
     return _states(system2, eps, [z], order, level=2)[0]
 
 
-def filter_system(
-    system2: BiorthogonalSystem, eps, convention: str = "original", tol: float = KERNEL_TOL
-):
+def filter_system(system2: BiorthogonalSystem, eps, convention: str = "original"):
     """Drop kernel columns and relabel: returns (tilde system, step sequence, survivors).
 
     The step sequence delta satisfies delta_1 * ... * delta_l = tilde-eps_l!,
@@ -508,7 +496,7 @@ def filter_system(
         raise DimensionError(
             f"need {system2.size} epsilon values, got {len(eps)}"
         )
-    survivors = [n for n in range(system2.size) if system2.pairing[n] > tol]
+    survivors = [n for n in range(system2.size) if system2.pairing[n] > KERNEL_TOL]
     if not survivors:
         raise DegenerateError("every index is a kernel index; nothing survives filtering")
     tilde = BiorthogonalSystem(
@@ -579,10 +567,6 @@ class RadialMeasure:
         """Quadrature value of the 2k-th radial moment."""
         return float(np.sum(self.weights * self.nodes ** (2 * k)))
 
-    def exact_moment(self, k: int) -> float:
-        """Closed form eps_k!/(2 pi) = s^k k! / (2 pi) for the linear family."""
-        return self.s**k * math.factorial(k) / (2.0 * math.pi)
-
     def moment_defects(self, eps, order: int) -> np.ndarray:
         """Relative defects |quadrature - eps_k!/(2 pi)| / (eps_k!/(2 pi))."""
         eps = EpsilonSequence.of(eps)
@@ -592,9 +576,6 @@ class RadialMeasure:
             exact = facts[k] / (2.0 * math.pi)
             out[k] = abs(self.moment(k) - exact) / exact
         return out
-
-    def moment_valid(self, eps, order: int, tol: float = MOMENT_REL_TOL) -> bool:
-        return bool(np.max(self.moment_defects(eps, order)) <= tol)
 
     def scaled(self, factor: float) -> "RadialMeasure":
         """Same nodes, weights multiplied by ``factor`` (linearity checks)."""

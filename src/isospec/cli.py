@@ -11,6 +11,10 @@ Exit codes: 0 all checks passed, 1 input error (bad files, flags, or
 parameters), 2 regime or domain error (no-go configurations, divergent z,
 unavailable measure where one is required), 3 verification failure.
 
+Each subcommand takes only the flags it reads.  The tolerance flags act on
+every model source (--fixture, --theta1/--x, --random, --model); --order
+defaults to min(40, system size).
+
 All JSON artifacts are written through a canonical serializer (sorted
 keys, 17 significant digits), so identical configs and inputs produce
 byte-identical reports.  ISOSPEC_SEED (an integer) seeds every random
@@ -51,6 +55,8 @@ from .zoo import FIXTURE_IDS, get_fixture
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 3
+# series order of coherent and quantize when --order is not given (capped at the system size)
+DEFAULT_ORDER = 40
 
 
 @dataclass
@@ -66,7 +72,6 @@ class RunConfig:
     random: str | None = None
     output: str | None = None
     outdir: str = "."
-    truncation: int = 40
     kernel_tol: float = 1e-10
     relation_tol: float = 1e-9
     multiplicity_tol: float = 1e-8
@@ -78,8 +83,8 @@ class RunConfig:
     order: int | None = None
 
     def validate(self) -> None:
-        if self.truncation < 4:
-            raise ParameterError("truncation must be at least 4")
+        if self.order is not None and self.order < 1:
+            raise ParameterError("order must be at least 1")
         for name in ("kernel_tol", "relation_tol", "multiplicity_tol"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
@@ -158,7 +163,7 @@ def _outpath(config: RunConfig, default_name: str) -> str:
     return os.path.join(config.outdir, default_name)
 
 
-def _build(config: RunConfig, theta1, x):
+def _build(config: RunConfig, theta1, x, eigensystem=None):
     """build_model with the run's relation, kernel and multiplicity tolerances."""
     return build_model(
         theta1,
@@ -166,6 +171,7 @@ def _build(config: RunConfig, theta1, x):
         relation_tol=config.relation_tol,
         kernel_tol=config.kernel_tol,
         multiplicity_tolerance=config.multiplicity_tol,
+        eigensystem=eigensystem,
     )
 
 
@@ -183,7 +189,7 @@ def _build_target_model(config: RunConfig):
         )
     if config.fixture is not None:
         fixture = get_fixture(config.fixture, **config.params)
-        return fixture.require_model()
+        return _build(config, fixture.theta1, fixture.x, fixture.eigensystem)
     if config.random is not None:
         try:
             d1_text, d2_text = config.random.lower().split("x")
@@ -322,7 +328,7 @@ def _level1_inputs(config: RunConfig):
     model = _build_target_model(config)
     eps = _eps_from_model(model)
     system = model.system1()
-    order = config.order or min(config.truncation, system.size)
+    order = min(DEFAULT_ORDER, system.size) if config.order is None else config.order
     if order > system.size:
         raise ParameterError(f"order {order} exceeds system size {system.size}")
     return system, eps, order
@@ -525,10 +531,10 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model_input=True):
+    def add_common(p, model_input=True, output=True):
         p.add_argument("--outdir", help="output directory (default .)")
-        p.add_argument("--output", help="explicit output file path")
-        p.add_argument("--truncation", type=int, help="mode count N >= 4 (default 40)")
+        if output:
+            p.add_argument("--output", help="explicit output file path")
         p.add_argument("--kernel-tol", type=float, dest="kernel_tol")
         p.add_argument("--relation-tol", type=float, dest="relation_tol")
         p.add_argument("--multiplicity-tol", type=float, dest="multiplicity_tol")
@@ -548,8 +554,8 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p_verify, model_input=False)
 
     p_coh = sub.add_parser("coherent", help="z-grid sweep with measure and quantization checks")
-    add_common(p_coh)
-    p_coh.add_argument("--order", type=int, help="series truncation (default min(truncation, size))")
+    add_common(p_coh, output=False)
+    p_coh.add_argument("--order", type=int, help="series truncation (default min(40, size))")
     p_coh.add_argument("--nodes", type=int, help="quadrature nodes (default 64)")
     p_coh.add_argument("--grid-radial", type=int, dest="grid_radial")
     p_coh.add_argument("--grid-angular", type=int, dest="grid_angular")
@@ -567,7 +573,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_quant = sub.add_parser("quantize", help="emit a quantized-symbol matrix")
     add_common(p_quant)
     p_quant.add_argument("--symbol", choices=("z", "zbar"))
-    p_quant.add_argument("--order", type=int)
+    p_quant.add_argument("--order", type=int, help="series truncation (default min(40, size))")
     p_quant.add_argument("--nodes", type=int)
 
     return parser

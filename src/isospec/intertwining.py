@@ -275,9 +275,6 @@ class RelationReport:
     skipped: dict[str, str] = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
-    def passed(self, name: str) -> bool:
-        return self.residuals[name] <= self.tolerance
-
     @property
     def all_passed(self) -> bool:
         return all(v <= self.tolerance for v in self.residuals.values())
@@ -420,6 +417,8 @@ def build_model(
 
     ``eigensystem`` lets fixtures supply exact eigendata (their own
     normalization and ordering); by default the seed is diagonalized here.
+    Either way the spectrum counts as simple only if every pairwise
+    eigenvalue gap exceeds ``multiplicity_tolerance``.
     """
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
@@ -432,7 +431,7 @@ def build_model(
         theta2 = _similarity_partner(theta1, x, s)
     if eigensystem is None:
         eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1_norm"])
-    if not eigensystem.simple_spectrum:
+    if np.any(_pairwise_gaps(eigensystem.values) <= multiplicity_tolerance):
         raise SpectrumError(
             "seed spectrum is not simple at the configured multiplicity "
             "tolerance; near-degenerate eigenvalues are never merged"

@@ -239,9 +239,7 @@ class EpsilonSequence:
     def factorials(self, count: int) -> np.ndarray:
         """Array of generalized factorials eps_0! .. eps_{count-1}!."""
         if count > len(self):
-            raise DimensionError(
-                f"requested {count} factorials from a length-{len(self)} sequence"
-            )
+            raise DimensionError(f"need {count} epsilon values, got {len(self)}")
         out = np.ones(count)
         if count > 1:
             out[1:] = np.cumprod(self.values[1:count])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,20 +44,26 @@ _SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class Fixture:
-    """A named example: operators, the built model, and its documented values.
+    """A named example: operators, exact eigendata, and its documented values.
 
-    ``model`` is None only when the requested parameters give a repeated
-    seed spectrum (the eigensystem transport is then undefined); the raw
-    operators and ``expected`` closed forms are still populated.
+    ``eigensystem`` is None where ``build_model`` diagonalizes the seed.
+    ``model`` is built at the default tolerances on first use; it is None
+    only when the eigendata have a repeated spectrum (the transport is then
+    undefined), and the operators and ``expected`` closed forms remain.
     """
 
     id: str
     parameters: dict
-    truncation: int
     theta1: np.ndarray
     x: np.ndarray
+    eigensystem: Eigensystem | None = None
     expected: dict = field(default_factory=dict)
-    model: IntertwiningModel | None = None
+
+    @cached_property
+    def model(self) -> IntertwiningModel | None:
+        if self.eigensystem is not None and not self.eigensystem.simple_spectrum:
+            return None
+        return build_model(self.theta1, self.x, eigensystem=self.eigensystem)
 
     def require_model(self) -> IntertwiningModel:
         if self.model is None:
@@ -87,7 +94,6 @@ def fixture_2x2(x11: complex, x12: complex, theta1=None) -> Fixture:
     theta1 = _DEFAULT_2X2_THETA1 if theta1 is None else as_matrix(theta1)
     if theta1.shape != (2, 2):
         raise DimensionError("the 2x2 example needs a 2x2 seed")
-    model = build_model(theta1, x)
     expected = {
         "xtilde": xt,
         "case": "InvertibleCommuting",
@@ -100,11 +106,9 @@ def fixture_2x2(x11: complex, x12: complex, theta1=None) -> Fixture:
     return Fixture(
         id="ex2x2",
         parameters={"x11": x11, "x12": x12},
-        truncation=2,
         theta1=theta1,
         x=x,
         expected=expected,
-        model=model,
     )
 
 
@@ -176,7 +180,6 @@ def fixture_3x3(e1: float, e2: float, e3: float) -> Fixture:
         [[0.0, 1.0], [-_SQRT3 / 2, -0.5], [_SQRT3 / 2, -0.5]], dtype=complex
     )
     eigensystem = Eigensystem(values=np.array(es, dtype=complex), vectors=phi)
-    model = build_model(theta1, x, eigensystem=eigensystem)
     s2, s6, s3 = math.sqrt(2.0), math.sqrt(6.0), _SQRT3
     s23 = math.sqrt(2.0 / 3.0)
     psi_closed = np.array(
@@ -219,11 +222,10 @@ def fixture_3x3(e1: float, e2: float, e3: float) -> Fixture:
     return Fixture(
         id="ex3x3",
         parameters={"e1": es[0], "e2": es[1], "e3": es[2]},
-        truncation=3,
         theta1=theta1,
         x=x,
+        eigensystem=eigensystem,
         expected=expected,
-        model=model,
     )
 
 
@@ -258,7 +260,6 @@ def fixture_shift(eps, theta, n: int) -> Fixture:
     for k in range(n - 1):
         x[k + 1, k] = math.sqrt(eps.values[k + 1])
     eigensystem = Eigensystem(values=values, vectors=np.eye(n, dtype=complex))
-    model = build_model(theta1, x, eigensystem=eigensystem)
     expected = {
         "case": "NonInvertible",
         "n1_diag": eps.values[:n].copy(),
@@ -270,11 +271,10 @@ def fixture_shift(eps, theta, n: int) -> Fixture:
     return Fixture(
         id="shift",
         parameters={"eps": eps.values[:n].copy(), "theta": theta_arr.copy(), "n": n},
-        truncation=n,
         theta1=theta1,
         x=x,
+        eigensystem=eigensystem,
         expected=expected,
-        model=model,
     )
 
 
@@ -337,9 +337,6 @@ def fixture_block(alpha, beta, n_blocks: int) -> Fixture:
         alpha, beta, n_blocks, sign=+1.0
     )
     eigensystem = Eigensystem(values=values, vectors=vectors)
-    model = None
-    if eigensystem.simple_spectrum:
-        model = build_model(theta1, x, eigensystem=eigensystem)
     expected = {
         "case": "NonInvertible",
         "theta2": np.diag(alpha + beta),
@@ -349,16 +346,15 @@ def fixture_block(alpha, beta, n_blocks: int) -> Fixture:
         "tilde_k": np.array([0.0, 1.0] * n_blocks),
         "values": values,
     }
-    if model is None:
+    if not eigensystem.simple_spectrum:
         expected["theta2_direct"] = build_case3(theta1, x)
     return Fixture(
         id="block",
         parameters={"alpha": alpha.copy(), "beta": beta.copy(), "n_blocks": n_blocks},
-        truncation=2 * n_blocks,
         theta1=theta1,
         x=x,
+        eigensystem=eigensystem,
         expected=expected,
-        model=model,
     )
 
 
@@ -382,7 +378,6 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
         alpha, beta, n_blocks, sign=-1.0
     )
     eigensystem = Eigensystem(values=values, vectors=vectors)
-    model = build_model(theta1, x, eigensystem=eigensystem)
     dim = 2 * n_blocks
     eps = EpsilonSequence(2.0 * alpha1 * np.arange(dim))
     survivors = tuple(range(0, dim, 2))
@@ -403,40 +398,53 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
     return Fixture(
         id="coherent_demo",
         parameters={"alpha1": alpha1, "n_blocks": n_blocks},
-        truncation=dim,
         theta1=theta1,
         x=x,
+        eigensystem=eigensystem,
         expected=expected,
-        model=model,
     )
 
 
+def _shift_by_slope(s, theta, n) -> Fixture:
+    n = int(n)
+    return fixture_shift(EpsilonSequence.linear(s, n), theta, n)
+
+
+def _block_by_count(alpha, beta, n_blocks) -> Fixture:
+    n_blocks = int(n_blocks)
+    ramp = np.arange(1.0, n_blocks + 1.0)
+    alpha = ramp if alpha is None else alpha
+    beta = 0.5j * ramp if beta is None else beta
+    return fixture_block(alpha, beta, n_blocks)
+
+
+# id -> (builder, {parameter: default}); a None default is derived from n_blocks
 _FIXTURE_BUILDERS = {
-    "ex2x2": lambda p: fixture_2x2(p.get("x11", 1.0), p.get("x12", 1.0j)),
-    "ex3x3": lambda p: fixture_3x3(p.get("e1", 1.0), p.get("e2", 2.0), p.get("e3", 3.0)),
-    "shift": lambda p: fixture_shift(
-        EpsilonSequence.linear(p.get("s", 1.0), int(p.get("n", 8))),
-        p.get("theta", math.pi / 4.0),
-        int(p.get("n", 8)),
-    ),
-    "block": lambda p: fixture_block(
-        p.get("alpha", np.arange(1.0, float(int(p.get("n_blocks", 4))) + 1.0)),
-        p.get("beta", 0.5j * np.arange(1.0, float(int(p.get("n_blocks", 4))) + 1.0)),
-        int(p.get("n_blocks", 4)),
-    ),
-    "coherent_demo": lambda p: coherent_demo(
-        p.get("alpha1", 1.0), int(p.get("n_blocks", 32))
+    "ex2x2": (fixture_2x2, {"x11": 1.0, "x12": 1.0j}),
+    "ex3x3": (fixture_3x3, {"e1": 1.0, "e2": 2.0, "e3": 3.0}),
+    "shift": (_shift_by_slope, {"s": 1.0, "theta": math.pi / 4.0, "n": 8}),
+    "block": (_block_by_count, {"alpha": None, "beta": None, "n_blocks": 4}),
+    "coherent_demo": (
+        lambda alpha1, n_blocks: coherent_demo(alpha1, int(n_blocks)),
+        {"alpha1": 1.0, "n_blocks": 32},
     ),
 }
 
 
 def get_fixture(fixture_id: str, **params) -> Fixture:
-    """Build a fixture by id with keyword parameters (defaults documented)."""
+    """Build a fixture by id; each fixture accepts only its own parameter names."""
     if fixture_id not in _FIXTURE_BUILDERS:
         raise ParameterError(
             f"unknown fixture id {fixture_id!r}; choose from {FIXTURE_IDS}"
         )
-    return _FIXTURE_BUILDERS[fixture_id](params)
+    builder, defaults = _FIXTURE_BUILDERS[fixture_id]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ParameterError(
+            f"fixture {fixture_id} takes no parameter {', '.join(unknown)}; "
+            f"it accepts {', '.join(defaults)}"
+        )
+    return builder(**{**defaults, **params})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import isospec.cli as cli
-from isospec import errors, get_fixture
+from isospec import FIXTURE_IDS, errors, get_fixture
 from isospec.io import jsonable_to_matrix, save_matrix_csv, save_matrix_json
 
 CLI = [sys.executable, "-m", "isospec.cli"]
@@ -435,6 +435,115 @@ def test_fixture_build_by_id(tmp_path):
     doc = json.loads((tmp_path / "model.json").read_text())
     assert doc["case"] == "NonInvertible"
     assert doc["kernel_set"] == [0, 2, 4, 6, 8]
+
+
+# ---------------------------------------------------------------------------
+# options: each flag and config key has one reader
+
+
+def test_fixture_source_honours_the_relation_tolerance(tmp_path, capsys):
+    # the same model given through --model exits 2 at this tolerance too
+    argv = ["build", "--fixture", "ex3x3", "--relation-tol", "1e-300", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "exceeds 1.0e-300" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_fixture_source_honours_the_multiplicity_tolerance(tmp_path, capsys):
+    # coherent_demo's eigenvalues are 2 apart: not simple at a gap tolerance of 10
+    argv = ["build", "--fixture", "coherent_demo", "--params", "n_blocks=4",
+            "--multiplicity-tol", "10", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "not simple" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
+def test_fixture_source_at_default_tolerances_is_the_fixture_model(fixture_id):
+    built = cli._build_target_model(cli.RunConfig(fixture=fixture_id))
+    model = get_fixture(fixture_id).model
+    for name in ("theta2", "phi2", "psi1", "psi2", "tilde_k"):
+        assert getattr(built, name).tobytes() == getattr(model, name).tobytes(), name
+    assert built.kernel_set == model.kernel_set
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coherent", "--fixture", "coherent_demo", "--output", "f"],
+        ["build", "--fixture", "ex3x3", "--truncation", "8"],
+    ],
+    ids=["coherent-output", "build-truncation"],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--outdir", str(tmp_path)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_truncation_is_an_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"fixture": "ex3x3", "truncation": 8}\n')
+    assert cli.main(["--config", str(cfg), "build", "--outdir", str(tmp_path / "o")]) == 1
+    assert "unknown config keys: ['truncation']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["coherent", "quantize"])
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_order_below_one_is_an_input_error(command, order, tmp_path, capsys):
+    argv = [command, "--fixture", "coherent_demo", "--params", "alpha1=1.0,n_blocks=8",
+            "--order", order, "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "order must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# fixture parameters
+
+
+def _readme_fixture_params() -> dict:
+    """Fixture id -> parameter names, read from the README's fixture table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Fixtures", 1)[1]
+    params = {}
+    for line in section.split("\n\n", 2)[1].splitlines():
+        row = re.match(r"\| `(\w+)` +\| `([\w,]+)`", line)
+        if row:
+            params[row.group(1)] = row.group(2).split(",")
+    return params
+
+
+# one admissible --params value per README parameter name
+SAMPLE_VALUES = {
+    "x11": "2", "x12": "0.5i",
+    "e1": "1.5", "e2": "2.5", "e3": "4",
+    "s": "2", "theta": "0.3", "n": "6",
+    "alpha": "1:2:3:4", "beta": "0.5i:1i:1.5i:2i", "n_blocks": "4",
+    "alpha1": "0.5",
+}
+
+
+def test_readme_fixture_table_lists_each_accepted_parameter(tmp_path, capsys):
+    table = _readme_fixture_params()
+    assert list(table) == list(FIXTURE_IDS)
+    for fixture_id, names in table.items():
+        for name in names:
+            outdir = tmp_path / fixture_id / name
+            argv = ["build", "--fixture", fixture_id, "--params",
+                    f"{name}={SAMPLE_VALUES[name]}", "--outdir", str(outdir)]
+            assert cli.main(argv) == 0, (fixture_id, name)
+            assert (outdir / "model.json").exists()
+
+
+@pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
+def test_unknown_fixture_parameter_is_an_input_error(fixture_id, tmp_path, capsys):
+    argv = ["build", "--fixture", fixture_id, "--params", "bogus=1", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    assert ", ".join(_readme_fixture_params()[fixture_id]) in err
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from isospec import (
     build_case3,
     build_model,
     classify,
+    coherent_demo,
     eig,
     fixture_2x2,
     fixture_3x3,
@@ -182,6 +183,17 @@ def test_map_refuses_degenerate_spectrum():
     es = eig(np.diag([1.0, 1.0, 2.0]).astype(complex))
     with pytest.raises(SpectrumError):
         map_eigensystem(np.eye(3, dtype=complex), es)
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["eig", "eigensystem"])
+def test_build_model_decides_simple_spectrum_at_its_multiplicity_tolerance(supplied):
+    # eigenvalues 0, 2, 4, ...: simple at the default gap tolerance, not at 10;
+    # a supplied Eigensystem's own tolerance does not override the argument
+    f = coherent_demo(1.0, 8)
+    eigensystem = f.eigensystem if supplied else None
+    build_model(f.theta1, f.x, eigensystem=eigensystem)
+    with pytest.raises(SpectrumError):
+        build_model(f.theta1, f.x, multiplicity_tolerance=10.0, eigensystem=eigensystem)
 
 
 def test_inverse_map_reconstructs_seed_eigenvectors():

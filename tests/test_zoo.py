@@ -250,6 +250,13 @@ def test_fixture_registry_forwards_parameters():
     assert f.parameters == {"e1": 2.0, "e2": 3.0, "e3": 5.0}
 
 
+def test_fixture_model_is_built_once_from_the_fixture_eigendata():
+    f = get_fixture("coherent_demo", n_blocks=4)
+    assert f.model is f.model
+    assert f.model.phi1 is f.eigensystem.vectors
+    assert get_fixture("ex2x2").eigensystem is None
+
+
 def test_fixture_registry_rejects_unknown_id():
     with pytest.raises(ParameterError):
         get_fixture("nonexistent")
