@@ -11,9 +11,17 @@ Exit codes: 0 all checks passed, 1 input error (bad files, flags, or
 parameters), 2 regime or domain error (no-go configurations, divergent z,
 unavailable measure where one is required), 3 verification failure.
 
-Each subcommand takes only the flags it reads.  The tolerance flags act on
-every model source (--fixture, --theta1/--x, --random, --model); --order
-defaults to min(40, system size).
+Each subcommand's parser is the one schema of its options: name, type,
+default and range.  The tolerance flags act on every model source
+(--fixture, --theta1/--x, --random, --model); --order defaults to
+min(40, system size).
+
+--config FILE (given before the subcommand) holds a JSON object whose keys
+are the chosen subcommand's own option destinations (theta1_path, x_path
+and model_path for --theta1, --x and --model; `_` for `-` elsewhere) and
+whose values are JSON strings or numbers, read as the flag's text.  They
+become the subcommand's defaults, so each value gets the flag's type and
+range check, and a flag given on the command line wins.
 
 All JSON artifacts are written through a canonical serializer (sorted
 keys, 17 significant digits), so identical configs and inputs produce
@@ -28,7 +36,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,13 +50,14 @@ from .bicoherent import (
 from .errors import IsospecError, MomentError, ParameterError, RegimeError
 from .intertwining import (
     CASE_NONINVERTIBLE,
+    RELATION_TOL,
     adjoint_descent,
     build_model,
     make_commuting_pair,
     structure_check,
     verify_relations,
 )
-from .linalg import BiorthogonalSystem, EpsilonSequence, opnorm
+from .linalg import KERNEL_TOL, MULTIPLICITY_TOL, BiorthogonalSystem, EpsilonSequence, opnorm
 from .zoo import FIXTURE_IDS, get_fixture
 
 EXIT_OK = 0
@@ -59,46 +67,24 @@ EXIT_VERIFY = 3
 DEFAULT_ORDER = 40
 
 
-@dataclass
-class RunConfig:
-    """Effective settings for one command run (file values + flag overrides)."""
+def _checked(kind, ok, message: str):
+    """argparse type: ``kind(text)``, refused with ``message`` unless ``ok``
+    holds; a float must also be finite."""
 
-    command: str = ""
-    fixture: str | None = None
-    params: dict = field(default_factory=dict)
-    theta1_path: str | None = None
-    x_path: str | None = None
-    model_path: str | None = None
-    random: str | None = None
-    output: str | None = None
-    outdir: str = "."
-    kernel_tol: float = 1e-10
-    relation_tol: float = 1e-9
-    multiplicity_tol: float = 1e-8
-    nodes: int = 64
-    grid_radial: int = 20
-    grid_angular: int = 16
-    grid_rmax: float = 2.0
-    symbol: str = "z"
-    order: int | None = None
+    def convert(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
 
-    def validate(self) -> None:
-        if self.order is not None and self.order < 1:
-            raise ParameterError("order must be at least 1")
-        for name in ("kernel_tol", "relation_tol", "multiplicity_tol"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
-        if self.nodes < 2:
-            raise ParameterError("quadrature nodes must be at least 2")
-        if self.grid_radial < 1 or self.grid_angular < 1:
-            raise ParameterError("grid counts must be at least 1")
-        if self.grid_rmax <= 0:
-            raise ParameterError("grid max radius must be positive")
-        if self.symbol not in ("z", "zbar"):
-            raise ParameterError("symbol must be 'z' or 'zbar'")
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value: '5.5'"
+    return convert
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+def _positive(name: str):
+    return _checked(float, lambda value: value > 0, f"{name} must be positive")
 
 
 def _seed() -> int:
@@ -156,56 +142,56 @@ def _load_matrix_any(path: str) -> np.ndarray:
         raise ParameterError(f"could not parse matrix file {path}: {exc}") from exc
 
 
-def _outpath(config: RunConfig, default_name: str) -> str:
-    if config.output:
-        return config.output
-    os.makedirs(config.outdir, exist_ok=True)
-    return os.path.join(config.outdir, default_name)
+def _outpath(args: argparse.Namespace, default_name: str) -> str:
+    if args.output:
+        return args.output
+    os.makedirs(args.outdir, exist_ok=True)
+    return os.path.join(args.outdir, default_name)
 
 
-def _build(config: RunConfig, theta1, x, eigensystem=None):
+def _build(args: argparse.Namespace, theta1, x, eigensystem=None):
     """build_model with the run's relation, kernel and multiplicity tolerances."""
     return build_model(
         theta1,
         x,
-        relation_tol=config.relation_tol,
-        kernel_tol=config.kernel_tol,
-        multiplicity_tolerance=config.multiplicity_tol,
+        relation_tol=args.relation_tol,
+        kernel_tol=args.kernel_tol,
+        multiplicity_tolerance=args.multiplicity_tol,
         eigensystem=eigensystem,
     )
 
 
-def _build_target_model(config: RunConfig):
+def _build_target_model(args: argparse.Namespace):
     """Resolve the model a command operates on (fixture, files, or random)."""
     sources = [
-        config.fixture is not None,
-        config.theta1_path is not None or config.x_path is not None,
-        config.random is not None,
-        config.model_path is not None,
+        args.fixture is not None,
+        args.theta1_path is not None or args.x_path is not None,
+        args.random is not None,
+        args.model_path is not None,
     ]
     if sum(sources) != 1:
         raise ParameterError(
             "choose exactly one input: --fixture, --theta1/--x, --random, or --model"
         )
-    if config.fixture is not None:
-        fixture = get_fixture(config.fixture, **config.params)
-        return _build(config, fixture.theta1, fixture.x, fixture.eigensystem)
-    if config.random is not None:
+    if args.fixture is not None:
+        fixture = get_fixture(args.fixture, **args.params)
+        return _build(args, fixture.theta1, fixture.x, fixture.eigensystem)
+    if args.random is not None:
         try:
-            d1_text, d2_text = config.random.lower().split("x")
+            d1_text, d2_text = args.random.lower().split("x")
             d1, d2 = int(d1_text), int(d2_text)
         except ValueError as exc:
             raise ParameterError(
-                f"--random expects D1xD2 (e.g. 8x5), got {config.random!r}"
+                f"--random expects D1xD2 (e.g. 8x5), got {args.random!r}"
             ) from exc
-        return _build(config, *make_commuting_pair(d1, d2, _seed()))
-    if config.model_path is not None:
-        doc = _load_model_doc(config.model_path)
-        return _build(config, doc["theta1_matrix"], doc["x_matrix"])
-    if config.theta1_path is None or config.x_path is None:
+        return _build(args, *make_commuting_pair(d1, d2, _seed()))
+    if args.model_path is not None:
+        doc = _load_model_doc(args.model_path)
+        return _build(args, doc["theta1_matrix"], doc["x_matrix"])
+    if args.theta1_path is None or args.x_path is None:
         raise ParameterError("--theta1 and --x must be given together")
     return _build(
-        config, _load_matrix_any(config.theta1_path), _load_matrix_any(config.x_path)
+        args, _load_matrix_any(args.theta1_path), _load_matrix_any(args.x_path)
     )
 
 
@@ -226,21 +212,24 @@ def _load_model_doc(path: str) -> dict:
     return doc
 
 
-def cmd_build(config: RunConfig) -> int:
-    """Build a model and write its JSON document; exit 2 on regime errors."""
-    model = _build_target_model(config)
-    path = _outpath(config, "model.json")
+def _write_model(args: argparse.Namespace, model) -> int:
+    path = _outpath(args, "model.json")
     iomod.save_report(model.to_jsonable(), path)
     print(f"model written to {path} (case={model.case}, kernel_set={list(model.kernel_set)})")
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_build(args: argparse.Namespace) -> int:
+    """Build a model and write its JSON document; exit 2 on regime errors."""
+    return _write_model(args, _build_target_model(args))
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
     """Recheck a stored model: relations, structure results, stored-field match."""
-    if config.model_path is None:
+    if args.model_path is None:
         raise ParameterError("verify needs --model FILE")
-    doc = _load_model_doc(config.model_path)
-    model = _build(config, doc["theta1_matrix"], doc["x_matrix"])
+    doc = _load_model_doc(args.model_path)
+    model = _build(args, doc["theta1_matrix"], doc["x_matrix"])
     stored_theta2 = doc["theta2_matrix"]
     theta2_residual = opnorm(model.theta2 - stored_theta2) / max(1.0, model.theta2_norm)
     stored_tilde = np.asarray(doc.get("tilde_k", []), dtype=float)
@@ -251,9 +240,9 @@ def cmd_verify(config: RunConfig) -> int:
     case_match = doc.get("case") == model.case
     kernel_match = tuple(doc.get("kernel_set", ())) == model.kernel_set
 
-    report = verify_relations(model, config.relation_tol)
+    report = verify_relations(model, args.relation_tol)
     failures = report.failures()
-    if theta2_residual > config.relation_tol:
+    if theta2_residual > args.relation_tol:
         failures.append("stored_theta2")
     if tilde_residual > 1e-8:
         failures.append("stored_tilde_k")
@@ -265,15 +254,15 @@ def cmd_verify(config: RunConfig) -> int:
     prop = None
     descent = None
     if model.case == CASE_NONINVERTIBLE:
-        prop = structure_check(model, config.relation_tol)
+        prop = structure_check(model, args.relation_tol)
         failures.extend(f"structure:{name}" for name in prop.failures())
         descent = adjoint_descent(model)
-        if descent > config.relation_tol:
+        if descent > args.relation_tol:
             failures.append("adjoint_descent")
 
     out = {
         "schema": "isospec-verify-v1",
-        "model": config.model_path,
+        "model": args.model_path,
         "stored": {
             "case_match": case_match,
             "kernel_set_match": kernel_match,
@@ -286,7 +275,7 @@ def cmd_verify(config: RunConfig) -> int:
         "failures": sorted(failures),
         "all_passed": not failures,
     }
-    path = _outpath(config, "verify_report.json")
+    path = _outpath(args, "verify_report.json")
     iomod.save_report(out, path)
 
     print(str(report))
@@ -294,7 +283,7 @@ def cmd_verify(config: RunConfig) -> int:
         print("structure checks:")
         print(str(prop))
         print(f"adjoint_descent                  {descent:12.3e}  "
-              f"{'PASS' if descent <= config.relation_tol else 'FAIL'}")
+              f"{'PASS' if descent <= args.relation_tol else 'FAIL'}")
     if failures:
         print(f"FAILED: {', '.join(sorted(failures))} (report: {path})")
         return EXIT_VERIFY
@@ -323,12 +312,12 @@ def _eps_from_model(model) -> EpsilonSequence:
     return eps
 
 
-def _level1_inputs(config: RunConfig):
+def _level1_inputs(args: argparse.Namespace):
     """(level-1 system, eps sequence, series order) of the run's target model."""
-    model = _build_target_model(config)
+    model = _build_target_model(args)
     eps = _eps_from_model(model)
     system = model.system1()
-    order = min(DEFAULT_ORDER, system.size) if config.order is None else config.order
+    order = min(DEFAULT_ORDER, system.size) if args.order is None else args.order
     if order > system.size:
         raise ParameterError(f"order {order} exceeds system size {system.size}")
     return system, eps, order
@@ -349,12 +338,12 @@ def _ladder_defect(system: BiorthogonalSystem, eps, order: int, symbol: str, op)
     return float(np.max(np.abs(op - target))) / scale
 
 
-def cmd_coherent(config: RunConfig) -> int:
+def cmd_coherent(args: argparse.Namespace) -> int:
     """Sweep a z-grid: per-z CSV, measure report, resolution, quantization."""
-    system, eps, order = _level1_inputs(config)
+    system, eps, order = _level1_inputs(args)
 
-    radii = [config.grid_rmax * (i + 1) / config.grid_radial for i in range(config.grid_radial)]
-    angles = [2.0 * math.pi * j / config.grid_angular for j in range(config.grid_angular)]
+    radii = [args.grid_rmax * (i + 1) / args.grid_radial for i in range(args.grid_radial)]
+    angles = [2.0 * math.pi * j / args.grid_angular for j in range(args.grid_angular)]
     zs = np.array([complex(r * math.cos(th), r * math.sin(th)) for r in radii for th in angles])
     # the gate refuses the grid when its largest |z|, grid_rmax up to rounding, reaches rho
     states = coherent_grid(system, eps, zs, order)
@@ -379,8 +368,8 @@ def cmd_coherent(config: RunConfig) -> int:
         if residual > 10.0 * state.tail_bound + 1e-12:
             states_pass = False
 
-    os.makedirs(config.outdir, exist_ok=True)
-    csv_path = os.path.join(config.outdir, "coherent_sweep.csv")
+    os.makedirs(args.outdir, exist_ok=True)
+    csv_path = os.path.join(args.outdir, "coherent_sweep.csv")
     iomod.save_table_csv(
         rows, csv_path, columns="re_z,im_z,normalization,overlap_abs,eigenstate_residual"
     )
@@ -393,7 +382,7 @@ def cmd_coherent(config: RunConfig) -> int:
     quant_info = None
     measure = None
     try:
-        measure = solve_moment_measure(eps, order, config.nodes)
+        measure = solve_moment_measure(eps, order, args.nodes)
     except MomentError as exc:
         measure_info = {"available": False, "reason": str(exc)}
     if measure is not None:
@@ -443,7 +432,7 @@ def cmd_coherent(config: RunConfig) -> int:
         # commands can share one --outdir
         files = ["coherent_quantize_z.json", "coherent_quantize_zbar.json"]
         for op, name in zip((op_z, op_zbar), files):
-            iomod.save_report(iomod.matrix_to_jsonable(op), os.path.join(config.outdir, name))
+            iomod.save_report(iomod.matrix_to_jsonable(op), os.path.join(args.outdir, name))
         quant_info = {
             "defect_z": defect_z,
             "defect_zbar": defect_zbar,
@@ -456,9 +445,9 @@ def cmd_coherent(config: RunConfig) -> int:
         "schema": "isospec-coherent-v1",
         "order": order,
         "grid": {
-            "radial": config.grid_radial,
-            "angular": config.grid_angular,
-            "rmax": config.grid_rmax,
+            "radial": args.grid_radial,
+            "angular": args.grid_angular,
+            "rmax": args.grid_rmax,
         },
         "convergence": conv.to_jsonable(),
         "max_overlap_defect": max_overlap_defect,
@@ -470,7 +459,7 @@ def cmd_coherent(config: RunConfig) -> int:
         "csv": os.path.basename(csv_path),
         "all_passed": all_passed,
     }
-    report_path = os.path.join(config.outdir, "coherent_report.json")
+    report_path = os.path.join(args.outdir, "coherent_report.json")
     iomod.save_report(report, report_path)
 
     rho_text = "inf" if math.isinf(conv.rho) else f"{conv.rho:.6g}"
@@ -487,33 +476,33 @@ def cmd_coherent(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_fixture(config: RunConfig, action: str) -> int:
-    """List fixture ids or build one by id (same output as cmd_build)."""
-    if action == "list":
-        for fid in FIXTURE_IDS:
-            print(fid)
-        return EXIT_OK
-    if config.fixture is None:
-        raise ParameterError("fixture build needs an id")
-    return cmd_build(config)
+def cmd_fixture_list(args: argparse.Namespace) -> int:
+    for fid in FIXTURE_IDS:
+        print(fid)
+    return EXIT_OK
 
 
-def cmd_quantize(config: RunConfig) -> int:
+def cmd_fixture_build(args: argparse.Namespace) -> int:
+    """Write a fixture's model, built at the library's default tolerances."""
+    return _write_model(args, get_fixture(args.id, **args.params).require_model())
+
+
+def cmd_quantize(args: argparse.Namespace) -> int:
     """Write the quantized-symbol matrix and its ladder-agreement defect."""
-    system, eps, order = _level1_inputs(config)
-    measure = solve_moment_measure(eps, order, config.nodes)
-    op = quantize(config.symbol, system, eps, measure, order)
-    defect = _ladder_defect(system, eps, order, config.symbol, op)
+    system, eps, order = _level1_inputs(args)
+    measure = solve_moment_measure(eps, order, args.nodes)
+    op = quantize(args.symbol, system, eps, measure, order)
+    defect = _ladder_defect(system, eps, order, args.symbol, op)
     out = {
         "schema": "isospec-quantize-v1",
-        "symbol": config.symbol,
+        "symbol": args.symbol,
         "order": order,
         "matrix": iomod.matrix_to_jsonable(op),
         "ladder_defect": defect,
     }
-    path = _outpath(config, f"quantize_{config.symbol}.json")
+    path = _outpath(args, f"quantize_{args.symbol}.json")
     iomod.save_report(out, path)
-    print(f"quantized symbol {config.symbol} written to {path} (ladder defect {defect:.3e})")
+    print(f"quantized symbol {args.symbol} written to {path} (ladder defect {defect:.3e})")
     return EXIT_OK if defect <= 1e-8 else EXIT_VERIFY
 
 
@@ -528,106 +517,114 @@ class _Parser(argparse.ArgumentParser):
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="isospec", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--config", help="JSON config file; flags override its values")
+    parser.add_argument("--config", help="JSON file of the subcommand's option values; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model_input=True, output=True):
-        p.add_argument("--outdir", help="output directory (default .)")
+    def command(subparsers, name, run, help):
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(run=run, command_parser=p)
+        return p
+
+    def add_output(p, output=True):
+        p.add_argument("--outdir", default=".", help="output directory (default %(default)s)")
         if output:
             p.add_argument("--output", help="explicit output file path")
-        p.add_argument("--kernel-tol", type=float, dest="kernel_tol")
-        p.add_argument("--relation-tol", type=float, dest="relation_tol")
-        p.add_argument("--multiplicity-tol", type=float, dest="multiplicity_tol")
-        if model_input:
-            p.add_argument("--fixture", choices=FIXTURE_IDS)
-            p.add_argument("--params", help="fixture parameters k=v,k2=v2 (lists as a:b:c)")
+
+    def add_fixture(p, name):
+        p.add_argument(name, choices=FIXTURE_IDS)
+        p.add_argument("--params", type=parse_params, default={},
+                       help="fixture parameters k=v,k2=v2 (lists as a:b:c)")
+
+    def add_common(p, sources=True, output=True):
+        add_output(p, output)
+        p.add_argument("--kernel-tol", type=_positive("kernel_tol"), default=KERNEL_TOL,
+                       help="kernel test, relative to the column norm (default %(default)s)")
+        p.add_argument("--relation-tol", type=_positive("relation_tol"), default=RELATION_TOL,
+                       help="relation residual, relative to operand norms (default %(default)s)")
+        p.add_argument("--multiplicity-tol", type=_positive("multiplicity_tol"),
+                       default=MULTIPLICITY_TOL,
+                       help="absolute eigenvalue gap of a simple spectrum (default %(default)s)")
+        if sources:
+            add_fixture(p, "--fixture")
             p.add_argument("--theta1", dest="theta1_path", help="seed matrix file (.json/.csv)")
             p.add_argument("--x", dest="x_path", help="intertwiner matrix file (.json/.csv)")
-            p.add_argument("--random", help="random commuting pair, dims D1xD2 (seeded by ISOSPEC_SEED)")
+            p.add_argument("--random", help="random commuting pair D1xD2 (seeded by ISOSPEC_SEED)")
             p.add_argument("--model", dest="model_path", help="existing model JSON file")
 
-    p_build = sub.add_parser("build", help="construct a model and write model JSON")
-    add_common(p_build)
+    def add_series(p):
+        p.add_argument("--order", type=_checked(int, lambda n: n >= 1, "order must be at least 1"),
+                       help=f"series order (default min({DEFAULT_ORDER}, system size))")
+        p.add_argument("--nodes", default=64, help="quadrature nodes (default %(default)s)",
+                       type=_checked(int, lambda n: n >= 2, "quadrature nodes must be at least 2"))
 
-    p_verify = sub.add_parser("verify", help="recheck a stored model file")
-    p_verify.add_argument("--model", dest="model_path", required=True)
-    add_common(p_verify, model_input=False)
+    add_common(command(sub, "build", cmd_build, "construct a model and write model JSON"))
 
-    p_coh = sub.add_parser("coherent", help="z-grid sweep with measure and quantization checks")
+    p_verify = command(sub, "verify", cmd_verify, "recheck a stored model file")
+    p_verify.add_argument("--model", dest="model_path", help="model JSON file to recheck")
+    add_common(p_verify, sources=False)
+
+    p_coh = command(sub, "coherent", cmd_coherent, "z-grid sweep with measure and quantization")
     add_common(p_coh, output=False)
-    p_coh.add_argument("--order", type=int, help="series truncation (default min(40, size))")
-    p_coh.add_argument("--nodes", type=int, help="quadrature nodes (default 64)")
-    p_coh.add_argument("--grid-radial", type=int, dest="grid_radial")
-    p_coh.add_argument("--grid-angular", type=int, dest="grid_angular")
-    p_coh.add_argument("--grid-rmax", type=float, dest="grid_rmax")
+    add_series(p_coh)
+    grid_count = _checked(int, lambda n: n >= 1, "grid counts must be at least 1")
+    p_coh.add_argument("--grid-radial", type=grid_count, default=20,
+                       help="radii on the z-grid (default %(default)s)")
+    p_coh.add_argument("--grid-angular", type=grid_count, default=16,
+                       help="angles on the z-grid (default %(default)s)")
+    p_coh.add_argument("--grid-rmax", type=_positive("grid max radius"), default=2.0,
+                       help="largest |z| on the grid (default %(default)s)")
 
     p_fix = sub.add_parser("fixture", help="list fixtures or build one")
     fix_sub = p_fix.add_subparsers(dest="fixture_action", required=True)
-    fix_sub.add_parser("list", help="print available fixture ids")
-    p_fix_build = fix_sub.add_parser("build", help="build a fixture by id")
-    p_fix_build.add_argument("id", choices=FIXTURE_IDS)
-    p_fix_build.add_argument("--params", help="fixture parameters k=v,k2=v2")
-    p_fix_build.add_argument("--outdir")
-    p_fix_build.add_argument("--output")
+    command(fix_sub, "list", cmd_fixture_list, "print available fixture ids")
+    p_fix_build = command(fix_sub, "build", cmd_fixture_build,
+                          "build a fixture by id at the default tolerances")
+    add_fixture(p_fix_build, "id")
+    add_output(p_fix_build)
 
-    p_quant = sub.add_parser("quantize", help="emit a quantized-symbol matrix")
+    p_quant = command(sub, "quantize", cmd_quantize, "emit a quantized-symbol matrix")
     add_common(p_quant)
-    p_quant.add_argument("--symbol", choices=("z", "zbar"))
-    p_quant.add_argument("--order", type=int, help="series truncation (default min(40, size))")
-    p_quant.add_argument("--nodes", type=int)
+    p_quant.add_argument("--symbol", default="z", help="z or zbar (default %(default)s)",
+                         type=_checked(str, lambda s: s in ("z", "zbar"),
+                                       "symbol must be 'z' or 'zbar'"))
+    add_series(p_quant)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise ParameterError(f"config file not found: {args.config}")
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParameterError("config file must hold a JSON object")
-        unknown = set(doc) - _CONFIG_KEYS
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        if "params" in doc and isinstance(doc["params"], str):
-            doc["params"] = parse_params(doc["params"])
-        config = replace(config, **doc)
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if getattr(args, "params", None) is not None:
-        overrides["params"] = parse_params(args.params)
-    if getattr(args, "id", None) is not None:
-        overrides["fixture"] = args.id
-    config = replace(config, **overrides)
-    config.command = args.command
-    config.validate()
-    return config
+def _config_defaults(path: str, command_parser: argparse.ArgumentParser) -> None:
+    """Make a config file's values the subcommand's defaults, as flag text."""
+    if not os.path.exists(path):
+        raise ParameterError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParameterError("config file must hold a JSON object")
+    keys = {action.dest for action in command_parser._actions if action.option_strings}
+    unknown = set(doc) - (keys - {"help"})
+    if unknown:
+        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        # true and false would read as the flag text "True" and "False"
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ParameterError(
+                f"config value of {key} must be a JSON string or number, got {json.dumps(value)}"
+            )
+    # argparse runs a string default through the option's type, as it does a flag's text
+    command_parser.set_defaults(**{key: str(value) for key, value in doc.items()})
 
 
 def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        if args.command == "build":
-            return cmd_build(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "coherent":
-            return cmd_coherent(config)
-        if args.command == "fixture":
-            return cmd_fixture(config, args.fixture_action)
-        if args.command == "quantize":
-            return cmd_quantize(config)
-        raise ParameterError(f"unknown command {args.command!r}")
+        if args.config is not None:
+            _config_defaults(args.config, args.command_parser)
+            args = parser.parse_args(argv)
+        return args.run(args)
     except IsospecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

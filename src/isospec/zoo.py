@@ -11,7 +11,7 @@ and the block example loses the even positions (the first vector of each
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -444,7 +444,11 @@ def get_fixture(fixture_id: str, **params) -> Fixture:
             f"fixture {fixture_id} takes no parameter {', '.join(unknown)}; "
             f"it accepts {', '.join(defaults)}"
         )
-    return builder(**{**defaults, **params})
+    values = {**defaults, **params}
+    fixture = builder(**values)
+    # record the names accepted here, so that parameters round-trip through get_fixture
+    recorded = {name: fixture.parameters.get(name, value) for name, value in values.items()}
+    return replace(fixture, parameters=recorded)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import pytest
 
 import isospec.cli as cli
 from isospec import FIXTURE_IDS, errors, get_fixture
+from isospec.intertwining import RELATION_TOL
+from isospec.linalg import KERNEL_TOL, MULTIPLICITY_TOL
 from isospec.io import jsonable_to_matrix, save_matrix_csv, save_matrix_json
 
 CLI = [sys.executable, "-m", "isospec.cli"]
@@ -460,7 +462,7 @@ def test_fixture_source_honours_the_multiplicity_tolerance(tmp_path, capsys):
 
 @pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
 def test_fixture_source_at_default_tolerances_is_the_fixture_model(fixture_id):
-    built = cli._build_target_model(cli.RunConfig(fixture=fixture_id))
+    built = cli._build_target_model(cli.make_parser().parse_args(["build", "--fixture", fixture_id]))
     model = get_fixture(fixture_id).model
     for name in ("theta2", "phi2", "psi1", "psi2", "tilde_k"):
         assert getattr(built, name).tobytes() == getattr(model, name).tobytes(), name
@@ -486,6 +488,149 @@ def test_truncation_is_an_unknown_config_key(tmp_path, capsys):
     cfg.write_text('{"fixture": "ex3x3", "truncation": 8}\n')
     assert cli.main(["--config", str(cfg), "build", "--outdir", str(tmp_path / "o")]) == 1
     assert "unknown config keys: ['truncation']" in capsys.readouterr().err
+
+
+NON_FINITE_CASES = [
+    (command, key, value)
+    for command, keys in (("build", ("kernel_tol", "relation_tol", "multiplicity_tol")),
+                          ("coherent", ("grid_rmax",)))
+    for key in keys
+    for value in ("nan", "inf", "-inf")
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command,key,value", NON_FINITE_CASES)
+def test_non_finite_option_values_are_input_errors(command, key, value, via, tmp_path, capsys):
+    # `build --kernel-tol nan` wrote kernel_set [] for ex3x3, whose kernel is [2]
+    source = ["--fixture", "ex3x3" if command == "build" else "coherent_demo"]
+    flag = "--" + key.replace("_", "-")
+    if via == "flag":
+        argv = [command, *source, f"{flag}={value}"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value)}))
+        argv = ["--config", str(cfg), command, *source]
+    assert cli.main([*argv, "--outdir", str(tmp_path / "o")]) == 1
+    assert f"argument {flag}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _flags(options: dict) -> list:
+    """The command-line form of config options."""
+    names = {"theta1_path": "--theta1", "x_path": "--x", "model_path": "--model"}
+    argv = []
+    for key, value in options.items():
+        argv += [names.get(key, "--" + key.replace("_", "-")), str(value)]
+    return argv
+
+
+def _config_cases(model) -> dict:
+    """Subcommand -> (its words, options it takes: strings and numbers both)."""
+    tolerances = {"kernel_tol": 1e-11, "relation_tol": "1e-8", "multiplicity_tol": 1e-7}
+    demo = {"fixture": "coherent_demo", "params": "alpha1=0.5,n_blocks=4",
+            "order": 6, "nodes": "32"}
+    return {
+        "build": (["build"],
+                  {**tolerances, "fixture": "ex3x3", "params": "e1=1.5,e2=2.5,e3=4"}),
+        "verify": (["verify"], {**tolerances, "model_path": str(model)}),
+        "coherent": (["coherent"], {**tolerances, **demo, "grid_radial": 3,
+                                    "grid_angular": "4", "grid_rmax": 1.5}),
+        "quantize": (["quantize"], {**tolerances, **demo, "symbol": "zbar"}),
+        "fixture build": (["fixture", "build", "shift"], {"params": "s=2,n=5"}),
+    }
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "coherent", "quantize", "fixture build"])
+def test_config_values_act_as_their_flags(command, built_model, tmp_path, capsys):
+    words, options = _config_cases(built_model)[command]
+    codes, artifacts = [], []
+    for via in ("flags", "config"):
+        outdir = tmp_path / via
+        outdir.mkdir()
+        run = {**options, "outdir": str(outdir)}
+        if command != "coherent":
+            run["output"] = str(outdir / "out.json")
+        if via == "flags":
+            codes.append(cli.main([*words, *_flags(run)]))
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(run))
+            codes.append(cli.main(["--config", str(cfg), *words]))
+        artifacts.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    assert codes[0] == codes[1] == 0
+    assert artifacts[0] == artifacts[1]
+    assert artifacts[0]
+
+
+BAD_CONFIGS = {
+    "order-fraction": ("coherent", {"order": 5.5}),
+    "order-word": ("coherent", {"order": "five"}),
+    "kernel-tol-null": ("build", {"kernel_tol": None}),
+    "grid-rmax-word": ("coherent", {"grid_rmax": "big"}),
+    "relation-tol-true": ("build", {"relation_tol": True}),
+    "nodes-list": ("coherent", {"nodes": [64]}),
+    "params-dict": ("build", {"params": {"e1": 2.0}}),
+    "symbol-unknown": ("quantize", {"symbol": "w"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_values_are_input_errors(name, tmp_path, capsys):
+    command, options = BAD_CONFIGS[name]
+    fixture = "ex3x3" if command == "build" else "coherent_demo"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": fixture, **options}))
+    assert cli.main(["--config", str(cfg), command, "--outdir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# a key each subcommand refuses, taken from another subcommand's options
+FOREIGN_KEYS = {
+    "build": (["build", "--fixture", "ex3x3"], "nodes"),
+    "verify": (["verify"], "fixture"),
+    "coherent": (["coherent", "--fixture", "coherent_demo"], "symbol"),
+    "quantize": (["quantize", "--fixture", "coherent_demo"], "grid_rmax"),
+    "fixture build": (["fixture", "build", "ex3x3"], "relation_tol"),
+    "fixture list": (["fixture", "list"], "params"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FOREIGN_KEYS))
+def test_config_keys_of_other_subcommands_are_refused(command, built_model, tmp_path, capsys):
+    words, key = FOREIGN_KEYS[command]
+    doc = {"model_path": str(built_model)} if command == "verify" else {}
+    doc[key] = "1"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["--config", str(cfg), *words]) == 1
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+COMMAND_DEFAULTS = {
+    "build": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL],
+    "verify": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL],
+    "coherent": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL,
+                 f"min({cli.DEFAULT_ORDER}, system size)", 64, 20, 16, 2.0],
+    "quantize": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL, "z",
+                 f"min({cli.DEFAULT_ORDER}, system size)", 64],
+    "fixture build": ["."],
+    "fixture list": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+def test_help_prints_each_default(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([*command.split(), "-h"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for default in COMMAND_DEFAULTS[command]:
+        assert f"(default {default})" in text
+    assert text.count("(default ") == len(COMMAND_DEFAULTS[command])
 
 
 @pytest.mark.parametrize("command", ["coherent", "quantize"])

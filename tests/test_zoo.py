@@ -250,6 +250,14 @@ def test_fixture_registry_forwards_parameters():
     assert f.parameters == {"e1": 2.0, "e2": 3.0, "e3": 5.0}
 
 
+@pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
+def test_fixture_parameters_rebuild_the_fixture(fixture_id):
+    f = get_fixture(fixture_id)
+    again = get_fixture(fixture_id, **f.parameters)
+    assert again.theta1.tobytes() == f.theta1.tobytes()
+    assert again.x.tobytes() == f.x.tobytes()
+
+
 def test_fixture_model_is_built_once_from_the_fixture_eigendata():
     f = get_fixture("coherent_demo", n_blocks=4)
     assert f.model is f.model
