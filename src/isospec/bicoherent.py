@@ -7,6 +7,9 @@ radii, the closed-form radial measure for linear epsilon sequences, the
 resolution-of-identity check, and the symbol quantization that recovers
 the ladders.
 
+Level-2 code reads the pairing from the system: a kernel mode is one with
+pairing 0, as ``build_model`` writes its kernel set at the run's tolerance.
+
 Series and states are always evaluated on an explicit truncation
 ``order``; tail bounds are reported, never hidden.
 """
@@ -28,12 +31,7 @@ from .errors import (
     PairingError,
     ParameterError,
 )
-from .linalg import (
-    KERNEL_TOL,
-    BiorthogonalSystem,
-    EpsilonSequence,
-    opnorm,
-)
+from .linalg import BiorthogonalSystem, EpsilonSequence, opnorm
 
 # Growth-fit grid over the allowed exponent range [0, 1/2].
 ALPHA_GRID_POINTS = 33
@@ -101,27 +99,23 @@ def build_ladders(system: BiorthogonalSystem, eps: EpsilonSequence) -> LadderPai
     return _ladder_pair(system, eps, np.ones(system.size), level=1)
 
 
-def build_ladders_level2(
-    system2: BiorthogonalSystem, eps, tilde_k=None
-) -> LadderPair:
+def build_ladders_level2(system2: BiorthogonalSystem, eps) -> LadderPair:
     """Level-2 ladders with pairing-weighted steps.
 
-    A phi_k = sqrt(eps_k * tk_k / tk_{k-1}) phi_{k-1} and dually for B; the
-    dyads carry 1/tk because <psi_k, phi_k> = tk_k rather than 1.  Vanishing
-    pairing constants are refused: filter the kernel first.
+    A phi_k = sqrt(eps_k * tk_k / tk_{k-1}) phi_{k-1} and dually for B, tk
+    the system's pairing; the dyads carry 1/tk because <psi_k, phi_k> = tk_k
+    rather than 1.  Kernel modes are refused: filter the kernel first.
     """
-    eps = EpsilonSequence.of(eps)
-    tk = system2.pairing if tilde_k is None else np.asarray(tilde_k, dtype=float)
-    m = system2.size
-    if tk.shape != (m,):
-        raise DimensionError("one pairing constant per system column required")
-    if np.any(tk <= KERNEL_TOL):
-        bad = int(np.argmin(tk))
-        raise KernelError(
-            f"pairing constant at index {bad} is not positive; kernel modes "
-            "must be filtered out before building level-2 ladders"
-        )
-    return _ladder_pair(system2, eps, tk, level=2)
+    _refuse_kernel(system2.pairing)
+    return _ladder_pair(system2, EpsilonSequence.of(eps), system2.pairing, level=2)
+
+
+def _refuse_kernel(pairing: np.ndarray) -> None:
+    """The one kernel guard of the state and ladder constructions."""
+    dead = np.flatnonzero(pairing <= 0)
+    if dead.size:
+        raise KernelError(f"pairing constant at index {dead[0]} is not positive "
+                          "(kernel mode); filter first")
 
 
 def _ladder_pair(system: BiorthogonalSystem, eps: EpsilonSequence, tk, level: int) -> LadderPair:
@@ -337,14 +331,7 @@ def _assemble_states(
     ``phi_norms`` are the column norms of ``system.phi[:, :order]``, as the
     radius gate measured them.
     """
-    if not 1 <= order <= system.size:
-        raise DimensionError(
-            f"order must lie in 1..{system.size} (system size), got {order}"
-        )
     pairing = system.pairing[:order]
-    if np.any(pairing <= 0):
-        bad = int(np.argmin(pairing))
-        raise KernelError(f"pairing constant at index {bad} is not positive")
     phi = system.phi[:, :order]
     absz = np.abs(zs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -426,7 +413,12 @@ def _radius_gate(
 def _states(
     system: BiorthogonalSystem, eps, zs, order: int, level: int
 ) -> list[BicoherentState]:
-    """Gate once, then assemble: the one path every state takes."""
+    """Check order and kernel, gate once, assemble: the one path of every state."""
+    if not 1 <= order <= system.size:
+        raise DimensionError(
+            f"order must lie in 1..{system.size} (system size), got {order}"
+        )
+    _refuse_kernel(system.pairing[:order])
     eps = EpsilonSequence.of(eps)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     conv, phi_norms = _radius_gate(system, eps, zs, order)
@@ -454,38 +446,25 @@ def coherent_grid(system: BiorthogonalSystem, eps, zs, order: int) -> list[Bicoh
 
 
 def coherent_pair_level2(
-    system2: BiorthogonalSystem, eps, z: complex, order: int, tilde_k=None
+    system2: BiorthogonalSystem, eps, z: complex, order: int
 ) -> BicoherentState:
-    """Level-2 pair with coefficients z^k / sqrt(eps_k! * tk_k).
+    """Level-2 pair with coefficients z^k / sqrt(eps_k! * tk_k), tk the pairing.
 
     All pairing constants up to ``order`` must be positive; systems that
     still contain kernel modes belong in filter_and_build instead.
     """
-    if tilde_k is not None:
-        system2 = BiorthogonalSystem(
-            phi=system2.phi,
-            psi=system2.psi,
-            values=system2.values,
-            pairing=np.asarray(tilde_k, dtype=float),
-        )
-    pairing = system2.pairing[: min(order, system2.size)]
-    if np.any(pairing <= KERNEL_TOL):
-        bad = int(np.argmin(pairing))
-        raise KernelError(
-            f"pairing constant at index {bad} vanishes (kernel mode); use "
-            "filter_and_build to drop kernel indices first"
-        )
     return _states(system2, eps, [z], order, level=2)[0]
 
 
 def filter_system(system2: BiorthogonalSystem, eps, convention: str = "original"):
     """Drop kernel columns and relabel: returns (tilde system, step sequence, survivors).
 
-    The step sequence delta satisfies delta_1 * ... * delta_l = tilde-eps_l!,
-    the generalized factorial the tilde states use.  Convention "original"
-    keeps factorials along the original sequence up to the survivor's
-    original index; "relabeled" re-applies the factorial to the surviving
-    eigenvalues as a fresh sequence.
+    Kernel columns are those with pairing 0.  The step sequence delta
+    satisfies delta_1 * ... * delta_l = tilde-eps_l!, the generalized
+    factorial the tilde states use.  Convention "original" keeps factorials
+    along the original sequence (delta_l is the product of eps over the gap
+    up to survivor l); "relabeled" re-applies the factorial to the surviving
+    eigenvalues as a fresh sequence (delta_l is survivor l's own eps).
     """
     eps = EpsilonSequence.of(eps)
     if convention not in ("original", "relabeled"):
@@ -496,29 +475,22 @@ def filter_system(system2: BiorthogonalSystem, eps, convention: str = "original"
         raise DimensionError(
             f"need {system2.size} epsilon values, got {len(eps)}"
         )
-    survivors = [n for n in range(system2.size) if system2.pairing[n] > KERNEL_TOL]
+    survivors = np.flatnonzero(system2.pairing > 0).tolist()
     if not survivors:
         raise DegenerateError("every index is a kernel index; nothing survives filtering")
-    tilde = BiorthogonalSystem(
-        phi=system2.phi[:, survivors],
-        psi=system2.psi[:, survivors],
-        values=system2.values[survivors],
-        pairing=system2.pairing[survivors],
-    )
+    tilde = system2.columns(survivors)
     defect = tilde.pairing_defect()
     scale = max(1.0, float(np.max(tilde.pairing)))
     if defect > 1e-8 * scale:
         raise PairingError(
             f"filtered family is not biorthogonal: defect {defect:.3e}"
         )
-    if convention == "original":
-        targets = [eps.factorial(n) for n in survivors]
-    else:
-        vals = eps.values[survivors]
-        targets = list(np.cumprod(np.concatenate(([1.0], vals[1:]))))
+    # each step directly: a ratio of two factorials would overflow to inf/inf
     delta = np.zeros(len(survivors))
-    for l in range(1, len(survivors)):
-        delta[l] = targets[l] / targets[l - 1]
+    if convention == "original":
+        delta[1:] = [np.prod(eps.values[a + 1 : b + 1]) for a, b in zip(survivors, survivors[1:])]
+    else:
+        delta[1:] = eps.values[survivors[1:]]
     return tilde, EpsilonSequence(delta), tuple(survivors)
 
 
@@ -535,10 +507,6 @@ def filter_and_build(
     ``order`` counts surviving modes.
     """
     tilde, delta, _ = filter_system(system2, eps, convention)
-    if order > tilde.size:
-        raise DimensionError(
-            f"order {order} exceeds the {tilde.size} surviving modes"
-        )
     return _states(tilde, delta, [z], order, level=2)[0]
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 
@@ -207,6 +208,11 @@ def _load_model_doc(path: str) -> dict:
         doc["theta1_matrix"] = iomod.jsonable_to_matrix(doc["theta1"])
         doc["x_matrix"] = iomod.jsonable_to_matrix(doc["X"])
         doc["theta2_matrix"] = iomod.jsonable_to_matrix(doc["theta2"])
+        # the per-mode fields verify compares, when present
+        if "tilde_k" in doc:
+            doc["tilde_k"] = np.asarray(doc["tilde_k"], dtype=float)
+        if "kernel_set" in doc:
+            doc["kernel_set"] = tuple(operator.index(n) for n in doc["kernel_set"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ParameterError(f"model file {path} is missing or corrupts required keys: {exc}") from exc
     return doc
@@ -232,13 +238,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     model = _build(args, doc["theta1_matrix"], doc["x_matrix"])
     stored_theta2 = doc["theta2_matrix"]
     theta2_residual = opnorm(model.theta2 - stored_theta2) / max(1.0, model.theta2_norm)
-    stored_tilde = np.asarray(doc.get("tilde_k", []), dtype=float)
+    stored_tilde = doc.get("tilde_k", np.empty(0))
     if stored_tilde.shape == model.tilde_k.shape:
         tilde_residual = float(np.max(np.abs(stored_tilde - model.tilde_k)))
     else:
         tilde_residual = math.inf
     case_match = doc.get("case") == model.case
-    kernel_match = tuple(doc.get("kernel_set", ())) == model.kernel_set
+    kernel_match = doc.get("kernel_set", ()) == model.kernel_set
 
     report = verify_relations(model, args.relation_tol)
     failures = report.failures()
@@ -326,13 +332,7 @@ def _level1_inputs(args: argparse.Namespace):
 def _ladder_defect(system: BiorthogonalSystem, eps, order: int, symbol: str, op) -> float:
     """Max-entry distance of a quantized symbol from its ladder, relative to
     that ladder's largest entry; both live on the first ``order`` modes."""
-    truncated = BiorthogonalSystem(
-        phi=system.phi[:, :order],
-        psi=system.psi[:, :order],
-        values=system.values[:order],
-        pairing=system.pairing[:order],
-    )
-    ladder = build_ladders(truncated, EpsilonSequence(eps.values[:order]))
+    ladder = build_ladders(system.columns(slice(order)), EpsilonSequence(eps.values[:order]))
     target = ladder.a if symbol == "z" else ladder.b
     scale = max(1.0, float(np.max(np.abs(target))))
     return float(np.max(np.abs(op - target))) / scale
@@ -628,8 +628,9 @@ def main(argv=None) -> int:
     except IsospecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        # a size no allocation can meet (--nodes 100000000) is an input error
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -378,16 +378,11 @@ class IntertwiningModel:
             raise RegimeError(
                 "level-2 biorthogonal structure requires a commuting regime"
             )
-        if include_kernel:
-            idx = list(range(len(self.values)))
-        else:
-            idx = list(self.survivors)
-        return BiorthogonalSystem(
-            phi=self.phi2[:, idx],
-            psi=self.psi2[:, idx],
-            values=self.values[idx],
-            pairing=self.tilde_k[idx],
+        transported = BiorthogonalSystem(
+            phi=self.phi2, psi=self.psi2, values=self.values, pairing=self.tilde_k
         )
+        idx = range(len(self.values)) if include_kernel else self.survivors
+        return transported.columns(list(idx))
 
     def to_jsonable(self) -> dict:
         from .io import matrix_to_jsonable

@@ -227,7 +227,10 @@ class EpsilonSequence:
 
     @classmethod
     def linear(cls, s: float, count: int) -> "EpsilonSequence":
-        """The sequence eps_k = s*k, k = 0..count-1."""
+        """The sequence eps_k = s*k, k = 0..count-1, for a finite real slope s."""
+        s = float(s)
+        if not np.isfinite(s):
+            raise ValueError(f"epsilon slope must be finite, got {s}")
         return cls(s * np.arange(count, dtype=float))
 
     def __len__(self) -> int:
@@ -295,6 +298,15 @@ class BiorthogonalSystem:
     def dim(self) -> int:
         """Dimension of the ambient space."""
         return self.phi.shape[0]
+
+    def columns(self, index) -> "BiorthogonalSystem":
+        """The sub-system of the columns ``index`` (a slice or an index list)."""
+        return BiorthogonalSystem(
+            phi=self.phi[:, index],
+            psi=self.psi[:, index],
+            values=self.values[index],
+            pairing=self.pairing[index],
+        )
 
     def pairing_defect(self) -> float:
         """max |<phi_k, psi_n> - pairing[n] delta_kn| over all k, n."""

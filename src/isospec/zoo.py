@@ -368,8 +368,8 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
     and the partner is diag(4l*alpha1) with tilde_k = 1.
     """
     alpha1 = float(alpha1)
-    if alpha1 <= 0:
-        raise ParameterError("alpha1 must be positive")
+    if not 0.0 < alpha1 < math.inf:
+        raise ParameterError(f"alpha1 must be positive and finite, got {alpha1}")
     if n_blocks < 2:
         raise DimensionError("need at least 2 blocks")
     alpha = np.array([(4 * j + 1) * alpha1 for j in range(n_blocks)])
@@ -381,6 +381,11 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
     dim = 2 * n_blocks
     eps = EpsilonSequence(2.0 * alpha1 * np.arange(dim))
     survivors = tuple(range(0, dim, 2))
+    # eps_j! = (2 alpha1)^j j!, grown in Python floats: past the float range
+    # they become inf, where ** and math.factorial would raise
+    facts = [1.0]
+    for j in range(1, dim - 1):
+        facts.append(facts[-1] * (2.0 * alpha1 * j))
     expected = {
         "case": "NonInvertible",
         "epsilon": eps.values.copy(),
@@ -391,9 +396,7 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
         # N(|z|) = exp(-rate * |z|^2) for the level-1 states
         "normalization_rate": 1.0 / (4.0 * alpha1),
         # survivor factorials keep original indices: prod of eps_1..eps_{2l}
-        "level2_factorials": np.array(
-            [(2.0 * alpha1) ** (2 * l) * math.factorial(2 * l) for l in range(n_blocks)]
-        ),
+        "level2_factorials": np.array(facts[::2]),
     }
     return Fixture(
         id="coherent_demo",
@@ -405,13 +408,21 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
     )
 
 
+def _count(value) -> int:
+    """A mode or block count: an integral number, never truncated."""
+    count = int(value)
+    if count != value:
+        raise ValueError(f"a count must be an integer, got {value!r}")
+    return count
+
+
 def _shift_by_slope(s, theta, n) -> Fixture:
-    n = int(n)
+    n = _count(n)
     return fixture_shift(EpsilonSequence.linear(s, n), theta, n)
 
 
 def _block_by_count(alpha, beta, n_blocks) -> Fixture:
-    n_blocks = int(n_blocks)
+    n_blocks = _count(n_blocks)
     ramp = np.arange(1.0, n_blocks + 1.0)
     alpha = ramp if alpha is None else alpha
     beta = 0.5j * ramp if beta is None else beta
@@ -425,7 +436,7 @@ _FIXTURE_BUILDERS = {
     "shift": (_shift_by_slope, {"s": 1.0, "theta": math.pi / 4.0, "n": 8}),
     "block": (_block_by_count, {"alpha": None, "beta": None, "n_blocks": 4}),
     "coherent_demo": (
-        lambda alpha1, n_blocks: coherent_demo(alpha1, int(n_blocks)),
+        lambda alpha1, n_blocks: coherent_demo(alpha1, _count(n_blocks)),
         {"alpha1": 1.0, "n_blocks": 32},
     ),
 }
@@ -445,7 +456,10 @@ def get_fixture(fixture_id: str, **params) -> Fixture:
             f"it accepts {', '.join(defaults)}"
         )
     values = {**defaults, **params}
-    fixture = builder(**values)
+    try:
+        fixture = builder(**values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"fixture {fixture_id}: {exc}") from exc
     # record the names accepted here, so that parameters round-trip through get_fixture
     recorded = {name: fixture.parameters.get(name, value) for name, value in values.items()}
     return replace(fixture, parameters=recorded)

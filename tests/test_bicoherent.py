@@ -1,6 +1,7 @@
 """Ladder factorizations, state families, moment measures, quantization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from isospec import (
     adjoint,
     build_ladders,
     build_ladders_level2,
+    build_model,
     coherent_demo,
     coherent_grid,
     coherent_pair,
@@ -109,7 +111,7 @@ def test_level2_with_unit_constants_reduces_to_level1():
     eps = EpsilonSequence.linear(1.0, 7)
     system = _orthonormal_system(7)
     pair1 = build_ladders(system, eps)
-    pair2 = build_ladders_level2(system, eps, np.ones(7))
+    pair2 = build_ladders_level2(system, eps)
     np.testing.assert_allclose(pair2.a, pair1.a, atol=1e-13)
     np.testing.assert_allclose(pair2.b, pair1.b, atol=1e-13)
 
@@ -119,16 +121,14 @@ def test_level2_factorizes_on_surviving_modes():
     f = coherent_demo(alpha1, 6)
     system2 = f.model.system2()
     eps2 = EpsilonSequence(4.0 * alpha1 * np.arange(6.0))
-    tk = np.ones(6)
-    pair = build_ladders_level2(system2, eps2, tk)
+    pair = build_ladders_level2(system2, eps2)
     assert pair.factorization_defect() < FACTORIZATION_TOL
 
 
 def test_level2_two_mode_coefficient():
     f = fixture_3x3(1.0, 2.0, 3.0)
     system2 = f.model.system2()
-    tk = np.asarray(f.model.tilde_k)[:2]
-    pair = build_ladders_level2(system2, EpsilonSequence(np.array([0.0, 2.0])), tk)
+    pair = build_ladders_level2(system2, EpsilonSequence(np.array([0.0, 2.0])))
     # equal pairing constants make the transition weight plain sqrt(eps_1)
     lhs = pair.a @ system2.phi[:, 1]
     np.testing.assert_allclose(lhs, math.sqrt(2.0) * system2.phi[:, 0], atol=1e-12)
@@ -137,7 +137,7 @@ def test_level2_two_mode_coefficient():
 def test_level2_rejects_kernel_constants():
     system = _orthonormal_system(3)
     with pytest.raises(KernelError):
-        build_ladders_level2(system, EpsilonSequence.linear(1.0, 3), np.array([1.0, 0.0, 1.0]))
+        build_ladders_level2(replace(system, pairing=[1, 0, 1]), EpsilonSequence.linear(1.0, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +367,7 @@ def test_state_far_outside_the_truncation_is_finite_and_flagged():
 def test_level2_states_on_two_modes():
     f = fixture_3x3(1.0, 2.0, 3.0)
     system2 = f.model.system2()
-    tk = np.asarray(f.model.tilde_k)[:2]
-    state = coherent_pair_level2(system2, EpsilonSequence(np.array([0.0, 2.0])), 0.4, 2, tk)
+    state = coherent_pair_level2(system2, EpsilonSequence(np.array([0.0, 2.0])), 0.4, 2)
     assert abs(state.overlap - 1.0) < 1e-12
 
 
@@ -460,6 +459,39 @@ def test_filter_without_kernel_matches_level2_states():
     direct = coherent_pair_level2(system, eps, z, 6)
     np.testing.assert_allclose(filtered.vector_phi, direct.vector_phi, atol=1e-13)
     np.testing.assert_allclose(filtered.vector_psi, direct.vector_psi, atol=1e-13)
+
+
+def test_level2_reads_the_kernel_the_model_wrote():
+    # every tilde_k is 9e-12 here, below the default kernel tolerance, but
+    # X^H phi_n is not small relative to phi_n on the even modes, so the
+    # model keeps them; the level-2 constructions must keep the same modes
+    f = coherent_demo(1.0, 4)
+    model = build_model(f.theta1, f.x * 3e-6, relation_tol=1e-13, eigensystem=f.eigensystem)
+    eps = EpsilonSequence(f.expected["epsilon"])
+    _, _, survivors = filter_system(model.system2(include_kernel=True), eps)
+    assert survivors == model.survivors == (0, 2, 4, 6)
+    system2 = model.system2()
+    eps2 = EpsilonSequence.linear(4.0, 4)
+    state = coherent_pair_level2(system2, eps2, 0.2, 4)
+    assert abs(state.overlap - 1.0) < 1e-12
+    assert build_ladders_level2(system2, eps2).factorization_defect() < FACTORIZATION_TOL
+
+
+def test_filter_steps_do_not_overflow_past_the_float_range():
+    # eps_171! is beyond float range; each step is formed without it
+    alpha1 = 1.0
+    f = coherent_demo(alpha1, 86)
+    system2 = f.model.system2(include_kernel=True)
+    eps = EpsilonSequence(f.expected["epsilon"])
+    z = 0.5
+    original = filter_and_build(system2, eps, z, 10, "original")
+    assert original.normalization == pytest.approx(
+        math.cosh(abs(z) / (2.0 * alpha1)) ** -0.5, rel=1e-12, abs=1e-12
+    )
+    relabeled = filter_and_build(system2, eps, z, 10, "relabeled")
+    assert relabeled.normalization == pytest.approx(
+        math.exp(-abs(z) ** 2 / (8.0 * alpha1)), rel=1e-12, abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------

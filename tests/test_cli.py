@@ -199,6 +199,18 @@ def test_verify_of_a_model_with_broken_entries_is_an_input_error(built_model, tm
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("tilde_k", ["a"]), ("kernel_set", 5), ("kernel_set", [1.5])])
+def test_verify_of_a_model_with_broken_mode_fields_is_an_input_error(
+    key, value, built_model, tmp_path, capsys
+):
+    doc = json.loads(built_model.read_text())
+    doc[key] = value
+    bad = tmp_path / "model_bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--model", str(bad), "--outdir", str(tmp_path)]) == 1
+    assert f"model file {bad}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # coherent sweep
 
@@ -689,6 +701,59 @@ def test_unknown_fixture_parameter_is_an_input_error(fixture_id, tmp_path, capsy
     assert "bogus" in err
     assert ", ".join(_readme_fixture_params()[fixture_id]) in err
     assert not list(tmp_path.iterdir())
+
+
+# each ended in a traceback, or (n=2.5) in a silently truncated 2-mode model
+BAD_FIXTURE_VALUES = [
+    ("ex3x3", "e1=1+2i"),
+    ("shift", "theta=0.1+1i"),
+    ("coherent_demo", "n_blocks=abc"),
+    ("ex2x2", "x11=abc"),
+    ("coherent_demo", "alpha1=nan"),
+    ("coherent_demo", "alpha1=inf"),
+    ("shift", "s=nan"),
+    ("shift", "n=2.5"),
+]
+
+
+@pytest.mark.parametrize("fixture_id,params", BAD_FIXTURE_VALUES)
+def test_bad_fixture_values_are_input_errors(fixture_id, params, tmp_path):
+    outdir = tmp_path / "out"
+    proc = run_cli("build", "--fixture", fixture_id, "--params", params, "--outdir", str(outdir))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert not outdir.exists()
+
+
+def test_coherent_demo_builds_beyond_the_float_range_of_its_factorials(tmp_path):
+    argv = ["build", "--fixture", "coherent_demo", "--params", "n_blocks=100",
+            "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "model.json").exists()
+
+
+def test_an_allocation_no_machine_can_meet_is_an_input_error(tmp_path):
+    # --nodes 100000000 asks for a 1e8 x 1e8 quadrature matrix (71 PiB).
+    # numpy first builds a 1e8-entry list (0.8 GB), so the child's address
+    # space is capped at 512 MiB: that list fails at once too.
+    import os
+
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    argv = ["coherent", "--fixture", "coherent_demo", "--params", "n_blocks=2",
+            "--nodes", "100000000", "--outdir", str(tmp_path)]
+    proc = subprocess.run(CLI + argv, capture_output=True, text=True, preexec_fn=limit,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 # ---------------------------------------------------------------------------

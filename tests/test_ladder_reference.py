@@ -100,7 +100,3 @@ def test_drawn_systems_match_the_loops(seed, n):
     _assert_bit_identical(
         build_ladders_level2(system2, eps), _reference_ladders_level2(system2, eps, tk)
     )
-    # explicit constants given next to a system that carries others
-    _assert_bit_identical(
-        build_ladders_level2(system1, eps, tk), _reference_ladders_level2(system1, eps, tk)
-    )

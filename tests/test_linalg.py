@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isospec import (
+    BiorthogonalSystem,
     DimensionError,
     EpsilonSequence,
     Eigensystem,
@@ -265,6 +266,22 @@ def test_partner_pairing_defect(seed, n):
     assert np.max(np.abs(gram - np.eye(n))) <= PAIRING_TOL * np.linalg.cond(phi)
 
 
+def test_columns_take_a_sub_system_in_the_given_order():
+    rng = np.random.default_rng(11)
+    phi = _random_complex(rng, 4, 4) + 3.0 * np.eye(4)
+    system = BiorthogonalSystem(
+        phi=phi, psi=biorthogonal_partner(phi), values=np.arange(4.0), pairing=[1, 0, 2, 3]
+    )
+    sub = system.columns([3, 0])
+    np.testing.assert_array_equal(sub.phi, phi[:, [3, 0]])
+    np.testing.assert_array_equal(sub.psi, system.psi[:, [3, 0]])
+    np.testing.assert_array_equal(sub.values, [3.0, 0.0])
+    np.testing.assert_array_equal(sub.pairing, [3.0, 1.0])
+    head = system.columns(slice(2))
+    assert head.size == 2
+    np.testing.assert_array_equal(head.pairing, [1.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # is_strictly_positive
 
@@ -309,6 +326,12 @@ def test_factorial_empty_product():
 def test_epsilon_sequence_rejects_negative_entries():
     with pytest.raises(ValueError):
         EpsilonSequence(np.array([0.0, -1.0, 2.0]))
+
+
+@pytest.mark.parametrize("slope", [math.inf, -math.inf, math.nan])
+def test_linear_sequence_refuses_a_non_finite_slope(slope):
+    with pytest.raises(ValueError, match="slope must be finite"):
+        EpsilonSequence.linear(slope, 4)
 
 
 def test_epsilon_strictly_increasing_flag():

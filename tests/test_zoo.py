@@ -227,6 +227,13 @@ def test_coherent_demo_survivor_factorials():
         assert f.expected["level2_factorials"][l] == pytest.approx(expected)
 
 
+def test_coherent_demo_survivor_factorials_past_the_float_range():
+    f = coherent_demo(1.0, 100)
+    facts = f.expected["level2_factorials"]
+    assert facts[10] == pytest.approx(2.0**20 * math.factorial(20))
+    assert facts[-1] == math.inf
+
+
 def test_coherent_demo_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         coherent_demo(0.0, 8)
