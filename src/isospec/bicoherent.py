@@ -31,7 +31,7 @@ from .errors import (
     PairingError,
     ParameterError,
 )
-from .linalg import BiorthogonalSystem, EpsilonSequence, opnorm
+from .linalg import BiorthogonalSystem, EpsilonSequence, column_defects
 
 # Growth-fit grid over the allowed exponent range [0, 1/2].
 ALPHA_GRID_POINTS = 33
@@ -71,13 +71,8 @@ class LadderPair:
 
     def factorization_defect(self) -> float:
         """max_n ||B A phi_n - eps_n phi_n|| / ||phi_n|| over the truncation."""
-        ba = self.b @ self.a
-        defect = 0.0
-        for n in range(self.system.size):
-            col = self.system.phi[:, n]
-            r = np.linalg.norm(ba @ col - self.eps.values[n] * col)
-            defect = max(defect, r / np.linalg.norm(col))
-        return float(defect)
+        eps = self.eps.values[: self.system.size]
+        return float(column_defects(self.b @ self.a, self.system.phi, eps).max())
 
 
 def build_ladders(system: BiorthogonalSystem, eps: EpsilonSequence) -> LadderPair:
@@ -531,19 +526,22 @@ class RadialMeasure:
     nodes: np.ndarray
     weights: np.ndarray
 
+    def moments(self, count: int) -> np.ndarray:
+        """Quadrature values of the radial moments of order 0, 2, ..., 2(count - 1)."""
+        # r^(2k) as ``nodes ** (2 * k)`` rounds it: one exponent per row (numpy's power
+        # of two arrays takes a SIMD path that rounds differently), r^2 as a square
+        powers = self.nodes ** np.arange(0.0, 2.0 * count, 2.0)[:, None]
+        powers[1:2] = np.square(self.nodes)
+        return (self.weights * powers).sum(axis=1)
+
     def moment(self, k: int) -> float:
         """Quadrature value of the 2k-th radial moment."""
-        return float(np.sum(self.weights * self.nodes ** (2 * k)))
+        return float(self.moments(k + 1)[k])
 
     def moment_defects(self, eps, order: int) -> np.ndarray:
         """Relative defects |quadrature - eps_k!/(2 pi)| / (eps_k!/(2 pi))."""
-        eps = EpsilonSequence.of(eps)
-        facts = eps.factorials(order)
-        out = np.empty(order)
-        for k in range(order):
-            exact = facts[k] / (2.0 * math.pi)
-            out[k] = abs(self.moment(k) - exact) / exact
-        return out
+        exact = EpsilonSequence.of(eps).factorials(order) / (2.0 * math.pi)
+        return np.abs(self.moments(order) - exact) / exact
 
     def scaled(self, factor: float) -> "RadialMeasure":
         """Same nodes, weights multiplied by ``factor`` (linearity checks)."""
@@ -607,7 +605,7 @@ class ResolutionResult:
 def resolution_check(
     system: BiorthogonalSystem,
     eps,
-    measure: RadialMeasure,
+    measure: RadialMeasure | None,
     f,
     g,
     order: int,
@@ -616,7 +614,8 @@ def resolution_check(
 
     The angular integral is done analytically (only equal powers survive),
     leaving radial moments evaluated by the measure's quadrature; moment
-    defects therefore propagate honestly into the residual.
+    defects therefore propagate honestly into the residual.  Without a
+    measure the integral is taken as its sum form.
     """
     eps = EpsilonSequence.of(eps)
     if not 1 <= order <= system.size:
@@ -626,14 +625,16 @@ def resolution_check(
     if f.size != system.dim or g.size != system.dim:
         raise DimensionError("f and g must live in the system's ambient space")
     facts = eps.factorials(order)
-    lhs = 0.0 + 0.0j
-    sum_form = 0.0 + 0.0j
+    moments = None if measure is None else measure.moments(order)
+    lhs = sum_form = 0.0 + 0.0j
+    # accumulated in mode order: the residual is rounding noise that reports record
     for k in range(order):
-        fk = np.vdot(f, system.phi[:, k])
-        gk = np.vdot(system.psi[:, k], g)
+        fg = np.vdot(f, system.phi[:, k]) * np.vdot(system.psi[:, k], g)
         pk = system.pairing[k]
-        sum_form += fk * gk / pk
-        lhs += fk * gk * 2.0 * math.pi * measure.moment(k) / (facts[k] * pk)
+        sum_form += fg / pk
+        if moments is not None:
+            lhs += fg * 2.0 * math.pi * moments[k] / (facts[k] * pk)
+    lhs = sum_form if moments is None else lhs
     rhs = complex(np.vdot(f, g))
     return ResolutionResult(
         lhs=complex(lhs),
@@ -663,18 +664,9 @@ def quantize(
         raise ParameterError(f"unsupported symbol {symbol!r}; use 'z' or 'zbar'")
     if not 2 <= order <= system.size:
         raise DimensionError(f"order must lie in 2..{system.size}, got {order}")
-    facts = eps.factorials(order)
-    pairing = system.pairing[:order]
-    band = np.zeros((system.size, system.size))
-    for k in range(order - 1):
-        coeff = (
-            2.0
-            * math.pi
-            * measure.moment(k + 1)
-            / math.sqrt(facts[k] * facts[k + 1] * pairing[k] * pairing[k + 1])
-        )
-        if symbol == "z":
-            band[k, k + 1] = coeff
-        else:
-            band[k + 1, k] = coeff
+    f = eps.factorials(order)
+    p = system.pairing[:order]
+    coeff = 2.0 * math.pi * measure.moments(order)[1:] / np.sqrt(f[:-1] * f[1:] * p[:-1] * p[1:])
+    # zero-padded to the full system, so the products run over every mode
+    band = np.diag(np.pad(coeff, (0, system.size - order)), 1 if symbol == "z" else -1)
     return system.phi @ band @ system.psi.conj().T

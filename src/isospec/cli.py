@@ -329,13 +329,14 @@ def _level1_inputs(args: argparse.Namespace):
     return system, eps, order
 
 
-def _ladder_defect(system: BiorthogonalSystem, eps, order: int, symbol: str, op) -> float:
-    """Max-entry distance of a quantized symbol from its ladder, relative to
-    that ladder's largest entry; both live on the first ``order`` modes."""
+def _quantized(system: BiorthogonalSystem, eps, order: int, measure, symbol: str):
+    """The quantized symbol and its max-entry distance from its ladder, relative
+    to that ladder's largest entry; both live on the first ``order`` modes."""
+    op = quantize(symbol, system, eps, measure, order)
     ladder = build_ladders(system.columns(slice(order)), EpsilonSequence(eps.values[:order]))
     target = ladder.a if symbol == "z" else ladder.b
     scale = max(1.0, float(np.max(np.abs(target))))
-    return float(np.max(np.abs(op - target))) / scale
+    return op, float(np.max(np.abs(op - target))) / scale
 
 
 def cmd_coherent(args: argparse.Namespace) -> int:
@@ -352,24 +353,21 @@ def cmd_coherent(args: argparse.Namespace) -> int:
 
     vectors = np.array([state.vector_phi for state in states])
     residuals = np.linalg.norm(vectors @ ladder.a.T - zs[:, None] * vectors, axis=1)
-    rows = []
-    max_overlap_defect = 0.0
-    max_eigen_ratio = 0.0
-    all_converged = True
-    states_pass = True
-    for z, state, residual in zip(zs.tolist(), states, residuals.tolist()):
-        rows.append((z.real, z.imag, state.normalization, abs(state.overlap), residual))
-        max_overlap_defect = max(max_overlap_defect, state.overlap_defect)
-        if state.tail_bound > 0:
-            max_eigen_ratio = max(max_eigen_ratio, residual / state.tail_bound)
-        all_converged = all_converged and state.converged
-        if state.overlap_defect > state.tail_bound + 1e-12:
-            states_pass = False
-        if residual > 10.0 * state.tail_bound + 1e-12:
-            states_pass = False
+    overlap = np.array([state.overlap for state in states])
+    tails = np.array([state.tail_bound for state in states])
+    # hypot, not np.abs: numpy's vectorized complex abs can differ by an ulp
+    defects = np.hypot(overlap.real - 1.0, overlap.imag)
+    max_overlap_defect = float(defects.max())
+    live = tails > 0
+    max_eigen_ratio = float((residuals[live] / tails[live]).max(initial=0.0))
+    all_converged = all(state.converged for state in states)
+    states_pass = not np.any((defects > tails + 1e-12) | (residuals > 10.0 * tails + 1e-12))
 
     os.makedirs(args.outdir, exist_ok=True)
     csv_path = os.path.join(args.outdir, "coherent_sweep.csv")
+    normalization = [state.normalization for state in states]
+    overlap_abs = np.hypot(overlap.real, overlap.imag)
+    rows = np.column_stack((zs.real, zs.imag, normalization, overlap_abs, residuals))
     iomod.save_table_csv(
         rows, csv_path, columns="re_z,im_z,normalization,overlap_abs,eigenstate_residual"
     )
@@ -377,43 +375,28 @@ def cmd_coherent(args: argparse.Namespace) -> int:
     # measure, resolution, quantization
     rng = np.random.default_rng(_seed())
     span = min(10, max(1, order // 2))
-    measure_info: dict
-    resolution_info: dict
     quant_info = None
-    measure = None
     try:
         measure = solve_moment_measure(eps, order, args.nodes)
     except MomentError as exc:
-        measure_info = {"available": False, "reason": str(exc)}
-    if measure is not None:
-        defects = measure.moment_defects(eps, order)
+        measure, measure_info = None, {"available": False, "reason": str(exc)}
+    else:
         measure_info = {
             "available": True,
             "s": measure.s,
             "nodes": int(measure.nodes.size),
-            "max_moment_defect": float(np.max(defects)),
+            "max_moment_defect": float(np.max(measure.moment_defects(eps, order))),
         }
     max_resolution = 0.0
     for _ in range(8):
-        f = np.zeros(system.dim, dtype=complex)
-        g = np.zeros(system.dim, dtype=complex)
         cf = rng.standard_normal(span) + 1j * rng.standard_normal(span)
         cg = rng.standard_normal(span) + 1j * rng.standard_normal(span)
-        f += system.phi[:, :span] @ cf
-        g += system.phi[:, :span] @ cg
+        f = system.phi[:, :span] @ cf
+        g = system.phi[:, :span] @ cg
         f /= np.linalg.norm(f)
         g /= np.linalg.norm(g)
-        if measure is not None:
-            result = resolution_check(system, eps, measure, f, g, order)
-            max_resolution = max(max_resolution, result.residual)
-        else:
-            proj = sum(
-                np.vdot(f, system.phi[:, k])
-                * np.vdot(system.psi[:, k], g)
-                / system.pairing[k]
-                for k in range(order)
-            )
-            max_resolution = max(max_resolution, abs(proj - np.vdot(f, g)))
+        result = resolution_check(system, eps, measure, f, g, order)
+        max_resolution = max(max_resolution, result.residual)
     resolution_info = {
         "pairs": 8,
         "span": span,
@@ -424,21 +407,14 @@ def cmd_coherent(args: argparse.Namespace) -> int:
 
     quant_pass = True
     if measure is not None:
-        op_z = quantize("z", system, eps, measure, order)
-        op_zbar = quantize("zbar", system, eps, measure, order)
-        defect_z = _ladder_defect(system, eps, order, "z", op_z)
-        defect_zbar = _ladder_defect(system, eps, order, "zbar", op_zbar)
         # named apart from cmd_quantize's quantize_<symbol>.json, so both
         # commands can share one --outdir
         files = ["coherent_quantize_z.json", "coherent_quantize_zbar.json"]
-        for op, name in zip((op_z, op_zbar), files):
+        quant_info = {"files": files}
+        for symbol, name in zip(("z", "zbar"), files):
+            op, quant_info[f"defect_{symbol}"] = _quantized(system, eps, order, measure, symbol)
             iomod.save_report(iomod.matrix_to_jsonable(op), os.path.join(args.outdir, name))
-        quant_info = {
-            "defect_z": defect_z,
-            "defect_zbar": defect_zbar,
-            "files": files,
-        }
-        quant_pass = max(defect_z, defect_zbar) <= 1e-8
+        quant_pass = max(quant_info["defect_z"], quant_info["defect_zbar"]) <= 1e-8
 
     all_passed = states_pass and all_converged and resolution_pass and quant_pass
     report = {
@@ -466,7 +442,7 @@ def cmd_coherent(args: argparse.Namespace) -> int:
     print(
         f"rho = {rho_text}; measure "
         f"{'available' if measure is not None else 'unavailable'}; "
-        f"{len(rows)} grid points; max overlap defect {max_overlap_defect:.3e}; "
+        f"{zs.size} grid points; max overlap defect {max_overlap_defect:.3e}; "
         f"max resolution residual {max_resolution:.3e}"
     )
     print(f"sweep: {csv_path}; report: {report_path}")
@@ -491,8 +467,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     """Write the quantized-symbol matrix and its ladder-agreement defect."""
     system, eps, order = _level1_inputs(args)
     measure = solve_moment_measure(eps, order, args.nodes)
-    op = quantize(args.symbol, system, eps, measure, order)
-    defect = _ladder_defect(system, eps, order, args.symbol, op)
+    op, defect = _quantized(system, eps, order, measure, args.symbol)
     out = {
         "schema": "isospec-quantize-v1",
         "symbol": args.symbol,

@@ -7,6 +7,7 @@ first argument throughout: <f, g> = vdot(f, g) = sum(conj(f) * g).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,20 @@ def as_matrix(m) -> np.ndarray:
 
 
 def opnorm(m) -> float:
-    """Spectral norm of a matrix (largest singular value)."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+    """Spectral norm of a matrix; an operand that overflowed is a NumericalError."""
+    try:
+        norm = float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+    except np.linalg.LinAlgError as exc:  # the SVD of a non-finite operand
+        raise NumericalError(f"spectral norm failed ({exc}); an operand overflowed") from exc
+    if not math.isfinite(norm):
+        raise NumericalError(f"spectral norm is {norm}: the operand overflowed")
+    return norm
+
+
+def column_defects(op, vectors, values, scale: float = 1.0) -> np.ndarray:
+    """||op v_n - values_n v_n|| / (scale ||v_n||) for each column v_n of ``vectors``."""
+    defect = np.linalg.norm(op @ vectors - vectors * values, axis=0)
+    return defect / np.maximum(scale * np.linalg.norm(vectors, axis=0), 1e-300)
 
 
 def adjoint(m) -> np.ndarray:

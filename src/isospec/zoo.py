@@ -33,11 +33,15 @@ from .linalg import (
     MULTIPLICITY_TOL,
     EpsilonSequence,
     Eigensystem,
+    _pairwise_gaps,
     as_matrix,
+    column_defects,
     opnorm,
 )
 
 FIXTURE_IDS = ("ex2x2", "ex3x3", "shift", "block", "coherent_demo")
+# Largest Theta1 dimension a fixture is built at: its dense matrices grow as the square
+MAX_FIXTURE_MODES = 2048
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -167,13 +171,11 @@ def fixture_3x3(e1: float, e2: float, e3: float) -> Fixture:
     survivors.
     """
     es = (float(e1), float(e2), float(e3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(es[i] - es[j]) <= MULTIPLICITY_TOL:
-                raise SpectrumError(
-                    f"eigenvalues {es[i]} and {es[j]} coincide; the example "
-                    "needs a simple spectrum"
-                )
+    close = np.flatnonzero(_pairwise_gaps(np.array(es)) <= MULTIPLICITY_TOL)
+    if close.size:
+        i, j = (index[close[0]] for index in np.triu_indices(3, 1))
+        raise SpectrumError(f"eigenvalues {es[i]} and {es[j]} coincide; the example "
+                            "needs a simple spectrum")
     phi = _phi_3x3()
     theta1 = phi @ np.diag(es) @ np.linalg.inv(phi)
     x = np.array(
@@ -257,8 +259,7 @@ def fixture_shift(eps, theta, n: int) -> Fixture:
     values = eps.values[:n] * np.exp(1j * theta_arr)
     theta1 = np.diag(values)
     x = np.zeros((n, n - 1), dtype=complex)
-    for k in range(n - 1):
-        x[k + 1, k] = math.sqrt(eps.values[k + 1])
+    x[np.arange(1, n), np.arange(n - 1)] = np.sqrt(eps.values[1:n])
     eigensystem = Eigensystem(values=values, vectors=np.eye(n, dtype=complex))
     expected = {
         "case": "NonInvertible",
@@ -279,11 +280,8 @@ def fixture_shift(eps, theta, n: int) -> Fixture:
 
 
 def _pair_swap(n_blocks: int) -> np.ndarray:
-    p = np.zeros((2 * n_blocks, 2 * n_blocks), dtype=complex)
-    for j in range(n_blocks):
-        p[2 * j, 2 * j + 1] = 1.0
-        p[2 * j + 1, 2 * j] = 1.0
-    return p
+    """The permutation that swaps positions 2j and 2j + 1 of every block j."""
+    return np.eye(2 * n_blocks, dtype=complex)[np.arange(2 * n_blocks) ^ 1]
 
 
 def _block_operators(alpha, beta, n_blocks, sign: float):
@@ -301,26 +299,20 @@ def _block_operators(alpha, beta, n_blocks, sign: float):
     alpha = alpha[:n_blocks]
     beta = beta[:n_blocks]
     dim = 2 * n_blocks
-    theta1 = np.zeros((dim, dim), dtype=complex)
-    x = np.zeros((dim, n_blocks), dtype=complex)
+    # index i belongs to block i // 2; its block mate is i ^ 1
+    idx = np.arange(dim)
+    block, odd = idx // 2, idx % 2 == 1
     inv_s2 = 1.0 / math.sqrt(2.0)
-    for j in range(n_blocks):
-        theta1[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [
-            [alpha[j], beta[j]],
-            [beta[j], alpha[j]],
-        ]
-        x[2 * j, j] = inv_s2
-        x[2 * j + 1, j] = sign * inv_s2
+    theta1 = np.zeros((dim, dim), dtype=complex)
+    theta1[idx, idx] = alpha[block]
+    theta1[idx, idx ^ 1] = beta[block]
+    x = np.zeros((dim, n_blocks), dtype=complex)
+    x[idx, block] = np.where(odd, sign * inv_s2, inv_s2)
     # eigenvalue order: minus combination first within each block
-    values = np.empty(dim, dtype=complex)
+    values = np.where(odd, alpha[block] + beta[block], alpha[block] - beta[block])
     vectors = np.zeros((dim, dim), dtype=complex)
-    for j in range(n_blocks):
-        values[2 * j] = alpha[j] - beta[j]
-        values[2 * j + 1] = alpha[j] + beta[j]
-        vectors[2 * j, 2 * j] = inv_s2
-        vectors[2 * j + 1, 2 * j] = -inv_s2
-        vectors[2 * j, 2 * j + 1] = inv_s2
-        vectors[2 * j + 1, 2 * j + 1] = inv_s2
+    vectors[idx, idx] = inv_s2
+    vectors[idx, idx ^ 1] = np.where(odd, -inv_s2, inv_s2)
     return alpha, beta, theta1, x, values, vectors
 
 
@@ -372,7 +364,7 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
         raise ParameterError(f"alpha1 must be positive and finite, got {alpha1}")
     if n_blocks < 2:
         raise DimensionError("need at least 2 blocks")
-    alpha = np.array([(4 * j + 1) * alpha1 for j in range(n_blocks)])
+    alpha = (4 * np.arange(n_blocks) + 1) * alpha1
     beta = np.full(n_blocks, alpha1)
     _, _, theta1, x, values, vectors = _block_operators(
         alpha, beta, n_blocks, sign=-1.0
@@ -381,11 +373,10 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
     dim = 2 * n_blocks
     eps = EpsilonSequence(2.0 * alpha1 * np.arange(dim))
     survivors = tuple(range(0, dim, 2))
-    # eps_j! = (2 alpha1)^j j!, grown in Python floats: past the float range
-    # they become inf, where ** and math.factorial would raise
-    facts = [1.0]
-    for j in range(1, dim - 1):
-        facts.append(facts[-1] * (2.0 * alpha1 * j))
+    # eps_j! = (2 alpha1)^j j!, grown as a running product: past the float
+    # range they become inf, where ** and math.factorial would raise
+    with np.errstate(over="ignore"):
+        facts = np.cumprod(np.concatenate(([1.0], 2.0 * alpha1 * np.arange(1, dim - 1))))
     expected = {
         "case": "NonInvertible",
         "epsilon": eps.values.copy(),
@@ -396,7 +387,7 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
         # N(|z|) = exp(-rate * |z|^2) for the level-1 states
         "normalization_rate": 1.0 / (4.0 * alpha1),
         # survivor factorials keep original indices: prod of eps_1..eps_{2l}
-        "level2_factorials": np.array(facts[::2]),
+        "level2_factorials": facts[::2],
     }
     return Fixture(
         id="coherent_demo",
@@ -408,21 +399,24 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
     )
 
 
-def _count(value) -> int:
-    """A mode or block count: an integral number, never truncated."""
+def _count(value, modes_each: int) -> int:
+    """A mode or block count: an integral number, never truncated, of at
+    most MAX_FIXTURE_MODES modes when each counts ``modes_each``."""
     count = int(value)
     if count != value:
         raise ValueError(f"a count must be an integer, got {value!r}")
+    if count * modes_each > MAX_FIXTURE_MODES:
+        raise ValueError(f"{count * modes_each} modes exceed the bound of {MAX_FIXTURE_MODES}")
     return count
 
 
 def _shift_by_slope(s, theta, n) -> Fixture:
-    n = _count(n)
+    n = _count(n, 1)
     return fixture_shift(EpsilonSequence.linear(s, n), theta, n)
 
 
 def _block_by_count(alpha, beta, n_blocks) -> Fixture:
-    n_blocks = _count(n_blocks)
+    n_blocks = _count(n_blocks, 2)
     ramp = np.arange(1.0, n_blocks + 1.0)
     alpha = ramp if alpha is None else alpha
     beta = 0.5j * ramp if beta is None else beta
@@ -436,7 +430,7 @@ _FIXTURE_BUILDERS = {
     "shift": (_shift_by_slope, {"s": 1.0, "theta": math.pi / 4.0, "n": 8}),
     "block": (_block_by_count, {"alpha": None, "beta": None, "n_blocks": 4}),
     "coherent_demo": (
-        lambda alpha1, n_blocks: coherent_demo(alpha1, _count(n_blocks)),
+        lambda alpha1, n_blocks: coherent_demo(alpha1, _count(n_blocks, 2)),
         {"alpha1": 1.0, "n_blocks": 32},
     ),
 }
@@ -580,12 +574,9 @@ def block_pseudo_fermion_params(alpha_j: complex, beta_j: complex) -> dict:
 
 def standard_boson(dim: int):
     """Truncated boson pair: a lowers, b = a-adjoint raises; eps_n = n."""
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
     eps = EpsilonSequence(np.arange(dim, dtype=float))
-    e0 = np.zeros(dim, dtype=complex)
-    e0[0] = 1.0
+    e0 = np.eye(dim, dtype=complex)[0]
     return a, a.conj().T, eps, e0.copy(), e0.copy()
 
 
@@ -634,73 +625,42 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     facts = eps.factorials(n_modes)
     phis = np.zeros((dim, n_modes), dtype=complex)
     etas = np.zeros((dim, n_modes), dtype=complex)
-    phis[:, 0] = phi0
-    etas[:, 0] = eta0
-    bp = phi0.copy()
-    ae = eta0.copy()
-    ah = a.conj().T
+    phis[:, 0], etas[:, 0] = phi0, eta0
+    bp, ae, ah = phi0, eta0, a.conj().T
     for n in range(1, n_modes):
-        bp = b @ bp
-        ae = ah @ ae
+        bp, ae = b @ bp, ah @ ae
         phis[:, n] = bp / math.sqrt(facts[n])
         etas[:, n] = ae / math.sqrt(facts[n])
 
     residuals: dict[str, float] = {}
     details: dict = {}
-    lowering = []
-    raising = []
-    for n in range(1, n_modes):
-        root = math.sqrt(eps.values[n])
-        scale = max(np.linalg.norm(phis[:, n - 1]), 1e-300)
-        lowering.append(
-            float(np.linalg.norm(a @ phis[:, n] - root * phis[:, n - 1]) / (root * scale + 1e-300))
-        )
-        scale = max(np.linalg.norm(etas[:, n - 1]), 1e-300)
-        raising.append(
-            float(
-                np.linalg.norm(b.conj().T @ etas[:, n] - root * etas[:, n - 1])
-                / (root * scale + 1e-300)
-            )
-        )
-    residuals["p3_lowering"] = max(lowering)
-    residuals["p3_raising"] = max(raising)
-    details["p3_lowering_per_mode"] = lowering
-    details["p3_raising_per_mode"] = raising
+    roots = np.sqrt(eps.values[1:n_modes])
+    for name, op, family in (("lowering", a, phis), ("raising", b.conj().T, etas)):
+        # ||op v_n - sqrt(eps_n) v_{n-1}|| relative to sqrt(eps_n) ||v_{n-1}||, n >= 1
+        below = family[:, :-1]
+        scale = np.maximum(np.linalg.norm(below, axis=0), 1e-300)
+        step = np.linalg.norm(op @ family[:, 1:] - roots * below, axis=0)
+        per_mode = (step / (roots * scale + 1e-300)).tolist()
+        residuals[f"p3_{name}"] = max(per_mode)
+        details[f"p3_{name}_per_mode"] = per_mode
 
     m = b @ a
     sm = max(opnorm(m), 1e-300)
-    em, ema = [], []
-    for n in range(n_modes):
-        e = eps.values[n]
-        em.append(
-            float(
-                np.linalg.norm(m @ phis[:, n] - e * phis[:, n])
-                / (sm * np.linalg.norm(phis[:, n]))
-            )
-        )
-        ema.append(
-            float(
-                np.linalg.norm(m.conj().T @ etas[:, n] - e * etas[:, n])
-                / (sm * np.linalg.norm(etas[:, n]))
-            )
-        )
-    residuals["eigen_m"] = max(em)
-    residuals["eigen_m_adjoint"] = max(ema)
-    details["eigen_m_per_mode"] = em
+    em = column_defects(m, phis, eps.values[:n_modes], sm)
+    ema = column_defects(m.conj().T, etas, eps.values[:n_modes], sm)
+    residuals["eigen_m"], residuals["eigen_m_adjoint"] = float(em.max()), float(ema.max())
+    details["eigen_m_per_mode"] = em.tolist()
 
     gram = etas.conj().T @ phis
     residuals["biorthogonality"] = float(np.max(np.abs(gram - np.eye(n_modes))))
 
-    shifted = []
+    # a b on a v_n, n >= 1, skipping the columns a annihilates
     ab = a @ b
     sab = max(opnorm(ab), 1e-300)
-    for n in range(1, n_modes):
-        v = a @ phis[:, n]
-        nv = np.linalg.norm(v)
-        if nv <= 1e-300:
-            continue
-        shifted.append(float(np.linalg.norm(ab @ v - eps.values[n] * v) / (sab * nv)))
-    residuals["shifted_eigen"] = max(shifted) if shifted else 0.0
+    v = a @ phis[:, 1:]
+    live = np.linalg.norm(v, axis=0) > 1e-300
+    shifted = column_defects(ab, v[:, live], eps.values[1:n_modes][live], sab)
+    residuals["shifted_eigen"] = float(shifted.max(initial=0.0))
 
     sing = np.linalg.svd(phis, compute_uv=False)
     details["phi_condition_number"] = float(sing[0] / max(sing[-1], 1e-300))

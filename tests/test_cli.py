@@ -756,6 +756,57 @@ def test_an_allocation_no_machine_can_meet_is_an_input_error(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize(
+    "fixture_id, params",
+    [("block", "n_blocks=1e9"), ("coherent_demo", "n_blocks=1e9"), ("shift", "n=1e9")],
+)
+def test_a_fixture_beyond_the_mode_bound_is_refused_before_it_allocates(
+    fixture_id, params, tmp_path
+):
+    # without the bound each asks for gigabytes; under a 512 MiB address-space
+    # cap that would be an allocation failure, not the refusal that names the bound
+    import os
+
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    argv = ["build", "--fixture", fixture_id, "--params", params, "--outdir", str(tmp_path)]
+    proc = subprocess.run(CLI + argv, capture_output=True, text=True, preexec_fn=limit,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "bound of 2048" in lines[0]
+
+
+@pytest.mark.parametrize("alpha1", ["1e100", "1e200"])
+def test_a_model_whose_powers_overflow_is_a_numerical_error(alpha1, tmp_path):
+    import os
+
+    outdir = tmp_path / "out"
+    proc = subprocess.run(
+        CLI + ["build", "--fixture", "coherent_demo", "--params", f"alpha1={alpha1}",
+               "--outdir", str(outdir)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONWARNINGS="error"),
+    )
+    assert proc.returncode == errors.NumericalError.exit_code == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert not (outdir / "model.json").exists()
+
+
+def test_verify_relations_of_an_overflowing_model_raises_numerical_error():
+    from isospec.intertwining import verify_relations
+
+    model = get_fixture("coherent_demo", alpha1=1e200, n_blocks=4).model
+    with pytest.raises(errors.NumericalError):
+        verify_relations(model)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -28,6 +28,7 @@ from isospec import (
     standard_boson,
     verify_relations,
 )
+from isospec.zoo import MAX_FIXTURE_MODES, _count
 
 SQRT3 = math.sqrt(3.0)
 ALGEBRA_TOL = 1e-12
@@ -275,6 +276,18 @@ def test_fixture_model_is_built_once_from_the_fixture_eigendata():
 def test_fixture_registry_rejects_unknown_id():
     with pytest.raises(ParameterError):
         get_fixture("nonexistent")
+
+
+@pytest.mark.parametrize(
+    "fixture_id, count_name, modes_each",
+    [("shift", "n", 1), ("block", "n_blocks", 2), ("coherent_demo", "n_blocks", 2)],
+)
+def test_fixture_mode_bound_is_inclusive(fixture_id, count_name, modes_each):
+    largest = MAX_FIXTURE_MODES // modes_each
+    assert _count(largest, modes_each) == largest
+    # refused by its count alone, before any array is built
+    with pytest.raises(ParameterError, match=f"bound of {MAX_FIXTURE_MODES}"):
+        get_fixture(fixture_id, **{count_name: largest + 1})
 
 
 # ---------------------------------------------------------------------------
