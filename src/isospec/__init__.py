@@ -21,7 +21,6 @@ from .bicoherent import (
     convergence_for_system,
     filter_and_build,
     filter_system,
-    fit_norm_growth,
     quantize,
     radius,
     resolution_check,
@@ -31,7 +30,6 @@ from .errors import (
     DegenerateError,
     DimensionError,
     DivergenceError,
-    GrowthError,
     IsospecError,
     KernelError,
     MomentError,
@@ -48,16 +46,11 @@ from .intertwining import (
     CASE_INVERTIBLE_COMMUTING,
     CASE_NONINVERTIBLE,
     IntertwiningModel,
-    MappedEigensystem,
     RelationReport,
     adjoint_descent,
-    build_case1,
-    build_case3,
     build_model,
     classify,
-    inverse_map,
     make_commuting_pair,
-    map_eigensystem,
     structure_check,
     verify_relations,
 )
@@ -69,9 +62,7 @@ from .linalg import (
     biorthogonal_partner,
     commutator,
     eig,
-    generalized_factorial,
     is_strictly_positive,
-    kernel_basis,
     opnorm,
 )
 from .zoo import (

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateError,
     DimensionError,
     DivergenceError,
-    GrowthError,
     KernelError,
     MomentError,
     PairingError,
@@ -134,26 +133,11 @@ def _ladder_pair(system: BiorthogonalSystem, eps: EpsilonSequence, tk, level: in
 # growth fits and convergence radii
 
 
-def _family_norms(family) -> np.ndarray:
-    arr = np.asarray(family, dtype=complex)
-    if arr.ndim == 2:
-        norms = np.linalg.norm(arr, axis=0)
-    elif arr.ndim == 1 and arr.size > 0:
-        norms = np.array([np.linalg.norm(arr)])
-    else:
-        raise DimensionError("vector family must be a 2-D column matrix")
-    if norms.size == 0:
-        raise DimensionError("vector family must be nonempty")
-    return norms.astype(float)
-
-
 def _fit_growth_from_norms(norms: np.ndarray, facts: np.ndarray):
-    """(r, alpha) for one norm sequence, ``facts`` holding eps_0! .. eps_{n-1}!."""
-    if norms[0] > 1.0 + 1e-12:
-        raise GrowthError(
-            f"||phi_0|| = {norms[0]:.6g} > 1: the bound r^n (eps_n!)^alpha "
-            "equals 1 at n = 0, so no admissible (r, alpha) exists"
-        )
+    """Smallest alpha on the ALPHAS grid (then smallest r >= 1e-12) with
+    norms[n] <= r^n (eps_n!)^alpha, for norms with norms[0] = 1 and ``facts``
+    holding eps_0! .. eps_{n-1}!; an alpha whose r is within a relative 1e-12
+    of the best (never above max(1, best)) counts as the best."""
     # (n - 1) x alphas: the minimal admissible r of each (n, alpha)
     roots = 1.0 / np.arange(1, norms.size, dtype=float)[:, None]
     bounds = (norms[1:, None] / facts[1:, None] ** ALPHAS) ** roots
@@ -163,20 +147,6 @@ def _fit_growth_from_norms(norms: np.ndarray, facts: np.ndarray):
     # the smallest r always passes, so argmax finds the first passing alpha
     best = int(np.argmax(rs <= threshold))
     return float(rs[best]), float(ALPHAS[best])
-
-
-def fit_norm_growth(family, eps) -> tuple[float, float]:
-    """Smallest alpha in [0, 1/2] (then smallest r) with ||phi_n|| <= r^n (eps_n!)^alpha.
-
-    Deterministic grid search: alpha runs over linspace(0, 1/2, 33); for
-    each alpha the minimal admissible r is the max over n >= 1 of
-    (||phi_n|| / (eps_n!)^alpha)^{1/n}, floored at 1e-12.  The chosen alpha
-    is the smallest whose r is within a relative 1e-12 of the best
-    achievable (never above max(1, best)).
-    """
-    eps = EpsilonSequence.of(eps)
-    norms = _family_norms(family)
-    return _fit_growth_from_norms(norms, eps.factorials(norms.size))
 
 
 @dataclass(frozen=True)
@@ -230,6 +200,13 @@ def _tail_limit(seq: np.ndarray) -> float:
     return float(window[-1])
 
 
+def _check_order(system: BiorthogonalSystem, order: int) -> None:
+    if not 1 <= order <= system.size:
+        raise DimensionError(
+            f"order must lie in 1..{system.size} (system size), got {order}"
+        )
+
+
 def radius(r_phi, alpha_phi, r_psi, alpha_psi, eps) -> ConvergenceData:
     """Convergence data from growth constants and the epsilon tail.
 
@@ -269,8 +246,9 @@ def convergence_for_system(
     """
     eps = EpsilonSequence.of(eps)
     order = system.size if order is None else int(order)
-    hphi = _family_norms(system.phi[:, :order]) if phi_norms is None else phi_norms
-    hpsi = _family_norms(system.psi[:, :order])
+    _check_order(system, order)
+    hphi = np.linalg.norm(system.phi[:, :order], axis=0) if phi_norms is None else phi_norms
+    hpsi = np.linalg.norm(system.psi[:, :order], axis=0)
     facts = eps.factorials(hphi.size)
     r_phi, a_phi = _fit_growth_from_norms(hphi / hphi[0], facts)
     r_psi, a_psi = _fit_growth_from_norms(hpsi / hpsi[0], facts)
@@ -394,7 +372,7 @@ def _radius_gate(
     """
     if not np.isfinite(zs).all():
         raise ParameterError("z must be finite")
-    phi_norms = _family_norms(system.phi[:, :order])
+    phi_norms = np.linalg.norm(system.phi[:, :order], axis=0)
     conv = convergence_for_system(system, eps, order, phi_norms=phi_norms)
     largest = float(np.abs(zs).max(initial=0.0))
     if math.isfinite(conv.rho) and largest >= conv.rho:
@@ -409,10 +387,7 @@ def _states(
     system: BiorthogonalSystem, eps, zs, order: int, level: int
 ) -> list[BicoherentState]:
     """Check order and kernel, gate once, assemble: the one path of every state."""
-    if not 1 <= order <= system.size:
-        raise DimensionError(
-            f"order must lie in 1..{system.size} (system size), got {order}"
-        )
+    _check_order(system, order)
     _refuse_kernel(system.pairing[:order])
     eps = EpsilonSequence.of(eps)
     zs = np.asarray(zs, dtype=complex).reshape(-1)

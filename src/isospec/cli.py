@@ -51,6 +51,7 @@ from .bicoherent import (
 from .errors import IsospecError, MomentError, ParameterError, RegimeError
 from .intertwining import (
     CASE_NONINVERTIBLE,
+    MODEL_SCHEMA,
     RELATION_TOL,
     adjoint_descent,
     build_model,
@@ -204,6 +205,9 @@ def _load_model_doc(path: str) -> dict:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"model file {path} is not valid JSON: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != MODEL_SCHEMA:
+        raise ParameterError(f"model file {path} has schema {schema!r}, not {MODEL_SCHEMA!r}")
     try:
         doc["theta1_matrix"] = iomod.jsonable_to_matrix(doc["theta1"])
         doc["x_matrix"] = iomod.jsonable_to_matrix(doc["X"])
@@ -218,16 +222,24 @@ def _load_model_doc(path: str) -> dict:
     return doc
 
 
-def _write_model(args: argparse.Namespace, model) -> int:
+def _write_model(args: argparse.Namespace, model, relation_tol: float) -> int:
+    """Write the model document; exit 3 when a relation residual it stores
+    exceeds ``relation_tol``."""
+    doc = model.to_jsonable()
     path = _outpath(args, "model.json")
-    iomod.save_report(model.to_jsonable(), path)
+    iomod.save_report(doc, path)
     print(f"model written to {path} (case={model.case}, kernel_set={list(model.kernel_set)})")
+    failures = sorted(name for name, value in doc["residuals"].items() if value > relation_tol)
+    if failures:
+        print(f"FAILED: {', '.join(failures)} exceed {relation_tol:.1e}")
+        return EXIT_VERIFY
     return EXIT_OK
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    """Build a model and write its JSON document; exit 2 on regime errors."""
-    return _write_model(args, _build_target_model(args))
+    """Build a model and write its JSON document; exit 2 on regime errors, 3
+    when the model fails its own relations."""
+    return _write_model(args, _build_target_model(args), args.relation_tol)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -459,8 +471,8 @@ def cmd_fixture_list(args: argparse.Namespace) -> int:
 
 
 def cmd_fixture_build(args: argparse.Namespace) -> int:
-    """Write a fixture's model, built at the library's default tolerances."""
-    return _write_model(args, get_fixture(args.id, **args.params).require_model())
+    """Write a fixture's model, built and checked at the library's default tolerances."""
+    return _write_model(args, get_fixture(args.id, **args.params).require_model(), RELATION_TOL)
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:

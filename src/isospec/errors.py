@@ -43,12 +43,6 @@ class PairingError(IsospecError):
     exit_code = 2
 
 
-class GrowthError(IsospecError):
-    """No admissible norm-growth bound exists with exponent alpha <= 1/2."""
-
-    exit_code = 2
-
-
 class DivergenceError(IsospecError):
     """Series evaluation requested outside the convergence disk."""
 

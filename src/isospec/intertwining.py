@@ -12,6 +12,7 @@ on the partner side.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    KernelError,
     NumericalError,
     RegimeError,
     SingularityError,
@@ -44,6 +44,8 @@ from .linalg import (
 RELATION_TOL = 1e-9
 # k-tilde values closer than this are reported as one degeneracy class.
 DEGENERACY_TOL = 1e-8
+# The schema tag of a model document (IntertwiningModel.to_jsonable).
+MODEL_SCHEMA = "isospec-model-v1"
 
 CASE_INVERTIBLE = "Invertible"
 CASE_INVERTIBLE_COMMUTING = "InvertibleCommuting"
@@ -142,82 +144,6 @@ def _noninvertible_partner(theta1, x, xh, n2) -> np.ndarray:
     return np.linalg.solve(n2, xh @ theta1 @ x)
 
 
-def build_case1(theta1, x) -> np.ndarray:
-    """Partner by similarity: Theta2 = X^{-1} Theta1 X (invertible X)."""
-    theta1 = as_matrix(theta1)
-    x = as_matrix(x)
-    _check_shapes(theta1, x)
-    if x.shape[0] != x.shape[1]:
-        raise SingularityError(f"similarity construction needs square X, got {x.shape}")
-    return _similarity_partner(theta1, x, np.linalg.svd(x, compute_uv=False))
-
-
-def build_case3(theta1, x, tol: float = RELATION_TOL) -> np.ndarray:
-    """Partner for non-invertible X: Theta2 = N2^{-1} (X-adjoint Theta1 X).
-
-    Preconditions checked numerically: N2 strictly positive and
-    [N1, Theta1] = 0 within tol; violations raise RegimeError naming the
-    failed condition.
-    """
-    theta1 = as_matrix(theta1)
-    x = as_matrix(x)
-    _check_shapes(theta1, x)
-    xh, n1, n2 = _grams(x)
-    _noninvertible_preconditions(theta1, n1, n2, tol)
-    return _noninvertible_partner(theta1, x, xh, n2)
-
-
-@dataclass(frozen=True)
-class MappedEigensystem:
-    """Seed eigenvectors pushed through X-adjoint.
-
-    ``tilde_k`` holds the squared norm ratios (0.0 on kernel indices);
-    ``n1_residuals``/``n2_residuals`` are the relative eigen-equation
-    defects of N1 and N2 on each surviving pair (NaN on kernel indices).
-    ``degeneracy_classes`` groups surviving indices with matching tilde_k:
-    singleton classes mean the corresponding seed eigenvectors are forced
-    mutually orthogonal, larger classes mean they need not be.
-    """
-
-    phi2: np.ndarray
-    kernel_set: tuple[int, ...]
-    tilde_k: np.ndarray
-    n1_residuals: np.ndarray
-    n2_residuals: np.ndarray
-    degeneracy_classes: tuple[tuple[int, ...], ...]
-
-
-def map_eigensystem(x, eigensystem: Eigensystem, tol: float = KERNEL_TOL) -> MappedEigensystem:
-    """phi2_n = X-adjoint phi1_n, kernel detection, and tilde_k extraction."""
-    x = as_matrix(x)
-    if not eigensystem.simple_spectrum:
-        raise SpectrumError(
-            "eigensystem has (numerically) repeated eigenvalues; refusing to "
-            "transport a non-simple spectrum"
-        )
-    phi1 = eigensystem.vectors
-    xh = x.conj().T
-    phi2, kernel_set, tilde_k, classes = _transport(phi1, xh, tol)
-    alive = np.ones(phi1.shape[1], dtype=bool)
-    alive[list(kernel_set)] = False
-    res1 = np.full(phi1.shape[1], np.nan)
-    res2 = np.full(phi1.shape[1], np.nan)
-    p1, p2, k = phi1[:, alive], phi2[:, alive], tilde_k[alive]
-    # norms of the whole families, then indexed: a column's norm rounds by layout
-    norms1 = np.linalg.norm(phi1, axis=0)[alive]
-    norms2 = np.linalg.norm(phi2, axis=0)[alive]
-    res1[alive] = np.linalg.norm((x @ xh) @ p1 - p1 * k, axis=0) / norms1
-    res2[alive] = np.linalg.norm((xh @ x) @ p2 - p2 * k, axis=0) / norms2
-    return MappedEigensystem(
-        phi2=phi2,
-        kernel_set=kernel_set,
-        tilde_k=tilde_k,
-        n1_residuals=res1,
-        n2_residuals=res2,
-        degeneracy_classes=classes,
-    )
-
-
 def _transport(phi1, xh, tol: float):
     """(phi2, kernel_set, tilde_k, degeneracy_classes) of the columns ``phi1``."""
     if xh.shape[1] != phi1.shape[0]:
@@ -227,40 +153,35 @@ def _transport(phi1, xh, tol: float):
     norms2 = np.linalg.norm(phi2, axis=0)
     kernel_mask = norms2 <= tol * norms1
     tilde_k = np.where(kernel_mask, 0.0, (norms2 / norms1) ** 2)
-    classes: list[list[int]] = []
-    for n in np.flatnonzero(~kernel_mask).tolist():
-        for cls in classes:
-            if abs(tilde_k[n] - tilde_k[cls[0]]) <= DEGENERACY_TOL:
-                cls.append(n)
-                break
-        else:
-            classes.append([n])
+    classes = _degeneracy_classes(tilde_k.tolist(), np.flatnonzero(~kernel_mask).tolist())
     kernel_set = tuple(int(n) for n in np.nonzero(kernel_mask)[0])
-    return phi2, kernel_set, tilde_k, tuple(tuple(c) for c in classes)
+    return phi2, kernel_set, tilde_k, classes
 
 
-def inverse_map(x, phi2, tilde_k, phi1=None):
-    """Recover seed eigenvectors: phi1_n = (1/tilde_k_n) X phi2_n.
+def _degeneracy_classes(values: list[float], indices: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Group ``indices`` by ``values``: each joins the earliest class whose first
+    member lies within DEGENERACY_TOL of it (no chaining), or opens a new class.
 
-    Returns (reconstruction, residuals); residuals are relative column
-    defects against ``phi1`` when provided, else None.
+    First members are pairwise more than the tolerance apart, so their sorted
+    values hold every candidate between the slots of v - tol and v + tol,
+    widened by one slot on each side against the rounding of v -/+ tol.
     """
-    x = as_matrix(x)
-    phi2 = as_matrix(phi2)
-    tilde_k = np.asarray(tilde_k, dtype=float)
-    if np.any(tilde_k <= 0):
-        bad = int(np.argmin(tilde_k))
-        raise KernelError(
-            f"tilde_k[{bad}] = {tilde_k[bad]} is not positive; kernel indices "
-            "cannot be inverted"
-        )
-    recon = (x @ phi2) / tilde_k[np.newaxis, :]
-    residuals = None
-    if phi1 is not None:
-        phi1 = as_matrix(phi1)
-        diff = np.linalg.norm(recon - phi1, axis=0)
-        residuals = diff / np.linalg.norm(phi1, axis=0)
-    return recon, residuals
+    classes: list[list[int]] = []
+    leaders: list[float] = []  # first-member values, sorted
+    owners: list[int] = []  # the class of each entry of ``leaders``
+    for n in indices:
+        v = values[n]
+        lo = max(bisect_left(leaders, v - DEGENERACY_TOL) - 1, 0)
+        hi = min(bisect_right(leaders, v + DEGENERACY_TOL) + 1, len(leaders))
+        near = [owners[j] for j in range(lo, hi) if abs(v - leaders[j]) <= DEGENERACY_TOL]
+        if near:
+            classes[min(near)].append(n)
+        else:
+            slot = bisect_left(leaders, v)
+            leaders.insert(slot, v)
+            owners.insert(slot, len(classes))
+            classes.append([n])
+    return tuple(tuple(c) for c in classes)
 
 
 @dataclass(frozen=True)
@@ -389,7 +310,7 @@ class IntertwiningModel:
         from .io import matrix_to_jsonable
 
         return {
-            "schema": "isospec-model-v1",
+            "schema": MODEL_SCHEMA,
             "theta1": matrix_to_jsonable(self.theta1),
             "X": matrix_to_jsonable(self.x),
             "theta2": matrix_to_jsonable(self.theta2),

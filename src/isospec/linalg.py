@@ -71,26 +71,6 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def kernel_basis(m, tol: float = KERNEL_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical null space of ``m``.
-
-    Right-singular vectors whose singular value is <= tol * sigma_max;
-    an all-zero matrix has a full kernel.  Returns [] for trivial kernel.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    ncols = m.shape[1]
-    if smax == 0.0:
-        return [np.eye(ncols, dtype=complex)[:, j] for j in range(ncols)]
-    null_mask = np.zeros(ncols, dtype=bool)
-    null_mask[s.size:] = True  # columns beyond rank(s) for wide matrices
-    null_mask[: s.size] = s <= tol * smax
-    return [vh.conj().T[:, j] for j in range(ncols) if null_mask[j]]
-
-
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude component is real positive."""
     rows = np.argmax(np.abs(vectors), axis=0)
@@ -249,9 +229,6 @@ class EpsilonSequence:
     def __len__(self) -> int:
         return self.values.size
 
-    def factorial(self, n: int) -> float:
-        return generalized_factorial(self, n)
-
     def factorials(self, count: int) -> np.ndarray:
         """Array of generalized factorials eps_0! .. eps_{count-1}!."""
         if count > len(self):
@@ -260,18 +237,6 @@ class EpsilonSequence:
         if count > 1:
             out[1:] = np.cumprod(self.values[1:count])
         return out
-
-
-def generalized_factorial(eps, n: int) -> float:
-    """eps_n! = eps_1 * eps_2 * ... * eps_n, with eps_0! = 1 (empty product)."""
-    vals = eps.values if isinstance(eps, EpsilonSequence) else np.asarray(eps, dtype=float)
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n >= vals.size:
-        raise DimensionError(f"index {n} beyond truncation length {vals.size}")
-    if n == 0:
-        return 1.0
-    return float(np.prod(vals[1 : n + 1]))
 
 
 @dataclass(frozen=True)

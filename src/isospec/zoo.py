@@ -26,7 +26,6 @@ from .errors import (
 from .intertwining import (
     IntertwiningModel,
     RelationReport,
-    build_case3,
     build_model,
 )
 from .linalg import (
@@ -338,8 +337,6 @@ def fixture_block(alpha, beta, n_blocks: int) -> Fixture:
         "tilde_k": np.array([0.0, 1.0] * n_blocks),
         "values": values,
     }
-    if not eigensystem.simple_spectrum:
-        expected["theta2_direct"] = build_case3(theta1, x)
     return Fixture(
         id="block",
         parameters={"alpha": alpha.copy(), "beta": beta.copy(), "n_blocks": n_blocks},

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from isospec import (
     BiorthogonalSystem,
     DegenerateError,
+    DimensionError,
     DivergenceError,
     EpsilonSequence,
-    GrowthError,
     KernelError,
     MomentError,
     PairingError,
@@ -29,7 +29,6 @@ from isospec import (
     convergence_for_system,
     filter_and_build,
     filter_system,
-    fit_norm_growth,
     fixture_3x3,
     fixture_shift,
     get_fixture,
@@ -144,31 +143,44 @@ def test_level2_rejects_kernel_constants():
 # growth fitting and convergence radius
 
 
-def test_fit_unit_family():
-    assert fit_norm_growth(np.eye(10, dtype=complex), EpsilonSequence.linear(1.0, 10)) == (
-        1.0,
-        0.0,
+def _phi_fit(norms):
+    """(r_phi, alpha_phi) of the diagonal family with column norms ``norms``."""
+    norms = np.asarray(norms, dtype=float)
+    system = BiorthogonalSystem(
+        phi=np.diag(norms).astype(complex),
+        psi=np.diag(1.0 / norms).astype(complex),
+        values=np.arange(float(norms.size)),
+        pairing=np.ones(norms.size),
     )
+    conv = convergence_for_system(system, EpsilonSequence.linear(1.0, norms.size))
+    return conv.r_phi, conv.alpha_phi
+
+
+def test_fit_unit_family():
+    assert _phi_fit(np.ones(10)) == (1.0, 0.0)
 
 
 def test_fit_geometric_family():
-    family = np.eye(10, dtype=complex) * 2.0 ** np.arange(10)
-    r, alpha = fit_norm_growth(family, EpsilonSequence.linear(1.0, 10))
+    r, alpha = _phi_fit(2.0 ** np.arange(10))
     assert r == pytest.approx(2.0, rel=1e-9)
     assert alpha == 0.0
 
 
 def test_fit_factorial_root_family():
-    norms = np.sqrt([math.factorial(n) for n in range(10)])
-    family = np.eye(10, dtype=complex) * norms
-    r, alpha = fit_norm_growth(family, EpsilonSequence.linear(1.0, 10))
+    r, alpha = _phi_fit(np.sqrt([math.factorial(n) for n in range(10)]))
     assert r == pytest.approx(1.0, rel=1e-9)
     assert alpha == pytest.approx(0.5)
 
 
-def test_fit_rejects_oversized_first_vector():
-    with pytest.raises(GrowthError):
-        fit_norm_growth(1.5 * np.eye(6, dtype=complex), EpsilonSequence.linear(1.0, 6))
+def test_fit_ignores_a_constant_prefactor():
+    # the fit sees the norms divided by the first: 1.5 ||phi_n|| fits as ||phi_n||
+    assert _phi_fit(1.5 * 2.0 ** np.arange(10)) == _phi_fit(2.0 ** np.arange(10))
+
+
+@pytest.mark.parametrize("order", [0, -1, 11])
+def test_convergence_for_system_refuses_an_order_outside_the_system(order):
+    with pytest.raises(DimensionError, match="order must lie in 1..10"):
+        convergence_for_system(_orthonormal_system(10), EpsilonSequence.linear(1.0, 10), order)
 
 
 def _loop_fit(norms, facts):
@@ -275,7 +287,7 @@ def test_state_coefficients_follow_series_law():
     z = 0.7 - 0.2j
     state = coherent_pair(system, eps, z, 8)
     for k in range(8):
-        expected = state.normalization * z**k / math.sqrt(eps.factorial(k))
+        expected = state.normalization * z**k / math.sqrt(eps.factorials(8)[k])
         assert state.coefficients[k] == pytest.approx(expected, rel=1e-12)
 
 
@@ -398,7 +410,7 @@ def test_filter_drops_kernel_and_relabels():
         assert abs(abs(col[l]) - np.linalg.norm(col)) < 1e-12
     for l in range(4):
         expected = (2.0 * alpha1) ** (2 * l) * math.factorial(2 * l)
-        assert delta.factorial(l) == pytest.approx(expected, rel=1e-12)
+        assert delta.factorials(4)[l] == pytest.approx(expected, rel=1e-12)
 
 
 def test_filter_relabeled_convention_uses_fresh_factorials():
@@ -409,7 +421,7 @@ def test_filter_relabeled_convention_uses_fresh_factorials():
     _, delta, _ = filter_system(system2, eps, convention="relabeled")
     for l in range(4):
         expected = (4.0 * alpha1) ** l * math.factorial(l)
-        assert delta.factorial(l) == pytest.approx(expected, rel=1e-12)
+        assert delta.factorials(4)[l] == pytest.approx(expected, rel=1e-12)
 
 
 def test_filter_rejects_unknown_convention():

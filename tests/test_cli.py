@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import isospec.cli as cli
-from isospec import FIXTURE_IDS, errors, get_fixture
+from isospec import FIXTURE_IDS, errors, get_fixture, make_commuting_pair
 from isospec.intertwining import RELATION_TOL
 from isospec.linalg import KERNEL_TOL, MULTIPLICITY_TOL
 from isospec.io import jsonable_to_matrix, save_matrix_csv, save_matrix_json
@@ -82,6 +82,21 @@ def test_build_refuses_square_singular_intertwiner(tmp_path):
     )
     assert proc.returncode == 2
     assert "singular" in proc.stderr
+
+
+def test_build_of_a_model_failing_its_own_relations_exits_3(tmp_path):
+    # X scaled by 1e5: the construction goes through, its eigen relations do not
+    theta1, x = make_commuting_pair(8, 4, 0)
+    save_matrix_json(theta1, tmp_path / "t.json")
+    save_matrix_json(x * 1e5, tmp_path / "x.json")
+    proc = run_cli("build", "--theta1", str(tmp_path / "t.json"), "--x", str(tmp_path / "x.json"),
+                   "--outdir", str(tmp_path))
+    assert proc.returncode == 3
+    assert "FAILED: " in proc.stdout and "theta2_eigen" in proc.stdout
+    doc = json.loads((tmp_path / "model.json").read_text())
+    assert doc["residuals"]["theta2_eigen"] > RELATION_TOL
+    verify = run_cli("verify", "--model", str(tmp_path / "model.json"), "--outdir", str(tmp_path))
+    assert verify.returncode == 3
 
 
 def test_build_random_pair_is_seed_deterministic(tmp_path):
@@ -209,6 +224,23 @@ def test_verify_of_a_model_with_broken_mode_fields_is_an_input_error(
     bad.write_text(json.dumps(doc))
     assert cli.main(["verify", "--model", str(bad), "--outdir", str(tmp_path)]) == 1
     assert f"model file {bad}" in capsys.readouterr().err
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("schema", [None, "x", _MISSING], ids=["null", "x", "missing"])
+def test_verify_refuses_a_model_of_another_schema(schema, built_model, tmp_path, capsys):
+    doc = json.loads(built_model.read_text())
+    if schema is _MISSING:
+        del doc["schema"]
+    else:
+        doc["schema"] = schema
+    bad = tmp_path / "model_bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--model", str(bad), "--outdir", str(tmp_path)]) == 1
+    assert "isospec-model-v1" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
 
 
 # ---------------------------------------------------------------------------

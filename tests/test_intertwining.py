@@ -13,23 +13,17 @@ from isospec import (
     CASE_INVERTIBLE_COMMUTING,
     CASE_NONINVERTIBLE,
     DimensionError,
-    KernelError,
     RegimeError,
-    SingularityError,
     SpectrumError,
     adjoint,
     adjoint_descent,
-    build_case1,
-    build_case3,
     build_model,
     classify,
     coherent_demo,
     eig,
     fixture_2x2,
     fixture_3x3,
-    inverse_map,
     make_commuting_pair,
-    map_eigensystem,
     opnorm,
     structure_check,
     verify_relations,
@@ -96,20 +90,19 @@ def test_classify_rank_deficient_columns_has_no_regime():
 
 
 # ---------------------------------------------------------------------------
-# build_case1
+# the partner Theta2 of build_model
 
 
 def test_case1_identity_frame_returns_seed():
-    np.testing.assert_allclose(
-        build_case1(PLAIN_THETA1, np.eye(2, dtype=complex)), PLAIN_THETA1, atol=1e-14
-    )
+    theta2 = build_model(PLAIN_THETA1, np.eye(2, dtype=complex)).theta2
+    np.testing.assert_allclose(theta2, PLAIN_THETA1, atol=1e-14)
 
 
 def test_case1_uniform_frame_inverse_is_scaled_adjoint():
     f = fixture_2x2(1.0, 1j)
     xtilde = f.expected["xtilde"]
     np.testing.assert_allclose(f.expected["x_inverse"], adjoint(f.x) / xtilde, atol=1e-14)
-    theta2 = build_case1(f.theta1, f.x)
+    theta2 = build_model(f.theta1, f.x).theta2
     np.testing.assert_allclose(theta2, f.expected["x_inverse"] @ f.theta1 @ f.x, atol=1e-12)
 
 
@@ -117,23 +110,21 @@ def test_case1_preserves_spectrum():
     rng = np.random.default_rng(7)
     theta1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 2 * np.eye(3)
-    theta2 = build_case1(theta1, x)
-    assert _spectra_match(eig(theta1).values, eig(theta2).values, tol=1e-9)
+    model = build_model(theta1, x)
+    assert model.case in (CASE_INVERTIBLE, CASE_INVERTIBLE_COMMUTING)
+    assert _spectra_match(eig(theta1).values, eig(model.theta2).values, tol=1e-9)
 
 
 def test_case1_rejects_singular_frame():
-    with pytest.raises(SingularityError):
-        build_case1(PLAIN_THETA1, np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# build_case3
+    with pytest.raises(RegimeError, match="singular"):
+        build_model(PLAIN_THETA1, np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
 
 
 def test_case3_reproduces_closed_form_partner():
     f = fixture_3x3(1.0, 2.0, 3.0)
-    theta2 = build_case3(f.theta1, f.x)
-    np.testing.assert_allclose(theta2, f.expected["theta2"], atol=1e-12)
+    model = build_model(f.theta1, f.x)
+    assert model.case == CASE_NONINVERTIBLE
+    np.testing.assert_allclose(model.theta2, f.expected["theta2"], atol=1e-12)
 
 
 def test_case3_requires_commuting_gram():
@@ -142,47 +133,44 @@ def test_case3_requires_commuting_gram():
     )
     x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(RegimeError, match=r"\[N1, Theta1\]"):
-        build_case3(theta1, x)
+        build_model(theta1, x)
 
 
 def test_case3_requires_positive_column_gram():
     theta1 = np.diag([1.0, 2.0, 3.0]).astype(complex)
     x = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(RegimeError, match="positiv"):
-        build_case3(theta1, x)
+        build_model(theta1, x)
 
 
 # ---------------------------------------------------------------------------
-# map_eigensystem / inverse_map
+# the transported eigensystem of build_model
 
 
 def test_map_detects_kernel_and_shared_eigenvalue():
     f = fixture_3x3(1.0, 2.0, 3.0)
-    mapped = map_eigensystem(f.x, eig(f.theta1))
-    assert mapped.kernel_set == (2,)
-    np.testing.assert_allclose(np.asarray(mapped.tilde_k)[:2], [1.5, 1.5], atol=1e-10)
-    assert np.asarray(mapped.tilde_k)[2] == 0.0
-    assert max(mapped.n1_residuals) < 1e-10
-    assert max(mapped.n2_residuals) < 1e-10
+    model = build_model(f.theta1, f.x)
+    assert model.kernel_set == (2,)
+    np.testing.assert_allclose(model.tilde_k[:2], [1.5, 1.5], atol=1e-10)
+    assert model.tilde_k[2] == 0.0
+    assert verify_relations(model).residuals["n_eigen"] < 1e-10
 
 
 def test_map_identity_frame_keeps_everything():
-    es = eig(np.diag([1.0, 2.0, 3.0]).astype(complex))
-    mapped = map_eigensystem(np.eye(3, dtype=complex), es)
-    assert mapped.kernel_set == ()
-    np.testing.assert_allclose(mapped.tilde_k, [1.0, 1.0, 1.0], atol=1e-14)
+    model = build_model(np.diag([1.0, 2.0, 3.0]).astype(complex), np.eye(3, dtype=complex))
+    assert model.kernel_set == ()
+    np.testing.assert_allclose(model.tilde_k, [1.0, 1.0, 1.0], atol=1e-14)
 
 
 def test_map_groups_degenerate_tilde_values():
     f = fixture_3x3(1.0, 2.0, 3.0)
-    mapped = map_eigensystem(f.x, eig(f.theta1))
-    assert (0, 1) in tuple(tuple(c) for c in mapped.degeneracy_classes)
+    model = build_model(f.theta1, f.x)
+    assert (0, 1) in model.degeneracy_classes
 
 
 def test_map_refuses_degenerate_spectrum():
-    es = eig(np.diag([1.0, 1.0, 2.0]).astype(complex))
     with pytest.raises(SpectrumError):
-        map_eigensystem(np.eye(3, dtype=complex), es)
+        build_model(np.diag([1.0, 1.0, 2.0]).astype(complex), np.eye(3, dtype=complex))
 
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["eig", "eigensystem"])
@@ -197,23 +185,16 @@ def test_build_model_decides_simple_spectrum_at_its_multiplicity_tolerance(suppl
 
 
 def test_inverse_map_reconstructs_seed_eigenvectors():
-    f = fixture_3x3(1.0, 2.0, 3.0)
-    m = f.model
-    phi2 = m.phi2[:, :2]
-    recon, residuals = inverse_map(m.x, phi2, np.asarray(m.tilde_k)[:2], m.phi1[:, :2])
-    np.testing.assert_allclose(recon, m.phi1[:, :2], atol=1e-10)
-    assert max(residuals) < 1e-10
+    # phi1_n = X phi2_n / tilde_k_n on every surviving mode
+    m = fixture_3x3(1.0, 2.0, 3.0).model
+    alive = list(m.survivors)
+    recon = m.x @ m.phi2[:, alive] / m.tilde_k[alive]
+    np.testing.assert_allclose(recon, m.phi1[:, alive], atol=1e-10)
 
 
 def test_inverse_map_identity():
-    phi2 = np.eye(3, dtype=complex)
-    recon, _ = inverse_map(np.eye(3, dtype=complex), phi2, np.ones(3))
-    np.testing.assert_allclose(recon, phi2, atol=1e-15)
-
-
-def test_inverse_map_rejects_kernel_modes():
-    with pytest.raises(KernelError):
-        inverse_map(np.eye(2, dtype=complex), np.eye(2, dtype=complex), np.array([1.0, 0.0]))
+    m = build_model(np.diag([1.0, 2.0, 3.0]).astype(complex), np.eye(3, dtype=complex))
+    np.testing.assert_allclose(m.x @ m.phi2 / m.tilde_k, m.phi1, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

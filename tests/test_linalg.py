@@ -16,12 +16,12 @@ from isospec import (
     SingularityError,
     adjoint,
     biorthogonal_partner,
+    build_model,
     commutator,
     eig,
     fixture_3x3,
-    generalized_factorial,
+    get_fixture,
     is_strictly_positive,
-    kernel_basis,
     opnorm,
 )
 
@@ -101,55 +101,39 @@ def test_commutator_antisymmetry(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# kernel_basis
+# kernels: the kernel_set of build_model
 
 
 def test_kernel_of_frame_adjoint_is_uniform_vector():
-    f = fixture_3x3(1.0, 2.0, 3.0)
-    basis = kernel_basis(adjoint(f.x))
-    assert len(basis) == 1
-    v = basis[0]
+    model = fixture_3x3(1.0, 2.0, 3.0).model
+    assert model.kernel_set == (2,)
+    v = model.phi1[:, 2]
+    assert np.linalg.norm(adjoint(model.x) @ v) <= KERNEL_TOL * np.linalg.norm(v)
     target = np.full(3, 1.0 / math.sqrt(3.0), dtype=complex)
-    overlap = abs(np.vdot(target, v))
+    overlap = abs(np.vdot(target, v)) / np.linalg.norm(v)
     assert abs(overlap - 1.0) < 1e-12
 
 
 def test_kernel_of_invertible_matrix_is_empty():
-    assert kernel_basis(np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)) == []
+    x = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
+    assert build_model(np.diag([1.0, 2.0]).astype(complex), x).kernel_set == ()
 
 
 def test_kernel_of_block_frame_adjoint():
     # columns pair up (2j, 2j+1) with equal weights, so differences die
     n = 4
-    x = np.zeros((2 * n, n), dtype=complex)
-    for j in range(n):
-        x[2 * j, j] = 1.0 / math.sqrt(2.0)
-        x[2 * j + 1, j] = 1.0 / math.sqrt(2.0)
-    basis = kernel_basis(adjoint(x))
-    assert len(basis) == n
-    span = np.column_stack(basis)
+    model = get_fixture("block", n_blocks=n).model
+    assert model.kernel_set == tuple(range(0, 2 * n, 2))
+    dead = list(model.kernel_set)
+    kernel = model.phi1[:, dead]
+    lost = np.linalg.norm(adjoint(model.x) @ kernel, axis=0)
+    assert np.all(lost <= KERNEL_TOL * np.linalg.norm(kernel, axis=0))
     for j in range(n):
         diff = np.zeros(2 * n, dtype=complex)
         diff[2 * j] = 1.0 / math.sqrt(2.0)
         diff[2 * j + 1] = -1.0 / math.sqrt(2.0)
-        proj = span @ (adjoint(span) @ diff)
-        np.testing.assert_allclose(proj, diff, atol=1e-12)
-
-
-@given(st.integers(0, 10**6), st.integers(2, 7), st.integers(1, 3))
-@settings(max_examples=40, deadline=None)
-def test_kernel_vectors_are_orthonormal_and_annihilated(seed, dim, corank):
-    corank = min(corank, dim - 1)
-    rng = np.random.default_rng(seed)
-    m = _random_complex(rng, dim, dim - corank) @ _random_complex(rng, dim - corank, dim)
-    basis = kernel_basis(m, tol=KERNEL_TOL)
-    assert len(basis) >= corank
-    smax = np.linalg.svd(m, compute_uv=False)[0]
-    for i, v in enumerate(basis):
-        assert np.linalg.norm(m @ v) <= 10 * KERNEL_TOL * max(smax, 1.0)
-        for w in basis[i + 1 :]:
-            assert abs(np.vdot(v, w)) < 1e-12
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        overlap = abs(np.vdot(diff, kernel[:, j])) / np.linalg.norm(kernel[:, j])
+        assert abs(overlap - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +294,17 @@ def test_non_selfadjoint_not_positive():
 
 def test_factorial_linear_sequence():
     eps = EpsilonSequence.linear(1.0, 8)
-    assert generalized_factorial(eps, 4) == pytest.approx(24.0)
+    assert eps.factorials(5)[4] == pytest.approx(24.0)
 
 
 def test_factorial_scaled_sequence():
     eps = EpsilonSequence.linear(2.0, 8)
-    assert generalized_factorial(eps, 3) == pytest.approx(48.0)
+    assert eps.factorials(4)[3] == pytest.approx(48.0)
 
 
 def test_factorial_empty_product():
     eps = EpsilonSequence.linear(1.0, 4)
-    assert generalized_factorial(eps, 0) == 1.0
+    assert eps.factorials(1)[0] == 1.0
 
 
 def test_epsilon_sequence_rejects_negative_entries():
@@ -347,6 +331,7 @@ def test_factorial_recurrence(seed, n):
     steps = rng.uniform(0.1, 2.0, size=12)
     values = np.concatenate([[0.0], np.cumsum(steps)])
     eps = EpsilonSequence(values)
-    lhs = generalized_factorial(eps, n + 1)
-    rhs = generalized_factorial(eps, n) * values[n + 1]
+    facts = eps.factorials(n + 2)
+    lhs = facts[n + 1]
+    rhs = facts[n] * values[n + 1]
     assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -115,16 +115,22 @@ def _reference_map(x, phi1, tol=1e-10):
             continue
         res1[n] = np.linalg.norm(n1 @ phi1[:, n] - tilde_k[n] * phi1[:, n]) / norms1[n]
         res2[n] = np.linalg.norm(n2 @ phi2[:, n] - tilde_k[n] * phi2[:, n]) / norms2[n]
+    classes = _reference_classes(tilde_k, [n for n in range(count) if not kernel_mask[n]])
+    kernel_set = tuple(int(n) for n in np.nonzero(kernel_mask)[0])
+    return kernel_set, tilde_k, res1, res2, classes
+
+
+def _reference_classes(values, indices):
+    """Each index joins the first class whose first member is within the tolerance."""
     classes = []
-    for n in [n for n in range(count) if not kernel_mask[n]]:
+    for n in indices:
         for cls in classes:
-            if abs(tilde_k[n] - tilde_k[cls[0]]) <= DEGENERACY_TOL:
+            if abs(values[n] - values[cls[0]]) <= DEGENERACY_TOL:
                 cls.append(n)
                 break
         else:
             classes.append([n])
-    kernel_set = tuple(int(n) for n in np.nonzero(kernel_mask)[0])
-    return kernel_set, tilde_k, res1, res2, tuple(tuple(c) for c in classes)
+    return tuple(tuple(c) for c in classes)
 
 
 def _rel(num, scale):
@@ -406,3 +412,18 @@ def test_similarity_model_svd_budget(svd_count):
     assert len(svd_count) == 3
     verify_relations(model)
     assert len(svd_count) == 3 + 10
+
+
+@given(
+    st.sampled_from([0.0, 1e-9, 1.0, 1.5, 1e3]),
+    st.lists(st.tuples(st.integers(-4, 4), st.sampled_from([-1, 0, 1]), st.booleans()),
+             min_size=1, max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_degeneracy_classes_match_the_loop(base, draws):
+    # values on the grid m * tol * (1 + d * 1e-6): neighbours sit just inside, on
+    # or just outside the tolerance of one another; ``alive`` drops some indices
+    values = [base + m * DEGENERACY_TOL * (1.0 + d * 1e-6) for m, d, _ in draws]
+    alive = [n for n, (_, _, keep) in enumerate(draws) if keep]
+    got = intertwining._degeneracy_classes(values, alive)
+    assert got == _reference_classes(values, alive)

@@ -186,13 +186,16 @@ def test_block_degenerate_spectrum_still_exposes_direct_partner():
     assert f.model is None
     with pytest.raises(SpectrumError):
         f.require_model()
-    np.testing.assert_allclose(f.expected["theta2_direct"], np.diag(alpha + beta), atol=1e-12)
+    # the closed-form partner still intertwines: X Theta2 = Theta1 X
+    np.testing.assert_allclose(f.expected["theta2"], np.diag(alpha + beta), atol=1e-12)
+    np.testing.assert_allclose(f.x @ f.expected["theta2"], f.theta1 @ f.x, atol=1e-12)
 
 
 def test_block_zero_operator_sanity():
     f = fixture_block(np.zeros(2), np.zeros(2), 2)
     assert f.model is None
-    np.testing.assert_allclose(f.expected["theta2_direct"], np.zeros((2, 2)), atol=1e-14)
+    np.testing.assert_allclose(f.expected["theta2"], np.zeros((2, 2)), atol=1e-14)
+    np.testing.assert_allclose(f.theta1 @ f.x, np.zeros((4, 2)), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
