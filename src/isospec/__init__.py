@@ -14,10 +14,8 @@ from .bicoherent import (
     RadialMeasure,
     ResolutionResult,
     build_ladders,
-    build_ladders_level2,
     coherent_grid,
     coherent_pair,
-    coherent_pair_level2,
     convergence_for_system,
     filter_and_build,
     filter_system,

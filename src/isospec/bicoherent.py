@@ -7,8 +7,10 @@ radii, the closed-form radial measure for linear epsilon sequences, the
 resolution-of-identity check, and the symbol quantization that recovers
 the ladders.
 
-Level-2 code reads the pairing from the system: a kernel mode is one with
-pairing 0, as ``build_model`` writes its kernel set at the run's tolerance.
+The level is the system's pairing: 1 on a level-1 system, tilde_k on a
+level-2 one, and each construction reads it from the system.  A kernel
+mode is one with pairing 0, as ``build_model`` writes its kernel set at
+the run's tolerance.
 
 Series and states are always evaluated on an explicit truncation
 ``order``; tail bounds are reported, never hidden.
@@ -17,7 +19,7 @@ Series and states are always evaluated on an explicit truncation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -64,7 +66,6 @@ class LadderPair:
 
     a: np.ndarray
     b: np.ndarray
-    level: int
     system: BiorthogonalSystem
     eps: EpsilonSequence
 
@@ -74,34 +75,20 @@ class LadderPair:
         return float(column_defects(self.b @ self.a, self.system.phi, eps).max())
 
 
-def build_ladders(system: BiorthogonalSystem, eps: EpsilonSequence) -> LadderPair:
-    """Level-1 ladders: A = sum_k sqrt(eps_k) |phi_{k-1}><psi_k| and its mate.
+def build_ladders(system: BiorthogonalSystem, eps) -> LadderPair:
+    """Ladders A phi_k = sqrt(eps_k * tk_k / tk_{k-1}) phi_{k-1}, B dually.
 
-    Requires unit pairing (a level-1 system) and eps strictly increasing
-    from 0.  B A phi_n = eps_n phi_n holds for every n of the truncation;
-    A B loses only the top mode.
+    tk is the system's pairing: 1 on a level-1 system, where A is
+    sum_k sqrt(eps_k) |phi_{k-1}><psi_k|, and tilde_k on a level-2 one.
+    Kernel modes (pairing 0) are refused: filter the kernel first.  eps
+    must increase strictly from 0.  B A phi_n = eps_n phi_n holds for
+    every n of the truncation; A B loses only the top mode.
     """
+    _refuse_kernel(system.pairing)
     eps = EpsilonSequence.of(eps)
-    defect = float(np.max(np.abs(system.pairing - 1.0)))
-    if defect > 1e-8:
-        raise PairingError(
-            f"pairing deviates from 1 by {defect:.3e}; level-2 systems need "
-            "the level-2 ladder construction"
-        )
     if not eps.strictly_increasing:
         raise ParameterError("epsilon sequence must increase strictly from 0")
-    return _ladder_pair(system, eps, np.ones(system.size), level=1)
-
-
-def build_ladders_level2(system2: BiorthogonalSystem, eps) -> LadderPair:
-    """Level-2 ladders with pairing-weighted steps.
-
-    A phi_k = sqrt(eps_k * tk_k / tk_{k-1}) phi_{k-1} and dually for B, tk
-    the system's pairing; the dyads carry 1/tk because <psi_k, phi_k> = tk_k
-    rather than 1.  Kernel modes are refused: filter the kernel first.
-    """
-    _refuse_kernel(system2.pairing)
-    return _ladder_pair(system2, EpsilonSequence.of(eps), system2.pairing, level=2)
+    return _ladder_pair(system, eps, system.pairing)
 
 
 def _refuse_kernel(pairing: np.ndarray) -> None:
@@ -112,7 +99,7 @@ def _refuse_kernel(pairing: np.ndarray) -> None:
                           "(kernel mode); filter first")
 
 
-def _ladder_pair(system: BiorthogonalSystem, eps: EpsilonSequence, tk, level: int) -> LadderPair:
+def _ladder_pair(system: BiorthogonalSystem, eps: EpsilonSequence, tk) -> LadderPair:
     """A phi_k = sqrt(eps_k * tk_k / tk_{k-1}) phi_{k-1}, B dually, on the
     dyads |phi_k><psi_k| / tk_k; the level-1 ladders are the case tk = 1."""
     m = system.size
@@ -123,7 +110,6 @@ def _ladder_pair(system: BiorthogonalSystem, eps: EpsilonSequence, tk, level: in
     return LadderPair(
         a=system.phi @ np.diag(np.sqrt(steps * tk[1:] / tk[:-1]), 1) @ psih,
         b=system.phi @ np.diag(np.sqrt(steps * tk[:-1] / tk[1:]), -1) @ psih,
-        level=level,
         system=system,
         eps=eps,
     )
@@ -175,16 +161,7 @@ class ConvergenceData:
                 raise ParameterError(f"{name} must lie in [0, 1/2]")
 
     def to_jsonable(self) -> dict:
-        return {
-            "r_phi": self.r_phi,
-            "r_psi": self.r_psi,
-            "alpha_phi": self.alpha_phi,
-            "alpha_psi": self.alpha_psi,
-            "rho_phi": self.rho_phi,
-            "rho_psi": self.rho_psi,
-            "rho_hat": self.rho_hat,
-            "rho": self.rho,
-        }
+        return asdict(self)
 
 
 def _tail_limit(seq: np.ndarray) -> float:
@@ -242,11 +219,13 @@ def convergence_for_system(
     strict n = 0 bound would otherwise reject families with ||phi_0|| > 1.
     ``phi_norms``, when given, are the column norms of
     ``system.phi[:, :order]``, so a caller that has them is not made to
-    compute them again.
+    compute them again.  Kernel modes (pairing 0) among the first
+    ``order`` are refused, since their zero norms leave no growth to fit.
     """
     eps = EpsilonSequence.of(eps)
     order = system.size if order is None else int(order)
     _check_order(system, order)
+    _refuse_kernel(system.pairing[:order])
     hphi = np.linalg.norm(system.phi[:, :order], axis=0) if phi_norms is None else phi_norms
     hpsi = np.linalg.norm(system.psi[:, :order], axis=0)
     facts = eps.factorials(hphi.size)
@@ -273,7 +252,6 @@ class BicoherentState:
 
     z: complex
     order: int
-    level: int
     coefficients: np.ndarray
     vector_phi: np.ndarray
     vector_psi: np.ndarray
@@ -283,17 +261,12 @@ class BicoherentState:
     converged: bool
     convergence: ConvergenceData
 
-    @property
-    def overlap_defect(self) -> float:
-        return abs(self.overlap - 1.0)
-
 
 def _assemble_states(
     system: BiorthogonalSystem,
     eps: EpsilonSequence,
     zs: np.ndarray,
     order: int,
-    level: int,
     conv: ConvergenceData,
     phi_norms: np.ndarray,
 ) -> list[BicoherentState]:
@@ -340,7 +313,6 @@ def _assemble_states(
         BicoherentState(
             z=z,
             order=order,
-            level=level,
             coefficients=c,
             vector_phi=vphi,
             vector_psi=vpsi,
@@ -383,47 +355,36 @@ def _radius_gate(
     return conv, phi_norms
 
 
-def _states(
-    system: BiorthogonalSystem, eps, zs, order: int, level: int
-) -> list[BicoherentState]:
-    """Check order and kernel, gate once, assemble: the one path of every state."""
+def _states(system: BiorthogonalSystem, eps, zs, order: int) -> list[BicoherentState]:
+    """Check order, gate once (the gate refuses kernel modes), assemble: the
+    one path of every state."""
     _check_order(system, order)
-    _refuse_kernel(system.pairing[:order])
     eps = EpsilonSequence.of(eps)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     conv, phi_norms = _radius_gate(system, eps, zs, order)
-    return _assemble_states(system, eps, zs, order, level, conv, phi_norms)
+    return _assemble_states(system, eps, zs, order, conv, phi_norms)
 
 
 def coherent_pair(system: BiorthogonalSystem, eps, z: complex, order: int) -> BicoherentState:
-    """Level-1 state pair phi(z) = N(|z|) sum z^k / sqrt(eps_k!) phi_k (and psi).
+    """State pair phi(z) = N(|z|) sum z^k / sqrt(eps_k! tk_k) phi_k (and psi).
 
-    N is computed on the same truncation, so <phi(z), psi(z)> = 1 up to the
-    system's pairing defect.  Non-finite z, and z outside the estimated
-    convergence disc, are refused.
+    tk is the system's pairing: 1 at level 1, tilde_k at level 2.  N is
+    computed on the same truncation, so <phi(z), psi(z)> = 1 up to the
+    system's pairing defect.  Non-finite z, z outside the estimated
+    convergence disc, and kernel modes (pairing 0) within ``order`` are
+    refused; systems with kernel modes belong in filter_and_build.
     """
-    return _states(system, eps, [z], order, level=1)[0]
+    return _states(system, eps, [z], order)[0]
 
 
 def coherent_grid(system: BiorthogonalSystem, eps, zs, order: int) -> list[BicoherentState]:
-    """Level-1 states for every z of ``zs``, in order: coherent_pair for each.
+    """States for every z of ``zs``, in order: coherent_pair for each.
 
     The convergence disc is fitted once and checked against the largest
     |z|; the states come from one coefficient matrix and two matrix
     products.
     """
-    return _states(system, eps, zs, order, level=1)
-
-
-def coherent_pair_level2(
-    system2: BiorthogonalSystem, eps, z: complex, order: int
-) -> BicoherentState:
-    """Level-2 pair with coefficients z^k / sqrt(eps_k! * tk_k), tk the pairing.
-
-    All pairing constants up to ``order`` must be positive; systems that
-    still contain kernel modes belong in filter_and_build instead.
-    """
-    return _states(system2, eps, [z], order, level=2)[0]
+    return _states(system, eps, zs, order)
 
 
 def filter_system(system2: BiorthogonalSystem, eps, convention: str = "original"):
@@ -477,7 +438,7 @@ def filter_and_build(
     ``order`` counts surviving modes.
     """
     tilde, delta, _ = filter_system(system2, eps, convention)
-    return _states(tilde, delta, [z], order, level=2)[0]
+    return _states(tilde, delta, [z], order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +447,12 @@ def filter_and_build(
 
 @dataclass(frozen=True)
 class RadialMeasure:
-    """Gamma-type radial measure c * r^a * exp(-b r^p) dr with quadrature.
+    """Radial measure dlambda(r) = r exp(-r^2/s) / (pi s) dr by its quadrature.
 
     ``nodes``/``weights`` integrate radial functions directly:
     integral f dlambda ~= sum weights * f(nodes).
     """
 
-    family: str
-    c: float
-    a: float
-    b: float
-    p: float
     s: float
     nodes: np.ndarray
     weights: np.ndarray
@@ -520,7 +476,7 @@ class RadialMeasure:
 
     def scaled(self, factor: float) -> "RadialMeasure":
         """Same nodes, weights multiplied by ``factor`` (linearity checks)."""
-        return replace(self, c=self.c * factor, weights=self.weights * factor)
+        return replace(self, weights=self.weights * factor)
 
 
 def solve_moment_measure(
@@ -549,16 +505,7 @@ def solve_moment_measure(
     if nodes < 2:
         raise ParameterError("need at least 2 quadrature nodes")
     t, w = np.polynomial.laguerre.laggauss(nodes)
-    return RadialMeasure(
-        family="gamma",
-        c=1.0 / (math.pi * s),
-        a=1.0,
-        b=1.0 / s,
-        p=2.0,
-        s=s,
-        nodes=np.sqrt(s * t),
-        weights=w / (2.0 * math.pi),
-    )
+    return RadialMeasure(s=s, nodes=np.sqrt(s * t), weights=w / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -593,8 +540,7 @@ def resolution_check(
     measure the integral is taken as its sum form.
     """
     eps = EpsilonSequence.of(eps)
-    if not 1 <= order <= system.size:
-        raise DimensionError(f"order must lie in 1..{system.size}, got {order}")
+    _check_order(system, order)
     f = np.asarray(f, dtype=complex).reshape(-1)
     g = np.asarray(g, dtype=complex).reshape(-1)
     if f.size != system.dim or g.size != system.dim:
@@ -632,16 +578,17 @@ def quantize(
     Op = integral dnu N^{-2} symbol(z) |phi(z)><psi(z)|; the angular
     integral leaves one off-diagonal band whose radial moments are taken
     from the measure, so with exact moments the result is the lowering
-    ladder (symbol z) or the raising ladder (symbol zbar).
+    ladder (symbol z) or the raising ladder (symbol zbar); at order 1 the
+    band is empty and the operator is 0, the 1-mode ladder.
     """
     eps = EpsilonSequence.of(eps)
     if symbol not in ("z", "zbar"):
         raise ParameterError(f"unsupported symbol {symbol!r}; use 'z' or 'zbar'")
-    if not 2 <= order <= system.size:
-        raise DimensionError(f"order must lie in 2..{system.size}, got {order}")
-    f = eps.factorials(order)
-    p = system.pairing[:order]
-    coeff = 2.0 * math.pi * measure.moments(order)[1:] / np.sqrt(f[:-1] * f[1:] * p[:-1] * p[1:])
+    _check_order(system, order)
+    # one root per mode: the product of two neighbouring factorials can
+    # overflow where each factorial, and the band, is finite
+    root = np.sqrt(eps.factorials(order) * system.pairing[:order])
+    coeff = 2.0 * math.pi * measure.moments(order)[1:] / (root[:-1] * root[1:])
     # zero-padded to the full system, so the products run over every mode
     band = np.diag(np.pad(coeff, (0, system.size - order)), 1 if symbol == "z" else -1)
     return system.phi @ band @ system.psi.conj().T

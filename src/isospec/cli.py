@@ -345,7 +345,7 @@ def _quantized(system: BiorthogonalSystem, eps, order: int, measure, symbol: str
     """The quantized symbol and its max-entry distance from its ladder, relative
     to that ladder's largest entry; both live on the first ``order`` modes."""
     op = quantize(symbol, system, eps, measure, order)
-    ladder = build_ladders(system.columns(slice(order)), EpsilonSequence(eps.values[:order]))
+    ladder = build_ladders(system.columns(slice(order)), eps)
     target = ladder.a if symbol == "z" else ladder.b
     scale = max(1.0, float(np.max(np.abs(target))))
     return op, float(np.max(np.abs(op - target))) / scale

@@ -16,16 +16,13 @@ from isospec import (
     EpsilonSequence,
     KernelError,
     MomentError,
-    PairingError,
     ParameterError,
     adjoint,
     build_ladders,
-    build_ladders_level2,
     build_model,
     coherent_demo,
     coherent_grid,
     coherent_pair,
-    coherent_pair_level2,
     convergence_for_system,
     filter_and_build,
     filter_system,
@@ -89,12 +86,15 @@ def test_ladders_lowering_matches_shift_frame_adjoint():
 
 
 def test_ladders_require_unit_pairing():
+    # the level is the system's pairing: a pairing-1.5 system gets its own
+    # pairing-weighted ladders, which factorize its diagonal action
     eye = np.eye(3, dtype=complex)
     level2 = BiorthogonalSystem(
         phi=eye, psi=1.5 * eye, values=np.arange(3.0), pairing=1.5 * np.ones(3)
     )
-    with pytest.raises(PairingError):
-        build_ladders(level2, EpsilonSequence.linear(1.0, 3))
+    pair = build_ladders(level2, EpsilonSequence.linear(1.0, 3))
+    assert pair.factorization_defect() < FACTORIZATION_TOL
+    np.testing.assert_allclose(pair.a @ eye[:, 2], math.sqrt(2.0) * eye[:, 1], atol=1e-14)
 
 
 def test_ladders_require_increasing_sequence():
@@ -106,28 +106,19 @@ def test_ladders_require_increasing_sequence():
 # level-2 ladders
 
 
-def test_level2_with_unit_constants_reduces_to_level1():
-    eps = EpsilonSequence.linear(1.0, 7)
-    system = _orthonormal_system(7)
-    pair1 = build_ladders(system, eps)
-    pair2 = build_ladders_level2(system, eps)
-    np.testing.assert_allclose(pair2.a, pair1.a, atol=1e-13)
-    np.testing.assert_allclose(pair2.b, pair1.b, atol=1e-13)
-
-
 def test_level2_factorizes_on_surviving_modes():
     alpha1 = 1.0
     f = coherent_demo(alpha1, 6)
     system2 = f.model.system2()
     eps2 = EpsilonSequence(4.0 * alpha1 * np.arange(6.0))
-    pair = build_ladders_level2(system2, eps2)
+    pair = build_ladders(system2, eps2)
     assert pair.factorization_defect() < FACTORIZATION_TOL
 
 
 def test_level2_two_mode_coefficient():
     f = fixture_3x3(1.0, 2.0, 3.0)
     system2 = f.model.system2()
-    pair = build_ladders_level2(system2, EpsilonSequence(np.array([0.0, 2.0])))
+    pair = build_ladders(system2, EpsilonSequence(np.array([0.0, 2.0])))
     # equal pairing constants make the transition weight plain sqrt(eps_1)
     lhs = pair.a @ system2.phi[:, 1]
     np.testing.assert_allclose(lhs, math.sqrt(2.0) * system2.phi[:, 0], atol=1e-12)
@@ -136,7 +127,7 @@ def test_level2_two_mode_coefficient():
 def test_level2_rejects_kernel_constants():
     system = _orthonormal_system(3)
     with pytest.raises(KernelError):
-        build_ladders_level2(replace(system, pairing=[1, 0, 1]), EpsilonSequence.linear(1.0, 3))
+        build_ladders(replace(system, pairing=[1, 0, 1]), EpsilonSequence.linear(1.0, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +172,15 @@ def test_fit_ignores_a_constant_prefactor():
 def test_convergence_for_system_refuses_an_order_outside_the_system(order):
     with pytest.raises(DimensionError, match="order must lie in 1..10"):
         convergence_for_system(_orthonormal_system(10), EpsilonSequence.linear(1.0, 10), order)
+
+
+def test_convergence_for_system_refuses_a_kernel_mode():
+    # shift's level-2 system starts with its kernel mode, whose zero norm
+    # leaves no growth to fit relative to the first
+    system2 = get_fixture("shift").model.system2(include_kernel=True)
+    assert system2.pairing[0] == 0.0
+    with pytest.raises(KernelError):
+        convergence_for_system(system2, EpsilonSequence.linear(1.0, 8))
 
 
 def _loop_fit(norms, facts):
@@ -379,7 +379,7 @@ def test_state_far_outside_the_truncation_is_finite_and_flagged():
 def test_level2_states_on_two_modes():
     f = fixture_3x3(1.0, 2.0, 3.0)
     system2 = f.model.system2()
-    state = coherent_pair_level2(system2, EpsilonSequence(np.array([0.0, 2.0])), 0.4, 2)
+    state = coherent_pair(system2, EpsilonSequence(np.array([0.0, 2.0])), 0.4, 2)
     assert abs(state.overlap - 1.0) < 1e-12
 
 
@@ -388,7 +388,7 @@ def test_level2_states_refuse_kernel_modes():
     system2 = f.model.system2(include_kernel=True)
     eps = EpsilonSequence(f.expected["epsilon"])
     with pytest.raises(KernelError):
-        coherent_pair_level2(system2, eps, 0.2, system2.size)
+        coherent_pair(system2, eps, 0.2, system2.size)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +468,7 @@ def test_filter_without_kernel_matches_level2_states():
     eps = EpsilonSequence.linear(1.0, 6)
     z = 0.4 + 0.1j
     filtered = filter_and_build(system, eps, z, 6)
-    direct = coherent_pair_level2(system, eps, z, 6)
+    direct = coherent_pair(system, eps, z, 6)
     np.testing.assert_allclose(filtered.vector_phi, direct.vector_phi, atol=1e-13)
     np.testing.assert_allclose(filtered.vector_psi, direct.vector_psi, atol=1e-13)
 
@@ -484,9 +484,9 @@ def test_level2_reads_the_kernel_the_model_wrote():
     assert survivors == model.survivors == (0, 2, 4, 6)
     system2 = model.system2()
     eps2 = EpsilonSequence.linear(4.0, 4)
-    state = coherent_pair_level2(system2, eps2, 0.2, 4)
+    state = coherent_pair(system2, eps2, 0.2, 4)
     assert abs(state.overlap - 1.0) < 1e-12
-    assert build_ladders_level2(system2, eps2).factorization_defect() < FACTORIZATION_TOL
+    assert build_ladders(system2, eps2).factorization_defect() < FACTORIZATION_TOL
 
 
 def test_filter_steps_do_not_overflow_past_the_float_range():
@@ -615,6 +615,21 @@ def test_quantize_rejects_unknown_symbol():
     measure = solve_moment_measure(eps, 6)
     with pytest.raises(ParameterError):
         quantize("z2", system, eps, measure, 6)
+
+
+@pytest.mark.parametrize("alpha1", [1e3, 1e4])
+def test_quantize_agrees_with_ladders_where_neighbouring_factorials_overflow(alpha1):
+    # eps_k! * eps_{k+1}! leaves the float range near k = 35 at alpha1 = 1e3,
+    # while each factorial and each band entry stays finite
+    f = get_fixture("coherent_demo", alpha1=alpha1)
+    system = f.model.system1()
+    eps = EpsilonSequence(f.expected["epsilon"])
+    order = 40
+    measure = solve_moment_measure(eps, order)
+    pair = build_ladders(system.columns(slice(order)), eps)
+    for symbol, target in (("z", pair.a), ("zbar", pair.b)):
+        op = quantize(symbol, system, eps, measure, order)
+        assert np.max(np.abs(op - target)) <= 1e-8 * np.max(np.abs(target))
 
 
 def test_quantize_agrees_with_ladders_on_skewed_system():

@@ -1,5 +1,6 @@
 """End-to-end command-line checks run through a subprocess."""
 
+import dataclasses
 import json
 import math
 import re
@@ -10,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import isospec
 import isospec.cli as cli
 from isospec import FIXTURE_IDS, errors, get_fixture, make_commuting_pair
+from isospec import bicoherent, intertwining, linalg, zoo
+from isospec import io as iomod
 from isospec.intertwining import RELATION_TOL
 from isospec.linalg import KERNEL_TOL, MULTIPLICITY_TOL
 from isospec.io import jsonable_to_matrix, save_matrix_csv, save_matrix_json
@@ -441,6 +445,27 @@ def test_quantize_order_above_the_system_size_is_an_input_error(tmp_path):
     assert "order 9 exceeds system size 8" in proc.stderr
 
 
+def test_order_one_quantizes_to_the_one_mode_ladder(tmp_path, capsys):
+    # one mode leaves an empty band: the quantized symbol and the ladder are both 0
+    source = ["--fixture", "coherent_demo", "--params", "n_blocks=4",
+              "--order", "1", "--outdir", str(tmp_path)]
+    assert cli.main(["coherent", *source]) == 0
+    assert cli.main(["quantize", *source]) == 0
+    report = json.loads((tmp_path / "coherent_report.json").read_text())
+    assert report["all_passed"]
+    assert report["quantization"]["defect_z"] == report["quantization"]["defect_zbar"] == 0.0
+    quantized = json.loads((tmp_path / "quantize_z.json").read_text())
+    assert quantized["ladder_defect"] == 0.0
+    assert not np.any(jsonable_to_matrix(quantized["matrix"]))
+
+
+def test_quantize_where_neighbouring_factorials_overflow_passes(tmp_path, capsys):
+    argv = ["quantize", "--fixture", "coherent_demo", "--params", "alpha1=1000",
+            "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert json.loads((tmp_path / "quantize_z.json").read_text())["ladder_defect"] < 1e-12
+
+
 def test_coherent_and_quantize_share_an_outdir(tmp_path, capsys):
     source = ["--fixture", "coherent_demo", "--params", "alpha1=1.0,n_blocks=8",
               "--order", "10", "--outdir", str(tmp_path)]
@@ -837,6 +862,34 @@ def test_verify_relations_of_an_overflowing_model_raises_numerical_error():
     model = get_fixture("coherent_demo", alpha1=1e200, n_blocks=4).model
     with pytest.raises(errors.NumericalError):
         verify_relations(model)
+
+
+# ---------------------------------------------------------------------------
+# removed library names
+
+
+def _readme_removed_names() -> list:
+    """Names in the first column of the README's "Removed library names" table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("Removed library names", 1)[1]
+    table = section.split("\n\n", 2)[1]
+    return [name for line in table.splitlines()[2:]
+            for name in re.findall(r"`([\w.]+)`", line.split("|")[1])]
+
+
+def test_readme_removed_names_are_gone():
+    names = _readme_removed_names()
+    assert {"build_ladders_level2", "RadialMeasure.family", "GrowthError"} <= set(names)
+    modules = [isospec, bicoherent, errors, intertwining, iomod, linalg, zoo]
+    for name in names:
+        if "." in name:
+            owner, attr = name.split(".")
+            cls = getattr(isospec, owner)
+            assert not hasattr(cls, attr), name
+            assert attr not in {field.name for field in dataclasses.fields(cls)}, name
+        else:
+            assert name not in isospec.__all__, name
+            assert not any(hasattr(module, name) for module in modules), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Ladder pairs against reference copies of their former per-entry loops.
 
-``build_ladders`` and ``build_ladders_level2`` share one assembly, with
-level 1 as the case of unit pairing constants.  The functions prefixed
+``build_ladders`` is one assembly for both levels, with level 1 as the
+case of unit pairing constants.  The functions prefixed
 ``_reference_`` below are the earlier implementations, kept verbatim in
 substance: the step matrices filled one entry at a time, the level-2 dyads
 weighted through a diagonal matrix product.  Both ladders must come out
@@ -18,7 +18,6 @@ from isospec import (
     BiorthogonalSystem,
     EpsilonSequence,
     build_ladders,
-    build_ladders_level2,
     build_model,
     make_commuting_pair,
 )
@@ -83,7 +82,7 @@ def test_model_ladders_match_the_loops(seed, dim2, extra):
     system2 = model.system2()
     eps2 = _increasing_eps(rng, system2.size)
     _assert_bit_identical(
-        build_ladders_level2(system2, eps2),
+        build_ladders(system2, eps2),
         _reference_ladders_level2(system2, eps2, system2.pairing),
     )
 
@@ -98,5 +97,5 @@ def test_drawn_systems_match_the_loops(seed, n):
     tk = rng.uniform(0.01, 50.0, n)
     system2 = _random_system(rng, n, tk)
     _assert_bit_identical(
-        build_ladders_level2(system2, eps), _reference_ladders_level2(system2, eps, tk)
+        build_ladders(system2, eps), _reference_ladders_level2(system2, eps, tk)
     )

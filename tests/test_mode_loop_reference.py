@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from isospec import (
     EpsilonSequence,
     build_ladders,
-    build_ladders_level2,
     build_model,
     coherent_demo,
     make_commuting_pair,
@@ -58,7 +57,9 @@ def _reference_quantize(symbol, system, eps, measure, order):
             2.0
             * math.pi
             * _reference_moment(measure, k + 1)
-            / math.sqrt(facts[k] * facts[k + 1] * pairing[k] * pairing[k + 1])
+            # one root per mode, as the band is formed, so that the product of
+            # two neighbouring factorials never has to be finite
+            / (math.sqrt(facts[k] * pairing[k]) * math.sqrt(facts[k + 1] * pairing[k + 1]))
         )
         if symbol == "z":
             band[k, k + 1] = coeff
@@ -306,10 +307,10 @@ def test_block_operators_match_the_loops(seed, n_blocks, spare, sign):
 def test_factorization_defects_match_the_loop(seed, dim2, extra):
     model = build_model(*make_commuting_pair(dim2 + extra, dim2, seed))
     rng = np.random.default_rng(seed)
-    for build, system in ((build_ladders, model.system1()), (build_ladders_level2, model.system2())):
+    for system in (model.system1(), model.system2()):
         steps = rng.uniform(0.1, 3.0, system.size - 1)
         eps = EpsilonSequence(np.concatenate(([0.0], np.cumsum(steps))))
-        ladder = build(system, eps)
+        ladder = build_ladders(system, eps)
         assert abs(ladder.factorization_defect() - _reference_factorization_defect(ladder)) <= 1e-13
 
 
