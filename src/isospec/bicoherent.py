@@ -29,6 +29,7 @@ from .errors import (
     DivergenceError,
     KernelError,
     MomentError,
+    NumericalError,
     PairingError,
     ParameterError,
 )
@@ -461,9 +462,14 @@ class RadialMeasure:
         """Quadrature values of the radial moments of order 0, 2, ..., 2(count - 1)."""
         # r^(2k) as ``nodes ** (2 * k)`` rounds it: one exponent per row (numpy's power
         # of two arrays takes a SIMD path that rounds differently), r^2 as a square
-        powers = self.nodes ** np.arange(0.0, 2.0 * count, 2.0)[:, None]
-        powers[1:2] = np.square(self.nodes)
-        return (self.weights * powers).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = self.nodes ** np.arange(0.0, 2.0 * count, 2.0)[:, None]
+            powers[1:2] = np.square(self.nodes)
+            table = (self.weights * powers).sum(axis=1)
+            if not np.all(np.isfinite(table)):
+                k = int(np.argmin(np.isfinite(table)))
+                raise NumericalError(f"radial moment of order {2 * k} overflows")
+        return table
 
     def moment(self, k: int) -> float:
         """Quadrature value of the 2k-th radial moment."""

@@ -31,11 +31,14 @@ from .linalg import (
     RANK_TOL,
     BiorthogonalSystem,
     Eigensystem,
+    SpectralNorm,
     _eig,
     _pairwise_gaps,
+    _quote,
     _strictly_positive,
     as_matrix,
     biorthogonal_partner,
+    certified_ratio,
     column_defects,
     opnorm,
 )
@@ -47,17 +50,12 @@ DEGENERACY_TOL = 1e-8
 # The schema tag of a model document (IntertwiningModel.to_jsonable).
 MODEL_SCHEMA = "isospec-model-v1"
 
+# The operands of a model, each with one SpectralNorm (IntertwiningModel.norms).
+_OPERANDS = ("theta1", "x", "n1", "n2", "theta2")
+
 CASE_INVERTIBLE = "Invertible"
 CASE_INVERTIBLE_COMMUTING = "InvertibleCommuting"
 CASE_NONINVERTIBLE = "NonInvertible"
-
-
-def _rel_comm(a: np.ndarray, b: np.ndarray, norm_a: float, norm_b: float) -> float:
-    """||[A,B]|| relative to ||A|| ||B||, given those two norms."""
-    scale = norm_a * norm_b
-    if scale == 0.0:
-        return 0.0
-    return opnorm(a @ b - b @ a) / scale
 
 
 def _check_shapes(theta1: np.ndarray, x: np.ndarray) -> None:
@@ -77,18 +75,17 @@ def _grams(x: np.ndarray):
 
 
 def _noninvertible_preconditions(theta1, n1, n2, tol: float) -> dict:
-    """Check N2 > 0 and [N1, Theta1] = 0; return the operand norms measured."""
-    n2_norm = opnorm(n2)
-    if not _strictly_positive(n2, n2_norm, tol):
+    """Check N2 > 0 and [N1, Theta1] = 0; return the operand norms used."""
+    norms = {"n2": SpectralNorm(n2), "n1": SpectralNorm(n1), "theta1": SpectralNorm(theta1)}
+    if not _strictly_positive(n2, norms["n2"], tol):
         raise RegimeError(
             "N2 = X-adjoint X is not strictly positive; the non-invertible "
             "regime needs full column rank"
         )
-    norms = {"n2_norm": n2_norm, "n1_norm": opnorm(n1), "theta1_norm": opnorm(theta1)}
-    comm = _rel_comm(n1, theta1, norms["n1_norm"], norms["theta1_norm"])
-    if comm > tol:
+    comm = certified_ratio(n1 @ theta1 - theta1 @ n1, (norms["n1"], norms["theta1"]), tol)
+    if comm[0] > tol:
         raise RegimeError(
-            f"[N1, Theta1] relative norm {comm:.3e} exceeds {tol:.1e}; the "
+            f"[N1, Theta1] relative norm {_quote(comm)} exceeds {tol:.1e}; the "
             "non-invertible regime needs the seed to commute with N1"
         )
     return norms
@@ -97,8 +94,8 @@ def _noninvertible_preconditions(theta1, n1, n2, tol: float) -> dict:
 def _classify(theta1, x, n1, n2, tol: float):
     """Regime of validated (Theta1, X) with Grams N1, N2.
 
-    Returns (case, norms, s): ``norms`` maps IntertwiningModel norm names to
-    the operand norms classification measured, and ``s`` holds the singular
+    Returns (case, norms, s): ``norms`` maps operand names to the
+    SpectralNorms classification bounded, and ``s`` holds the singular
     values of a square X (None for rectangular X).
     """
     d1, d2 = x.shape
@@ -111,8 +108,8 @@ def _classify(theta1, x, n1, n2, tol: float):
             "have strictly positive N2 = X-adjoint X, so no regime applies "
             "(finite-dimensional no-go)"
         )
-    norms = {"n1_norm": opnorm(n1), "theta1_norm": opnorm(theta1)}
-    if _rel_comm(n1, theta1, norms["n1_norm"], norms["theta1_norm"]) <= tol:
+    norms = {"n1": SpectralNorm(n1), "theta1": SpectralNorm(theta1)}
+    if certified_ratio(n1 @ theta1 - theta1 @ n1, (norms["n1"], norms["theta1"]), tol)[0] <= tol:
         return CASE_INVERTIBLE_COMMUTING, norms, s
     return CASE_INVERTIBLE, norms, s
 
@@ -190,12 +187,20 @@ class RelationReport:
 
     ``skipped`` maps relation names to the reason they do not apply to the
     model at hand; ``details`` carries auxiliary non-residual payloads.
+    ``bounded`` names the residuals that are bounds (``certified_ratio``).
     """
 
     residuals: dict[str, float]
     tolerance: float
     skipped: dict[str, str] = field(default_factory=dict)
     details: dict = field(default_factory=dict)
+    bounded: frozenset[str] = frozenset()
+
+    @classmethod
+    def decided(cls, found: dict, tolerance: float, skipped: dict, **details) -> "RelationReport":
+        """The report of ``found``, which maps names to (value, bounded) decisions."""
+        bounded = frozenset(name for name, (_, bound) in found.items() if bound)
+        return cls({k: v for k, (v, _) in found.items()}, tolerance, skipped, details, bounded)
 
     @property
     def all_passed(self) -> bool:
@@ -209,15 +214,18 @@ class RelationReport:
             "tolerance": self.tolerance,
             "residuals": dict(sorted(self.residuals.items())),
             "skipped": dict(sorted(self.skipped.items())),
+            "bounded": sorted(self.bounded),
             "all_passed": self.all_passed,
         }
 
     def __str__(self) -> str:
         lines = []
         for name in sorted(self.residuals):
-            value = self.residuals[name]
-            verdict = "PASS" if value <= self.tolerance else "FAIL"
-            lines.append(f"{name:32s} {value:12.3e}  {verdict}")
+            passed = self.residuals[name] <= self.tolerance
+            text = f"{self.residuals[name]:.3e}"
+            if name in self.bounded:
+                text = ("<= " if passed else ">= ") + text
+            lines.append(f"{name:32s} {text:>12s}  {'PASS' if passed else 'FAIL'}")
         for name in sorted(self.skipped):
             lines.append(f"{name:32s} {'skipped':>12s}  ({self.skipped[name]})")
         lines.append(f"tolerance: {self.tolerance:.1e}")
@@ -232,10 +240,9 @@ class IntertwiningModel:
     eigenvectors annihilated by X-adjoint; their eigenvalues are absent
     from the partner spectrum.  ``tilde_k`` is 0.0 on kernel indices.
 
-    The model is a snapshot: the spectral norms ``theta1_norm``,
-    ``x_norm``, ``n1_norm``, ``n2_norm`` and ``theta2_norm`` are each
-    computed once, on first use (or seeded by ``build_model``), so its
-    arrays must not be mutated in place.
+    The model is a snapshot: ``norms`` bounds each operand's spectral norm
+    once, and takes the exact value (``theta1_norm``, ...) only when a
+    decision falls back to it, so its arrays must not be mutated in place.
     """
 
     theta1: np.ndarray
@@ -254,24 +261,14 @@ class IntertwiningModel:
     degeneracy_classes: tuple[tuple[int, ...], ...] = ()
 
     @cached_property
-    def theta1_norm(self) -> float:
-        return opnorm(self.theta1)
+    def norms(self) -> dict[str, SpectralNorm]:
+        return {name: SpectralNorm(getattr(self, name)) for name in _OPERANDS}
 
-    @cached_property
-    def x_norm(self) -> float:
-        return opnorm(self.x)
-
-    @cached_property
-    def n1_norm(self) -> float:
-        return opnorm(self.n1)
-
-    @cached_property
-    def n2_norm(self) -> float:
-        return opnorm(self.n2)
-
-    @cached_property
-    def theta2_norm(self) -> float:
-        return opnorm(self.theta2)
+    theta1_norm = property(lambda self: self.norms["theta1"].exact)
+    x_norm = property(lambda self: self.norms["x"].exact)
+    n1_norm = property(lambda self: self.norms["n1"].exact)
+    n2_norm = property(lambda self: self.norms["n2"].exact)
+    theta2_norm = property(lambda self: self.norms["theta2"].exact)
 
     @property
     def commuting(self) -> bool:
@@ -347,7 +344,7 @@ def build_model(
     else:
         theta2 = _similarity_partner(theta1, x, s)
     if eigensystem is None:
-        eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1_norm"])
+        eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1"])
     if np.any(_pairwise_gaps(eigensystem.values) <= multiplicity_tolerance):
         raise SpectrumError(
             "seed spectrum is not simple at the configured multiplicity "
@@ -371,13 +368,14 @@ def build_model(
         tilde_k=tilde_k,
         degeneracy_classes=classes,
     )
-    # the cached norms are still unset: seed those classification measured
-    model.__dict__.update(norms)
+    # the norms classification bounded, and any SVD it took, carry over
+    model.norms.update(norms)
     return model
 
 
-def _rel(num, scale):
-    return num / np.maximum(scale, 1e-300)
+def _worst_defect(op, vectors, values) -> float:
+    """max_n ||op v_n - values_n v_n|| / ||v_n|| over the columns v_n of ``vectors``."""
+    return float(column_defects(op, vectors, values).max(initial=0.0))
 
 
 def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> RelationReport:
@@ -385,50 +383,46 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
 
     Relations that require the commuting hypothesis are skipped (with a
     reason) on a plain-Invertible model rather than reported as failures.
+    A relative residual may be a bound (``certified_ratio``): see ``bounded``.
     """
     t1, t2, x = model.theta1, model.theta2, model.x
     xh = x.conj().T
     n1, n2 = model.n1, model.n2
-    st = model.theta1_norm
-    sx = model.x_norm
-    residuals: dict[str, float] = {}
+    nt1, nx, nn1, nn2, nt2 = (model.norms[name] for name in _OPERANDS)
+    found: dict[str, tuple[float, bool]] = {}
     skipped: dict[str, str] = {}
 
-    residuals["intertwine"] = _rel(opnorm(x @ t2 - t1 @ x), st * sx)
-    residuals["intertwine_n"] = _rel(opnorm(x @ n2 - n1 @ x), model.n1_norm * sx)
+    def rel(num, *den, floor=1e-300):
+        return certified_ratio(num, den, tol, floor)
+
+    found["intertwine"] = rel(x @ t2 - t1 @ x, nt1, nx)
+    found["intertwine_n"] = rel(x @ n2 - n1 @ x, nn1, nx)
     tp1, tp2 = t1, t2
     # a power that overflows ends in opnorm's NumericalError, not in a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(2, 5):
             tp1, tp2 = tp1 @ t1, tp2 @ t2
-            residuals[f"intertwine_power_{n}"] = _rel(opnorm(x @ tp2 - tp1 @ x), opnorm(tp1) * sx)
+            found[f"intertwine_power_{n}"] = rel(x @ tp2 - tp1 @ x, SpectralNorm(tp1), nx)
 
     gram1 = model.phi1.conj().T @ model.psi1
-    residuals["pairing_level1"] = float(np.max(np.abs(gram1 - np.eye(gram1.shape[0]))))
-    residuals["psi1_eigen"] = column_defects(
-        t1.conj().T, model.psi1, np.conj(model.values), st
-    ).max(initial=0.0)
+    found["pairing_level1"] = (float(np.max(np.abs(gram1 - np.eye(gram1.shape[0])))), False)
+    found["psi1_eigen"] = rel(_worst_defect(t1.conj().T, model.psi1, np.conj(model.values)), nt1)
 
-    st2 = model.theta2_norm
     if model.commuting:
-        residuals["intertwine_adjoint_side"] = _rel(opnorm(t2 @ xh - xh @ t1), st * sx)
-        residuals["intertwine_dagger"] = _rel(
-            opnorm(x @ t2.conj().T - t1.conj().T @ x), st * sx
-        )
-        residuals["commute_n2_theta2"] = _rel_comm(n2, t2, model.n2_norm, st2)
+        found["intertwine_adjoint_side"] = rel(t2 @ xh - xh @ t1, nt1, nx)
+        found["intertwine_dagger"] = rel(x @ t2.conj().T - t1.conj().T @ x, nt1, nx)
+        found["commute_n2_theta2"] = rel(n2 @ t2 - t2 @ n2, nn2, nt2)
 
         gram2 = model.phi2.conj().T @ model.psi2
         target = np.diag(model.tilde_k)
         kscale = max(1.0, float(np.max(model.tilde_k, initial=0.0)))
-        residuals["pairing_level2"] = float(np.max(np.abs(gram2 - target))) / kscale
+        found["pairing_level2"] = (float(np.max(np.abs(gram2 - target))) / kscale, False)
 
         alive = list(model.survivors)
         values, tilde_k = model.values[alive], model.tilde_k[alive]
         phi1, phi2, psi2 = model.phi1[:, alive], model.phi2[:, alive], model.psi2[:, alive]
-        residuals["theta2_eigen"] = column_defects(t2, phi2, values, st2).max(initial=0.0)
-        residuals["psi2_eigen"] = column_defects(
-            t2.conj().T, psi2, np.conj(values), st2
-        ).max(initial=0.0)
+        found["theta2_eigen"] = rel(_worst_defect(t2, phi2, values), nt2)
+        found["psi2_eigen"] = rel(_worst_defect(t2.conj().T, psi2, np.conj(values)), nt2)
 
         if model.kernel_set:
             dead = list(model.kernel_set)
@@ -436,17 +430,14 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
                 name: np.linalg.norm(getattr(model, name)[:, dead], axis=0)
                 for name in ("phi1", "phi2", "psi1", "psi2")
             }
-            residuals["kernel_phi2_zero"] = float(np.max(norms["phi2"] / norms["phi1"]))
-            residuals["kernel_psi2_zero"] = float(np.max(norms["psi2"] / norms["psi1"]))
+            found["kernel_phi2_zero"] = (float(np.max(norms["phi2"] / norms["phi1"])), False)
+            found["kernel_psi2_zero"] = (float(np.max(norms["psi2"] / norms["psi1"])), False)
         else:
             skipped["kernel_phi2_zero"] = "kernel set empty"
             skipped["kernel_psi2_zero"] = "kernel set empty"
 
-        nr = max(
-            column_defects(n1, phi1, tilde_k).max(initial=0.0),
-            column_defects(n2, phi2, tilde_k).max(initial=0.0),
-        )
-        residuals["n_eigen"] = _rel(nr, max(model.n1_norm, 1.0))
+        nr = max(_worst_defect(n1, phi1, tilde_k), _worst_defect(n2, phi2, tilde_k))
+        found["n_eigen"] = rel(nr, nn1, floor=1.0)
     else:
         for name in (
             "intertwine_adjoint_side",
@@ -459,15 +450,8 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
             skipped[name] = "requires the commuting hypothesis [N1, Theta1] = 0"
         # similarity regime: partner eigenvectors come from X inverse
         phit = np.linalg.solve(x, model.phi1)
-        residuals["theta2_eigen"] = column_defects(t2, phit, model.values, st2).max(initial=0.0)
-
-    report = RelationReport(
-        residuals=residuals,
-        tolerance=tol,
-        skipped=skipped,
-        details={"degeneracy_classes": model.degeneracy_classes},
-    )
-    return report
+        found["theta2_eigen"] = rel(_worst_defect(t2, phit, model.values), nt2)
+    return RelationReport.decided(found, tol, skipped, degeneracy_classes=model.degeneracy_classes)
 
 
 def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> RelationReport:
@@ -482,25 +466,25 @@ def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rela
         raise RegimeError("structure checks target the non-invertible regime")
     t1, t2, x = model.theta1, model.theta2, model.x
     n1, n2 = model.n1, model.n2
-    residuals: dict[str, float] = {}
+    nt1, nx, nn1, nn2, nt2 = (model.norms[name] for name in _OPERANDS)
+    found: dict[str, tuple[float, bool]] = {}
     skipped: dict[str, str] = {}
 
-    residuals["commutator_n2_theta2"] = _rel_comm(n2, t2, model.n2_norm, model.theta2_norm)
-
-    sa1 = _rel(opnorm(t1 - t1.conj().T), max(1.0, model.theta1_norm))
-    sa2 = _rel(opnorm(t2 - t2.conj().T), max(1.0, model.theta2_norm))
-    if sa1 <= tol:
-        residuals["theta2_self_adjoint"] = sa2
+    found["commutator_n2_theta2"] = certified_ratio(n2 @ t2 - t2 @ n2, (nn2, nt2), tol)
+    sa1 = certified_ratio(t1 - t1.conj().T, (nt1,), tol, 1.0)
+    sa2 = certified_ratio(t2 - t2.conj().T, (nt2,), tol, 1.0)
+    if sa1[0] <= tol:
+        found["theta2_self_adjoint"] = sa2
     else:
-        skipped["theta2_self_adjoint"] = f"seed not self-adjoint (defect {sa1:.3e})"
+        skipped["theta2_self_adjoint"] = f"seed not self-adjoint (defect {_quote(sa1)})"
 
-    n1_positive = _strictly_positive(n1, model.n1_norm, tol)
-    if sa2 <= tol and n1_positive:
-        residuals["theta1_self_adjoint"] = sa1
+    n1_positive = _strictly_positive(n1, nn1, tol)
+    if sa2[0] <= tol and n1_positive:
+        found["theta1_self_adjoint"] = sa1
     else:
         reasons = []
-        if sa2 > tol:
-            reasons.append(f"partner not self-adjoint (defect {sa2:.3e})")
+        if sa2[0] > tol:
+            reasons.append(f"partner not self-adjoint (defect {_quote(sa2)})")
         if not n1_positive:
             reasons.append("N1 not strictly positive")
         skipped["theta1_self_adjoint"] = "; ".join(reasons)
@@ -508,30 +492,30 @@ def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rela
     if n1_positive:
         n1_inv = np.linalg.inv(n1)
         n2_inv = np.linalg.inv(n2)
-        residuals["n_inverse_intertwine"] = _rel(
-            opnorm(x @ n2_inv - n1_inv @ x), opnorm(n1_inv) * model.x_norm
+        found["n_inverse_intertwine"] = certified_ratio(
+            x @ n2_inv - n1_inv @ x, (SpectralNorm(n1_inv), nx), tol
         )
-        residuals["theta1_reconstruction"] = _rel(
-            opnorm(t1 - n1_inv @ (x @ t2 @ x.conj().T)), max(1.0, model.theta1_norm)
+        found["theta1_reconstruction"] = certified_ratio(
+            t1 - n1_inv @ (x @ t2 @ x.conj().T), (nt1,), tol, 1.0
         )
     else:
         skipped["n_inverse_intertwine"] = "N1 singular"
         skipped["theta1_reconstruction"] = "N1 singular"
 
-    return RelationReport(residuals=residuals, tolerance=tol, skipped=skipped)
+    return RelationReport.decided(found, tol, skipped)
 
 
 def adjoint_descent(model: IntertwiningModel) -> float:
     """||N2^{-1}(X-adjoint Theta1-adjoint X) - Theta2-adjoint|| (relative).
 
     Building the partner of the adjoint seed and taking the adjoint of the
-    partner must agree; returns the relative difference norm.
+    partner must agree; returns the exact relative difference norm.
     """
     if model.case != CASE_NONINVERTIBLE:
         raise RegimeError("adjoint-descent comparison targets the non-invertible regime")
     xh = model.x.conj().T
     lifted = np.linalg.solve(model.n2, xh @ model.theta1.conj().T @ model.x)
-    return _rel(opnorm(lifted - model.theta2.conj().T), max(1.0, model.theta2_norm))
+    return opnorm(lifted - model.theta2.conj().T) / max(1.0, model.theta2_norm)
 
 
 def make_commuting_pair(dim1: int, dim2: int, seed: int, hermitian: bool = False):

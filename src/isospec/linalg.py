@@ -8,7 +8,9 @@ first argument throughout: <f, g> = vdot(f, g) = sum(conj(f) * g).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,8 @@ KERNEL_TOL = 1e-10
 MULTIPLICITY_TOL = 1e-8
 # Relative threshold for treating a vector family as rank deficient.
 RANK_TOL = 1e-12
+# Relative margin of certified_ratio: the rounding of the bounds and of the SVD.
+CERTIFY_MARGIN = 1e-6
 
 
 def as_matrix(m) -> np.ndarray:
@@ -47,6 +51,59 @@ def opnorm(m) -> float:
     if not math.isfinite(norm):
         raise NumericalError(f"spectral norm is {norm}: the operand overflowed")
     return norm
+
+
+class SpectralNorm:
+    """||m||_2 of one matrix: O(mn) bounds on first use, the SVD only on request."""
+
+    def __init__(self, m: np.ndarray):
+        self.m = m
+
+    @cached_property
+    def bounds(self) -> tuple[float, float]:
+        """(lower, upper): ||m||_F / sqrt(min(m.shape)) and the largest column norm
+        lie below ||m||_2, ||m||_F above (Higham 2002, 6.2); (0, inf) on over/underflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = (np.square(self.m.real) + np.square(self.m.imag)).sum(axis=0)
+            fro2 = float(cols.sum())
+        if fro2 == 0.0 and not np.any(self.m):
+            return 0.0, 0.0
+        if not 1e-250 <= fro2 <= sys.float_info.max:
+            return 0.0, math.inf
+        fro = math.sqrt(fro2)
+        return max(fro / math.sqrt(min(self.m.shape)), math.sqrt(float(cols.max()))), fro
+
+    @cached_property
+    def exact(self) -> float:
+        return opnorm(self.m)
+
+
+def certified_ratio(num, den, tol: float, floor: float = 1e-300) -> tuple[float, bool]:
+    """(value, bounded) of ||num|| / max(product of the SpectralNorms ``den``, floor).
+
+    ``num`` is a matrix, a SpectralNorm or an exact float.  Where the bounds
+    decide ``ratio <= tol`` with CERTIFY_MARGIN to spare, ``value`` is a bound
+    on the verdict's side of ``tol`` (above the exact ratio if it passes,
+    below it if it fails); else it is the exact ratio, from SVDs.
+    """
+    if isinstance(num, np.ndarray):
+        num = SpectralNorm(num)
+    n_lo, n_hi = num.bounds if isinstance(num, SpectralNorm) else (num, num)
+    if n_hi == 0.0:
+        return 0.0, False
+    hi = n_hi / max(math.prod(d.bounds[0] for d in den), floor)
+    lo = n_lo / max(math.prod(d.bounds[1] for d in den), floor)
+    if hi <= tol * (1.0 - CERTIFY_MARGIN):
+        return hi * (1.0 + CERTIFY_MARGIN), True
+    if lo > tol * (1.0 + CERTIFY_MARGIN):
+        return lo / (1.0 + CERTIFY_MARGIN), True
+    exact = num.exact if isinstance(num, SpectralNorm) else num
+    return exact / max(math.prod(d.exact for d in den), floor), False
+
+
+def _quote(decision) -> str:
+    """A decided value as a message quotes it: a failing bound is a lower bound."""
+    return f"{'>= ' if decision[1] else ''}{decision[0]:.3e}"
 
 
 def column_defects(op, vectors, values, scale: float = 1.0) -> np.ndarray:
@@ -94,8 +151,8 @@ def _pairwise_gaps(values: np.ndarray) -> np.ndarray:
 class Eigensystem:
     """Eigenvalues and eigenvector columns of a (generally non-normal) matrix.
 
-    ``vectors[:, n]`` belongs to ``values[n]``.  ``max_residual`` is the
-    largest relative defect ||M v - eps v|| / ||M|| over the columns.
+    ``vectors[:, n]`` belongs to ``values[n]``.  ``max_residual`` bounds the
+    largest relative defect ||M v - eps v|| / ||M|| over the columns from above.
     """
 
     values: np.ndarray
@@ -130,11 +187,11 @@ def eig(m, multiplicity_tolerance: float = MULTIPLICITY_TOL) -> Eigensystem:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"eig needs a square matrix, got {m.shape}")
-    return _eig(m, multiplicity_tolerance, opnorm(m))
+    return _eig(m, multiplicity_tolerance, SpectralNorm(m))
 
 
-def _eig(m: np.ndarray, multiplicity_tolerance: float, scale: float) -> Eigensystem:
-    """``eig`` on a validated square matrix whose norm ``scale`` = ||M|| is known."""
+def _eig(m: np.ndarray, multiplicity_tolerance: float, norm: SpectralNorm) -> Eigensystem:
+    """``eig`` on a validated square matrix whose spectral ``norm`` is that of ``m``."""
     try:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
@@ -144,16 +201,13 @@ def _eig(m: np.ndarray, multiplicity_tolerance: float, scale: float) -> Eigensys
     vectors = vectors[:, order]
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     vectors = _fix_phase(vectors)
-    if scale == 0.0:
-        max_res = 0.0
-    else:
-        defect = m @ vectors - vectors * values[np.newaxis, :]
-        max_res = float(np.max(np.linalg.norm(defect, axis=0))) / scale
-    if max_res > 1e-8:
+    defect = np.linalg.norm(m @ vectors - vectors * values[np.newaxis, :], axis=0)
+    max_res = certified_ratio(float(np.max(defect)), (norm,), 1e-8)
+    if max_res[0] > 1e-8:
         raise NumericalError(
-            f"eigendecomposition residual {max_res:.3e} exceeds 1e-8 of ||M||"
+            f"eigendecomposition residual {_quote(max_res)} exceeds 1e-8 of ||M||"
         )
-    return Eigensystem(values, vectors, multiplicity_tolerance, max_res)
+    return Eigensystem(values, vectors, multiplicity_tolerance, max_res[0])
 
 
 def biorthogonal_partner(phi) -> np.ndarray:
@@ -180,13 +234,12 @@ def is_strictly_positive(m, tol: float = KERNEL_TOL) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"positivity test needs a square matrix, got {m.shape}")
-    return _strictly_positive(m, opnorm(m), tol)
+    return _strictly_positive(m, SpectralNorm(m), tol)
 
 
-def _strictly_positive(m: np.ndarray, norm: float, tol: float) -> bool:
-    """``is_strictly_positive`` on a validated square matrix with ``norm`` = ||m||."""
-    scale = max(1.0, norm)
-    if opnorm(m - m.conj().T) > tol * scale:
+def _strictly_positive(m: np.ndarray, norm: SpectralNorm, tol: float) -> bool:
+    """``is_strictly_positive`` on a validated square matrix of spectral ``norm``."""
+    if certified_ratio(m - m.conj().T, (norm,), tol, 1.0)[0] > tol:
         return False
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
     return bool(w[0] > tol)

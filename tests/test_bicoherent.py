@@ -16,6 +16,7 @@ from isospec import (
     EpsilonSequence,
     KernelError,
     MomentError,
+    NumericalError,
     ParameterError,
     adjoint,
     build_ladders,
@@ -508,6 +509,14 @@ def test_filter_steps_do_not_overflow_past_the_float_range():
 
 # ---------------------------------------------------------------------------
 # moment measure
+
+
+def test_an_overflowing_moment_table_names_the_order():
+    # s = 4e5: r^(2k) overflows first at k = 39; the rows before stay as they were
+    measure = solve_moment_measure(EpsilonSequence.linear(4e5, 40), 40)
+    with pytest.raises(NumericalError, match="radial moment of order 78 overflows"):
+        measure.moments(40)
+    assert np.all(np.isfinite(measure.moments(39)))
 
 
 def test_measure_matches_gamma_moments():

@@ -856,6 +856,20 @@ def test_a_model_whose_powers_overflow_is_a_numerical_error(alpha1, tmp_path):
     assert not (outdir / "model.json").exists()
 
 
+@pytest.mark.parametrize("command", ["quantize", "coherent"])
+def test_an_overflowing_moment_table_is_a_numerical_error(command, tmp_path):
+    import os
+
+    # alpha1 = 2e5: the factorials and the band are finite, r^78 at the last node is not
+    proc = subprocess.run(
+        CLI + [command, "--fixture", "coherent_demo", "--params", "alpha1=2e5",
+               "--outdir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONWARNINGS="error"),
+    )
+    assert proc.returncode == errors.NumericalError.exit_code == 2
+    assert proc.stderr.splitlines() == ["error: radial moment of order 78 overflows"]
+
+
 def test_verify_relations_of_an_overflowing_model_raises_numerical_error():
     from isospec.intertwining import verify_relations
 
