@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
     PairingError,
     ParameterError,
 )
-from .linalg import BiorthogonalSystem, EpsilonSequence, column_defects
+from .linalg import BiorthogonalSystem, EpsilonSequence, column_defects, read_only
 
 # Growth-fit grid over the allowed exponent range [0, 1/2].
 ALPHA_GRID_POINTS = 33
@@ -210,29 +211,47 @@ def radius(r_phi, alpha_phi, r_psi, alpha_psi, eps) -> ConvergenceData:
     )
 
 
-def convergence_for_system(
-    system: BiorthogonalSystem, eps, order=None, *, phi_norms=None
-) -> ConvergenceData:
+class _Disc(NamedTuple):
+    """One fitted disc and the per-mode quantities its states reuse."""
+
+    convergence: ConvergenceData
+    phi_norms: np.ndarray  # column norms of system.phi[:, :order]
+    log_factorials: np.ndarray  # log eps_0! .. log eps_{order-1}!
+
+
+def convergence_for_system(system: BiorthogonalSystem, eps, order=None) -> ConvergenceData:
     """Radius for a concrete system, fitting growth on both families.
 
     The norm sequences are rescaled by their first entries before fitting:
     a constant prefactor never changes the convergence radius, and the
     strict n = 0 bound would otherwise reject families with ||phi_0|| > 1.
-    ``phi_norms``, when given, are the column norms of
-    ``system.phi[:, :order]``, so a caller that has them is not made to
-    compute them again.  Kernel modes (pairing 0) among the first
-    ``order`` are refused, since their zero norms leave no growth to fit.
+    Kernel modes (pairing 0) among the first ``order`` are refused, since
+    their zero norms leave no growth to fit.  The disc depends on z
+    nowhere, so it is fitted once per (system, eps values, order) and kept
+    in ``system.memo``; a refusal or a failed fit is never kept.
     """
     eps = EpsilonSequence.of(eps)
     order = system.size if order is None else int(order)
     _check_order(system, order)
     _refuse_kernel(system.pairing[:order])
-    hphi = np.linalg.norm(system.phi[:, :order], axis=0) if phi_norms is None else phi_norms
-    hpsi = np.linalg.norm(system.psi[:, :order], axis=0)
-    facts = eps.factorials(hphi.size)
-    r_phi, a_phi = _fit_growth_from_norms(hphi / hphi[0], facts)
-    r_psi, a_psi = _fit_growth_from_norms(hpsi / hpsi[0], facts)
-    return radius(r_phi, a_phi, r_psi, a_psi, eps)
+    return _disc(system, eps, order).convergence
+
+
+def _disc(system: BiorthogonalSystem, eps: EpsilonSequence, order: int) -> _Disc:
+    """The memoized fit of convergence_for_system, for a checked order."""
+    key = ("disc", order, eps.values.tobytes())
+    disc = system.memo.get(key)
+    if disc is None:
+        hphi = np.linalg.norm(system.phi[:, :order], axis=0)
+        hpsi = np.linalg.norm(system.psi[:, :order], axis=0)
+        facts = eps.factorials(order)
+        r_phi, a_phi = _fit_growth_from_norms(hphi / hphi[0], facts)
+        r_psi, a_psi = _fit_growth_from_norms(hpsi / hpsi[0], facts)
+        conv = radius(r_phi, a_phi, r_psi, a_psi, eps)
+        with np.errstate(divide="ignore"):  # an underflowed factorial is log 0 = -inf
+            log_facts = np.log(facts)
+        disc = system.memo[key] = _Disc(conv, read_only(hphi), read_only(log_facts))
+    return disc
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +283,14 @@ class BicoherentState:
 
 
 def _assemble_states(
-    system: BiorthogonalSystem,
-    eps: EpsilonSequence,
-    zs: np.ndarray,
-    order: int,
-    conv: ConvergenceData,
-    phi_norms: np.ndarray,
+    system: BiorthogonalSystem, zs: np.ndarray, order: int, disc: _Disc
 ) -> list[BicoherentState]:
     """One state per entry of ``zs`` from a single (z x k) coefficient matrix.
 
     The weights |z|^(2k) / eps_k! are taken in log space and normalized by
-    log-sum-exp, so no power of |z| overflows on the way to N(|z|).
-    ``phi_norms`` are the column norms of ``system.phi[:, :order]``, as the
-    radius gate measured them.
+    log-sum-exp, so no power of |z| overflows on the way to N(|z|).  The
+    phi column norms and log-factorials are the ones the radius gate's
+    disc was fitted on.
     """
     pairing = system.pairing[:order]
     phi = system.phi[:, :order]
@@ -285,12 +299,15 @@ def _assemble_states(
         # log|z|^(2k) - log eps_k!; the k = 0 column is log 1 = 0, also at z = 0
         log_w = np.multiply.outer(np.log(absz), np.arange(0.0, 2.0 * order, 2.0))
         log_w[:, 0] = 0.0
-        log_w -= np.log(eps.factorials(order))
+        log_w -= disc.log_factorials
         top = log_w.max(axis=1, keepdims=True)
         log_norm2 = top + np.log(np.exp(log_w - top).sum(axis=1, keepdims=True))
         # |c_k| = N |z|^k / sqrt(eps_k! p_k); the phase is (z/|z|)^k
         magnitude = np.exp(0.5 * (log_w - log_norm2 - np.log(pairing)))
-        unit = np.where(absz > 0, zs / absz, 1.0)
+        # numpy divides by |z| through 1/|z|, which overflows for a subnormal
+        # |z|: such a z is first scaled by 2^600, exactly, and no other z is
+        lift = np.where(absz < 2.0 ** -600, 2.0 ** 600, 1.0)
+        unit = np.where(absz > 0, (zs * lift) / (absz * lift), 1.0)
     coeff = magnitude * np.power.outer(unit, np.arange(order))
     if not np.isfinite(coeff).all():
         bad = zs[np.argmin(np.isfinite(coeff).all(axis=1))]
@@ -298,7 +315,7 @@ def _assemble_states(
     vector_phi = coeff @ phi.T
     vector_psi = coeff @ system.psi[:, :order].T
     overlap = np.einsum("ij,ij->i", vector_phi.conj(), vector_psi)
-    terms = magnitude * phi_norms
+    terms = magnitude * disc.phi_norms
     # The analytic tail |z|*|c_{M-1}|*||phi_{M-1}|| can underflow far below
     # unit roundoff; a truncated series cannot certify residuals below the
     # arithmetic's resolution, so the reported bound is floored there.
@@ -321,7 +338,7 @@ def _assemble_states(
             overlap=ov,
             tail_bound=tail,
             converged=ok,
-            convergence=conv,
+            convergence=disc.convergence,
         )
         for z, c, vphi, vpsi, norm, ov, tail, ok in zip(
             zs.tolist(),
@@ -338,22 +355,23 @@ def _assemble_states(
 
 def _radius_gate(
     system: BiorthogonalSystem, eps: EpsilonSequence, zs: np.ndarray, order: int
-) -> tuple[ConvergenceData, np.ndarray]:
-    """One growth fit for every z: refuse non-finite z and |z| >= rho.
+) -> _Disc:
+    """One radius check for every z: refuse non-finite z and |z| >= rho.
 
-    Returns the disc and the phi column norms it was fitted on.
+    Calls convergence_for_system once, which fits the disc on the first
+    call for this (system, eps, order) and reads it from ``system.memo``
+    after; returns the memoized disc with its norms and log-factorials.
     """
     if not np.isfinite(zs).all():
         raise ParameterError("z must be finite")
-    phi_norms = np.linalg.norm(system.phi[:, :order], axis=0)
-    conv = convergence_for_system(system, eps, order, phi_norms=phi_norms)
+    conv = convergence_for_system(system, eps, order)
     largest = float(np.abs(zs).max(initial=0.0))
     if math.isfinite(conv.rho) and largest >= conv.rho:
         raise DivergenceError(
             f"|z| = {largest:.6g} is outside the convergence disc of radius "
             f"{conv.rho:.6g}"
         )
-    return conv, phi_norms
+    return _disc(system, eps, order)
 
 
 def _states(system: BiorthogonalSystem, eps, zs, order: int) -> list[BicoherentState]:
@@ -362,8 +380,7 @@ def _states(system: BiorthogonalSystem, eps, zs, order: int) -> list[BicoherentS
     _check_order(system, order)
     eps = EpsilonSequence.of(eps)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    conv, phi_norms = _radius_gate(system, eps, zs, order)
-    return _assemble_states(system, eps, zs, order, conv, phi_norms)
+    return _assemble_states(system, zs, order, _radius_gate(system, eps, zs, order))
 
 
 def coherent_pair(system: BiorthogonalSystem, eps, z: complex, order: int) -> BicoherentState:
@@ -381,7 +398,8 @@ def coherent_pair(system: BiorthogonalSystem, eps, z: complex, order: int) -> Bi
 def coherent_grid(system: BiorthogonalSystem, eps, zs, order: int) -> list[BicoherentState]:
     """States for every z of ``zs``, in order: coherent_pair for each.
 
-    The convergence disc is fitted once and checked against the largest
+    The convergence disc, fitted once per (system, eps, order) and reused
+    by every later call on the same system, is checked against the largest
     |z|; the states come from one coefficient matrix and two matrix
     products.
     """
@@ -397,6 +415,10 @@ def filter_system(system2: BiorthogonalSystem, eps, convention: str = "original"
     along the original sequence (delta_l is the product of eps over the gap
     up to survivor l); "relabeled" re-applies the factorial to the surviving
     eigenvalues as a fresh sequence (delta_l is survivor l's own eps).
+
+    The result is kept in ``system2.memo`` per (convention, eps values), so
+    a repeated call returns the same objects, and the tilde system's own
+    memo keeps its disc; a refused filter is never kept.
     """
     eps = EpsilonSequence.of(eps)
     if convention not in ("original", "relabeled"):
@@ -407,6 +429,14 @@ def filter_system(system2: BiorthogonalSystem, eps, convention: str = "original"
         raise DimensionError(
             f"need {system2.size} epsilon values, got {len(eps)}"
         )
+    key = ("filter", convention, eps.values.tobytes())
+    if key not in system2.memo:
+        system2.memo[key] = _filter(system2, eps, convention)
+    return system2.memo[key]
+
+
+def _filter(system2: BiorthogonalSystem, eps: EpsilonSequence, convention: str):
+    """The kernel filter of filter_system, for checked arguments."""
     survivors = np.flatnonzero(system2.pairing > 0).tolist()
     if not survivors:
         raise DegenerateError("every index is a kernel index; nothing survives filtering")

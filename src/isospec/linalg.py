@@ -42,6 +42,13 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that refuses writes; ``a`` itself stays writable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def opnorm(m) -> float:
     """Spectral norm of a matrix; an operand that overflowed is a NumericalError."""
     try:
@@ -251,17 +258,20 @@ class EpsilonSequence:
 
     ``strictly_increasing`` records whether the sequence satisfies
     eps_0 = 0 < eps_1 < eps_2 < ... as the ladder constructions assume.
+    ``values`` is a read-only copy, so a later write to the caller's array
+    changes neither the sequence nor that verdict.
     """
 
     values: np.ndarray
     strictly_increasing: bool = field(init=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise DimensionError("epsilon sequence must be a nonempty 1-D array")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise ValueError("epsilon values must be finite and nonnegative")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         increasing = vals[0] == 0.0 and bool(np.all(np.diff(vals) > 0))
         object.__setattr__(self, "strictly_increasing", increasing)
@@ -269,7 +279,7 @@ class EpsilonSequence:
     @classmethod
     def of(cls, eps) -> "EpsilonSequence":
         """``eps`` itself if it is a sequence already, else one built from its values."""
-        return eps if isinstance(eps, EpsilonSequence) else cls(np.asarray(eps, dtype=float))
+        return eps if isinstance(eps, EpsilonSequence) else cls(eps)
 
     @classmethod
     def linear(cls, s: float, count: int) -> "EpsilonSequence":
@@ -298,6 +308,11 @@ class BiorthogonalSystem:
 
     Families are columns; level-1 systems have pairing 1, level-2 systems
     carry the positive constants inherited from the intertwiner.
+
+    The system is a snapshot: ``memo`` keeps what is derived from it (the
+    bicoherent convergence disc and kernel filter), so its arrays must not
+    be mutated in place.  They are read-only views of the arrays it was
+    given, which the system neither copies nor locks.
     """
 
     phi: np.ndarray
@@ -315,10 +330,15 @@ class BiorthogonalSystem:
         pairing = np.asarray(self.pairing, dtype=float)
         if values.shape != (n,) or pairing.shape != (n,):
             raise DimensionError("one eigenvalue and one pairing constant per column")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "phi", read_only(phi))
+        object.__setattr__(self, "psi", read_only(psi))
+        object.__setattr__(self, "values", read_only(values))
+        object.__setattr__(self, "pairing", read_only(pairing))
+
+    @cached_property
+    def memo(self) -> dict:
+        """Quantities derived from this snapshot, keyed by their inputs."""
+        return {}
 
     @property
     def size(self) -> int:

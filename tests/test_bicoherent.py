@@ -1,5 +1,6 @@
 """Ladder factorizations, state families, moment measures, quantization."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -101,6 +102,21 @@ def test_ladders_require_unit_pairing():
 def test_ladders_require_increasing_sequence():
     with pytest.raises(ParameterError):
         build_ladders(_orthonormal_system(3), EpsilonSequence(np.array([0.0, 2.0, 1.0])))
+
+
+def test_a_sequence_is_not_changed_through_the_array_it_was_built_from():
+    values = np.arange(6.0)
+    eps = EpsilonSequence(values)
+    values[3] = 0.5
+    assert eps.strictly_increasing
+    np.testing.assert_array_equal(eps.values, np.arange(6.0))
+    with pytest.raises(ValueError):
+        eps.values[3] = 0.5
+    system = coherent_demo(1.0, 3).model.system1()
+    want = build_ladders(system, EpsilonSequence.linear(1.0, 6))
+    np.testing.assert_array_equal(build_ladders(system, eps).a, want.a)
+    with pytest.raises(ParameterError):
+        build_ladders(system, values)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +381,19 @@ def test_non_finite_z_is_a_parameter_error(z):
         coherent_grid(system, eps, [0.5, z], 32)
 
 
+@pytest.mark.parametrize("z", [complex(3.4e-309, 2.9e-309), 5e-324, -1e-310j])
+def test_a_subnormal_z_is_a_state_near_the_first_vector(z):
+    f = coherent_demo(1.0, 4)
+    system = f.model.system1()
+    eps = EpsilonSequence(f.expected["epsilon"])
+    state = coherent_pair(system, eps, z, 8)
+    assert state.converged
+    assert state.coefficients[0] == 1.0
+    np.testing.assert_array_equal(state.coefficients[2:], 0.0)
+    assert abs(state.coefficients[1]) <= 2.0 * abs(z)
+    np.testing.assert_allclose(state.vector_phi, system.phi[:, 0], rtol=0, atol=1e-300)
+
+
 def test_state_far_outside_the_truncation_is_finite_and_flagged():
     # rho is infinite here; only the order-60 truncation fails, and the
     # log-space weights keep |z|^(2k) from overflowing
@@ -505,6 +534,151 @@ def test_filter_steps_do_not_overflow_past_the_float_range():
     assert relabeled.normalization == pytest.approx(
         math.exp(-abs(z) ** 2 / (8.0 * alpha1)), rel=1e-12, abs=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# one disc and one filter per snapshot
+
+
+@functools.lru_cache(maxsize=None)
+def _demo_systems():
+    """coherent_demo(1.0, 16): a level-1 system and a level-2 one with its kernel."""
+    model = coherent_demo(1.0, 16).model
+    return model.system1(), model.system2(include_kernel=True)
+
+
+def _copied(system):
+    """A fresh system, with a fresh memo, on copies of ``system``'s arrays in
+    their own memory layout (a matrix product rounds by layout)."""
+    return BiorthogonalSystem(
+        phi=np.copy(system.phi), psi=np.copy(system.psi),
+        values=np.copy(system.values), pairing=np.copy(system.pairing),
+    )
+
+
+def _assert_same_state(got, want):
+    assert got.convergence == want.convergence
+    for name in ("z", "order", "normalization", "overlap", "tail_bound", "converged"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("coefficients", "vector_phi", "vector_psi"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+def _inside(conv, fraction):
+    """A z at ``fraction`` of the disc (of radius 2 where the disc is the plane)."""
+    return fraction * min(conv.rho, 2.0) * complex(math.cos(0.7), math.sin(0.7))
+
+
+@given(st.floats(0.1, 4.0), st.integers(1, 32), st.floats(0.0, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_a_repeated_state_equals_the_state_of_a_fresh_system(slope, order, fraction):
+    system, _ = _demo_systems()
+    eps = EpsilonSequence.linear(slope, system.size)
+    fresh = _copied(system)
+    z = _inside(convergence_for_system(fresh, eps, order), fraction)
+    want = coherent_pair(fresh, eps, z, order)
+    for _ in range(2):
+        _assert_same_state(coherent_pair(system, eps, z, order), want)
+    # equal values hit the same disc, whether a list or a new sequence
+    disc = convergence_for_system(system, eps, order)
+    assert convergence_for_system(system, eps.values.tolist(), order) is disc
+    assert convergence_for_system(system, EpsilonSequence(eps.values), order) is disc
+
+
+@given(
+    st.floats(0.1, 4.0), st.integers(1, 16), st.floats(0.0, 0.9),
+    st.sampled_from(["original", "relabeled"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_repeated_tilde_state_equals_the_state_of_a_fresh_system(
+    slope, order, fraction, convention
+):
+    _, system2 = _demo_systems()
+    eps = EpsilonSequence.linear(slope, system2.size)
+    fresh = _copied(system2)
+    tilde, delta, _ = filter_system(fresh, eps, convention)
+    z = _inside(convergence_for_system(tilde, delta, order), fraction)
+    want = filter_and_build(fresh, eps, z, order, convention)
+    for _ in range(2):
+        _assert_same_state(filter_and_build(system2, eps, z, order, convention), want)
+
+
+def test_another_sequence_on_the_same_system_gets_its_own_disc():
+    system = _orthonormal_system(40)
+    narrow, wide = _bounded_eps(40, 4.0), _bounded_eps(40, 9.0)
+    first = convergence_for_system(system, narrow, 40)
+    second = convergence_for_system(system, wide, 40)
+    assert second == convergence_for_system(_orthonormal_system(40), wide, 40)
+    assert first.rho < 2.5 < second.rho
+    with pytest.raises(DivergenceError):
+        coherent_pair(system, narrow, 2.5, 40)
+    _assert_same_state(
+        coherent_pair(system, wide, 2.5, 40), coherent_pair(_orthonormal_system(40), wide, 2.5, 40)
+    )
+    # the order is part of the key too
+    assert convergence_for_system(system, narrow, 20) == convergence_for_system(
+        _orthonormal_system(40), narrow, 20
+    )
+
+
+def test_a_refused_state_or_fit_is_not_kept():
+    system = _orthonormal_system(40)
+    eps = _bounded_eps(40)
+    with pytest.raises(DivergenceError):
+        coherent_pair(system, eps, 2.5, 40)
+    _assert_same_state(
+        coherent_pair(system, eps, 0.5, 40), coherent_pair(_orthonormal_system(40), eps, 0.5, 40)
+    )
+    # too short a sequence, and one that does not increase
+    for bad, error in ((EpsilonSequence.linear(1.0, 20), DimensionError),
+                       (np.concatenate(([0.0, 2.0, 1.0], np.arange(3.0, 40.0))), ParameterError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                coherent_pair(system, bad, 0.5, 40)
+    f = coherent_demo(1.0, 4)
+    system2 = f.model.system2(include_kernel=True)
+    eps = EpsilonSequence(f.expected["epsilon"])
+    for _ in range(2):
+        with pytest.raises(KernelError):
+            coherent_pair(system2, eps, 0.2, system2.size)
+        with pytest.raises(KernelError):
+            convergence_for_system(system2, eps)
+    assert not system2.memo
+
+
+def test_conventions_alternate_on_one_system_with_their_own_steps():
+    _, system2 = _demo_systems()
+    eps = EpsilonSequence.linear(2.0, system2.size)
+    want = {conv: filter_system(_copied(system2), eps, conv) for conv in ("original", "relabeled")}
+    assert not np.array_equal(want["original"][1].values, want["relabeled"][1].values)
+    for conv in ("original", "relabeled", "original", "relabeled"):
+        tilde, delta, survivors = filter_system(system2, eps, conv)
+        np.testing.assert_array_equal(delta.values, want[conv][1].values)
+        np.testing.assert_array_equal(tilde.phi, want[conv][0].phi)
+        assert survivors == want[conv][2]
+        assert filter_system(system2, eps, conv)[1] is delta
+        _assert_same_state(
+            filter_and_build(system2, eps, 0.3j, 8, conv),
+            filter_and_build(_copied(system2), eps, 0.3j, 8, conv),
+        )
+
+
+def test_a_system_is_a_read_only_snapshot_of_the_callers_arrays():
+    phi = np.eye(3, dtype=complex)
+    psi = 2.0 * np.eye(3, dtype=complex)
+    values = np.arange(3.0) + 0j
+    pairing = np.full(3, 2.0)
+    system = BiorthogonalSystem(phi=phi, psi=psi, values=values, pairing=pairing)
+    with pytest.raises(ValueError):
+        system.phi[0, 0] = 1
+    for name in ("psi", "values", "pairing"):
+        with pytest.raises(ValueError):
+            getattr(system, name)[0] = 1
+    # views, not copies: the caller's arrays are shared and stay writable
+    for array, name in ((phi, "phi"), (psi, "psi"), (values, "values"), (pairing, "pairing")):
+        assert np.shares_memory(array, getattr(system, name))
+        assert array.flags.writeable
+    assert not system.columns([0, 2]).phi.flags.writeable
 
 
 # ---------------------------------------------------------------------------
