@@ -210,9 +210,10 @@ def _load_model_doc(path: str) -> dict:
     if schema != MODEL_SCHEMA:
         raise ParameterError(f"model file {path} has schema {schema!r}, not {MODEL_SCHEMA!r}")
     try:
-        doc["theta1_matrix"] = iomod.jsonable_to_matrix(doc["theta1"])
-        doc["x_matrix"] = iomod.jsonable_to_matrix(doc["X"])
-        doc["theta2_matrix"] = iomod.jsonable_to_matrix(doc["theta2"])
+        # popped: each matrix's parsed lists are freed once its array exists
+        doc["theta1_matrix"] = iomod.jsonable_to_matrix(doc.pop("theta1"))
+        doc["x_matrix"] = iomod.jsonable_to_matrix(doc.pop("X"))
+        doc["theta2_matrix"] = iomod.jsonable_to_matrix(doc.pop("theta2"))
         # the per-mode fields verify compares, when present
         if "tilde_k" in doc:
             doc["tilde_k"] = np.asarray(doc["tilde_k"], dtype=float)

@@ -190,6 +190,10 @@ MALFORMED_MATRIX_FILES = {
     "pairs.json": '{"rows": 1, "cols": 2, "entries": [[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]]}',
     "count.json": '{"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}',
     "strings.json": '{"rows": 1, "cols": 1, "entries": [["1", "0"]]}',
+    "booleans.json": '{"rows": 1, "cols": 1, "entries": [[true, false]]}',
+    "fractional_rows.json": '{"rows": 1.7, "cols": 1, "entries": [[1.0, 0.0]]}',
+    "boolean_rows.json": '{"rows": true, "cols": 1, "entries": [[1.0, 0.0]]}',
+    "string_rows.json": '{"rows": "1", "cols": 1, "entries": [[1.0, 0.0]]}',
     "odd.csv": "1.0,0.0,2.0\n",
     "ragged.csv": "1.0,0.0,2.0,0.0\n1.0,0.0\n",
     "text.csv": "1.0,zero\n",
@@ -201,7 +205,8 @@ MALFORMED_MATRIX_FILES = {
 def test_malformed_matrix_file_is_an_input_error(name, tmp_path, capsys):
     bad = tmp_path / name
     bad.write_text(MALFORMED_MATRIX_FILES[name])
-    save_matrix_json(np.eye(2, dtype=complex), tmp_path / "x.json")
+    # a 1x1 X: a 1x1 Theta1 read as valid would build a model and exit 0
+    save_matrix_json(np.eye(1, dtype=complex), tmp_path / "x.json")
     code = cli.main(["build", "--theta1", str(bad), "--x", str(tmp_path / "x.json"),
                      "--outdir", str(tmp_path)])
     assert code == 1

@@ -1,6 +1,8 @@
 """Serialization: canonical JSON, matrix JSON/CSV round trips."""
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isospec.errors import DimensionError
+from isospec.intertwining import build_model, make_commuting_pair
 from isospec.io import (
     CSV_HEADER,
+    PIECE_ROWS,
     canonical_json,
     jsonable_to_matrix,
     load_matrix_csv,
@@ -18,6 +22,7 @@ from isospec.io import (
     save_matrix_csv,
     save_matrix_json,
     save_report,
+    save_table_csv,
 )
 
 
@@ -29,8 +34,12 @@ def test_matrix_jsonable_layout():
     m = np.array([[1.0 + 2.0j, 3.0], [0.0, -1.0j]], dtype=complex)
     doc = matrix_to_jsonable(m)
     assert doc["rows"] == 2 and doc["cols"] == 2
-    assert doc["entries"][0] == [1.0, 2.0]
-    assert doc["entries"][3] == [0.0, -1.0]
+    entries = doc["entries"]
+    # the entry pairs are a read-only float64 view, written straight from the array
+    assert entries.dtype == np.float64 and entries.shape == (4, 2)
+    assert not entries.flags.writeable
+    assert entries.tolist()[0] == [1.0, 2.0]
+    assert entries.tolist()[3] == [0.0, -1.0]
     np.testing.assert_array_equal(jsonable_to_matrix(doc), m)
 
 
@@ -113,6 +122,14 @@ BAD_MATRIX_DOCUMENTS = {
     "wrong count": {"rows": 2, "cols": 2, "entries": [[1.0, 0.0]] * 3},
     "no rows": {"rows": 0, "cols": 2, "entries": []},
     "missing key": {"rows": 1, "entries": [[1.0, 0.0]]},
+    "booleans": {"rows": 1, "cols": 1, "entries": [[True, False]]},
+    "boolean array": {"rows": 1, "cols": 1, "entries": np.array([[True, False]])},
+    "fractional rows": {"rows": 1.7, "cols": 1, "entries": [[1.0, 0.0]]},
+    "integral float cols": {"rows": 1, "cols": 1.0, "entries": [[1.0, 0.0]]},
+    "boolean rows": {"rows": True, "cols": 1, "entries": [[1.0, 0.0]]},
+    "boolean cols": {"rows": 1, "cols": True, "entries": [[1.0, 0.0]]},
+    "string rows": {"rows": "1", "cols": 1, "entries": [[1.0, 0.0]]},
+    "entries not a list": {"rows": 1, "cols": 1, "entries": 5},
 }
 
 BAD_CSV_FILES = {
@@ -157,3 +174,70 @@ def test_matrix_readers_keep_every_bit(tmp_path):
     from_json = jsonable_to_matrix(json.loads(canonical_json(matrix_to_jsonable(m))))
     assert from_csv.tobytes() == m.tobytes()
     assert from_json.tobytes() == m.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the streaming writers: atomic replacement, file mode, working memory
+
+
+def _several_pieces(width):
+    # more than one piece, and far more text than a file buffer holds, so the
+    # partial file has received bytes before a later value is refused
+    return np.arange(float(3 * PIECE_ROWS * width)).reshape(-1, width)
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_a_report_refused_part_way_leaves_the_target_and_no_partial_file(existing, tmp_path):
+    target = tmp_path / "report.json"
+    if existing:
+        target.write_bytes(b'{\n  "old": 1\n}\n')
+    before = target.read_bytes() if existing else None
+    with pytest.raises(TypeError):
+        save_report({"a": _several_pieces(2), "b": object()}, target)
+    assert (target.read_bytes() if target.exists() else None) == before
+    assert sorted(os.listdir(tmp_path)) == (["report.json"] if existing else [])
+
+
+def test_a_table_refused_part_way_leaves_the_target_and_no_partial_file(tmp_path):
+    target = tmp_path / "table.csv"
+    target.write_bytes(b"old\n")
+    table = _several_pieces(3)
+    table[-1, 0] = np.nan
+    with pytest.raises(ValueError):
+        save_table_csv(table, target)
+    assert target.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
+    with open(tmp_path / "plain", "w"):
+        pass
+    save_report({"a": [1.0, 2.0]}, tmp_path / "r.json")
+    save_matrix_json(np.eye(2), tmp_path / "m.json")
+    save_matrix_csv(np.eye(2), tmp_path / "m.csv")
+    modes = {path.name: path.stat().st_mode for path in tmp_path.iterdir()}
+    assert set(modes.values()) == {modes["plain"]}, modes
+
+
+def test_a_report_is_written_through_a_symlink(tmp_path):
+    (tmp_path / "real.json").write_text("old\n")
+    (tmp_path / "link.json").symlink_to("real.json")
+    save_report({"a": 1.0}, tmp_path / "link.json")
+    assert (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "real.json").read_text() == '{\n  "a": 1\n}\n'
+
+
+def test_save_report_streams_a_model_in_less_than_its_matrices(tmp_path):
+    model = build_model(*make_commuting_pair(300, 150, 3))
+    doc = model.to_jsonable()
+    matrices = model.theta1.nbytes + model.x.nbytes + model.theta2.nbytes
+    assert matrices == 2_520_000
+    tracemalloc.start()
+    try:
+        save_report(doc, tmp_path / "model.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole text (11.8 MB), or one Python list per entry, would not fit
+    assert peak < matrices, peak
+    assert (tmp_path / "model.json").stat().st_size > 11_000_000

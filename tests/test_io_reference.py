@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isospec.io import CSV_HEADER, canonical_json, matrix_to_jsonable, save_matrix_csv
+from isospec.io import (
+    CSV_HEADER,
+    PIECE_ROWS,
+    canonical_json,
+    matrix_to_jsonable,
+    save_matrix_csv,
+    save_report,
+)
 from isospec.linalg import as_matrix
 
 # ---------------------------------------------------------------------------
@@ -218,6 +225,50 @@ def test_canonical_json_edge_documents(doc):
 
 
 # ---------------------------------------------------------------------------
+# float arrays as leaves: formatted straight from the array, a piece at a time
+
+
+@st.composite
+def float_array_leaves(draw):
+    """A real float64 array, 1-D or 2-D rows, whose row count sits at and
+    around the piece boundary, with signed zeros, subnormals, extreme
+    magnitudes and non-finite values planted, sometimes as a strided view."""
+    rows = draw(st.sampled_from([0, 1, PIECE_ROWS - 1, PIECE_ROWS, PIECE_ROWS + 1, 3 * PIECE_ROWS]))
+    width = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    planted = rng.random(arr.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    arr[planted] = rng.choice(SPECIAL_FLOATS, size=int(planted.sum()))
+    layout = draw(st.sampled_from(["rows", "column", "flat", "strided"]))
+    if layout == "column":
+        return arr[:, 0]
+    if layout == "flat":
+        return arr.reshape(-1)
+    if layout == "strided":
+        return np.vstack([arr, arr])[::2]
+    return arr
+
+
+array_documents = st.one_of(
+    float_array_leaves(),
+    st.dictionaries(st.sampled_from(["a", "entries", "z"]), float_array_leaves(), max_size=3),
+    st.tuples(float_array_leaves(), st.just({"k": [1.0, "s"]}), float_array_leaves()).map(list),
+)
+
+
+@given(array_documents)
+@settings(max_examples=60, deadline=None)
+def test_float_array_documents_match_reference(doc):
+    # the reference serializes an array through its tolist() form
+    text = _reference_canonical_json(doc)
+    assert canonical_json(doc) == text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        save_report(doc, path)
+        assert path.read_bytes() == (text + "\n").encode()
+
+
+# ---------------------------------------------------------------------------
 # drawn matrices
 
 
@@ -245,8 +296,9 @@ def matrices(draw):
 @settings(max_examples=80, deadline=None)
 def test_matrix_documents_match_reference(m):
     new, ref = matrix_to_jsonable(m), _reference_matrix_to_jsonable(m)
+    assert new["entries"].dtype == np.float64
     # repr tells -0.0 from 0.0 and a float from an int
-    assert repr(new) == repr(ref)
+    assert repr({**new, "entries": new["entries"].tolist()}) == repr(ref)
     assert canonical_json(new) == _reference_canonical_json(ref)
 
 
