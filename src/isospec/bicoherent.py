@@ -18,6 +18,7 @@ Series and states are always evaluated on an explicit truncation
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
@@ -52,6 +53,8 @@ TAIL_RATIO_LIMIT = 0.9
 _UNIT_ROUNDOFF = float(np.finfo(float).eps)
 # Default Gauss-type quadrature size for radial measures.
 DEFAULT_QUADRATURE_NODES = 64
+# Gauss-Laguerre rules kept by solve_moment_measure, one per node count.
+LAGUERRE_RULES_KEPT = 8
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +215,23 @@ def radius(r_phi, alpha_phi, r_psi, alpha_psi, eps) -> ConvergenceData:
 
 
 class _Disc(NamedTuple):
-    """One fitted disc and the per-mode quantities its states reuse."""
+    """One fitted disc and every z-independent row its states read.
+
+    A disc is kept in ``system.memo`` only after the order and kernel
+    checks passed on the same read-only snapshot, and its key holds the
+    order, so a disc found there needs no check again.  Every array is
+    read-only; the transposed families are views of the system's columns,
+    not copies, since a matrix product rounds by its operands' layout.
+    """
 
     convergence: ConvergenceData
     phi_norms: np.ndarray  # column norms of system.phi[:, :order]
     log_factorials: np.ndarray  # log eps_0! .. log eps_{order-1}!
+    exponents: np.ndarray  # 2k: the power of |z| in weight k
+    modes: np.ndarray  # k: the power of the unit phase z/|z| in coefficient k
+    log_pairing: np.ndarray  # log p_k of the system's pairing
+    phi_t: np.ndarray  # system.phi[:, :order].T
+    psi_t: np.ndarray  # system.psi[:, :order].T
 
 
 def convergence_for_system(system: BiorthogonalSystem, eps, order=None) -> ConvergenceData:
@@ -228,29 +243,43 @@ def convergence_for_system(system: BiorthogonalSystem, eps, order=None) -> Conve
     Kernel modes (pairing 0) among the first ``order`` are refused, since
     their zero norms leave no growth to fit.  The disc depends on z
     nowhere, so it is fitted once per (system, eps values, order) and kept
-    in ``system.memo``; a refusal or a failed fit is never kept.
+    in ``system.memo`` with the z-independent rows of its states.  The
+    memo is read first: a disc found there passed the order and kernel
+    checks when it was fitted, so they run only on a miss.  A refusal or
+    a failed fit is never kept.
     """
     eps = EpsilonSequence.of(eps)
     order = system.size if order is None else int(order)
-    _check_order(system, order)
-    _refuse_kernel(system.pairing[:order])
     return _disc(system, eps, order).convergence
 
 
 def _disc(system: BiorthogonalSystem, eps: EpsilonSequence, order: int) -> _Disc:
-    """The memoized fit of convergence_for_system, for a checked order."""
+    """The memoized disc of convergence_for_system; checks and fits on a miss."""
     key = ("disc", order, eps.values.tobytes())
     disc = system.memo.get(key)
     if disc is None:
-        hphi = np.linalg.norm(system.phi[:, :order], axis=0)
-        hpsi = np.linalg.norm(system.psi[:, :order], axis=0)
+        _check_order(system, order)
+        pairing = system.pairing[:order]
+        _refuse_kernel(pairing)
+        phi, psi = system.phi[:, :order], system.psi[:, :order]
+        hphi = np.linalg.norm(phi, axis=0)
+        hpsi = np.linalg.norm(psi, axis=0)
         facts = eps.factorials(order)
         r_phi, a_phi = _fit_growth_from_norms(hphi / hphi[0], facts)
         r_psi, a_psi = _fit_growth_from_norms(hpsi / hpsi[0], facts)
         conv = radius(r_phi, a_phi, r_psi, a_psi, eps)
         with np.errstate(divide="ignore"):  # an underflowed factorial is log 0 = -inf
             log_facts = np.log(facts)
-        disc = system.memo[key] = _Disc(conv, read_only(hphi), read_only(log_facts))
+        disc = system.memo[key] = _Disc(
+            conv,
+            read_only(hphi),
+            read_only(log_facts),
+            read_only(np.arange(0.0, 2.0 * order, 2.0)),
+            read_only(np.arange(order)),
+            read_only(np.log(pairing)),
+            phi.T,  # views of the read-only snapshot: read-only themselves
+            psi.T,
+        )
     return disc
 
 
@@ -283,37 +312,38 @@ class BicoherentState:
 
 
 def _assemble_states(
-    system: BiorthogonalSystem, zs: np.ndarray, order: int, disc: _Disc
+    system: BiorthogonalSystem, zs: np.ndarray, absz: np.ndarray, order: int, disc: _Disc
 ) -> list[BicoherentState]:
     """One state per entry of ``zs`` from a single (z x k) coefficient matrix.
 
     The weights |z|^(2k) / eps_k! are taken in log space and normalized by
-    log-sum-exp, so no power of |z| overflows on the way to N(|z|).  The
-    phi column norms and log-factorials are the ones the radius gate's
-    disc was fitted on.
+    log-sum-exp, so no power of |z| overflows on the way to N(|z|).  Every
+    z-independent row, from the exponents to the transposed families, is
+    the one the radius gate's disc was fitted with; ``absz`` is |zs|.
     """
-    pairing = system.pairing[:order]
-    phi = system.phi[:, :order]
-    absz = np.abs(zs)
     with np.errstate(divide="ignore", invalid="ignore"):
         # log|z|^(2k) - log eps_k!; the k = 0 column is log 1 = 0, also at z = 0
-        log_w = np.multiply.outer(np.log(absz), np.arange(0.0, 2.0 * order, 2.0))
+        log_w = np.multiply.outer(np.log(absz), disc.exponents)
         log_w[:, 0] = 0.0
         log_w -= disc.log_factorials
         top = log_w.max(axis=1, keepdims=True)
         log_norm2 = top + np.log(np.exp(log_w - top).sum(axis=1, keepdims=True))
         # |c_k| = N |z|^k / sqrt(eps_k! p_k); the phase is (z/|z|)^k
-        magnitude = np.exp(0.5 * (log_w - log_norm2 - np.log(pairing)))
+        magnitude = np.exp(0.5 * (log_w - log_norm2 - disc.log_pairing))
         # numpy divides by |z| through 1/|z|, which overflows for a subnormal
-        # |z|: such a z is first scaled by 2^600, exactly, and no other z is
-        lift = np.where(absz < 2.0 ** -600, 2.0 ** 600, 1.0)
-        unit = np.where(absz > 0, (zs * lift) / (absz * lift), 1.0)
-    coeff = magnitude * np.power.outer(unit, np.arange(order))
+        # |z|: such a z is first scaled by 2^600, exactly.  Every other z is
+        # scaled by 1, which rounds its signed zeros alike in any batch.
+        tiny = absz.min(initial=1.0) < 2.0 ** -600
+        lift = np.where(absz < 2.0 ** -600, 2.0 ** 600, 1.0) if tiny else 1.0
+        unit = (zs * lift) / (absz * lift)
+        if tiny:  # z = 0 is tiny too, and its phase is 1
+            unit[absz == 0] = 1.0
+    coeff = magnitude * np.power.outer(unit, disc.modes)
     if not np.isfinite(coeff).all():
         bad = zs[np.argmin(np.isfinite(coeff).all(axis=1))]
         raise DivergenceError(f"series coefficients are not finite at z = {bad:.6g}")
-    vector_phi = coeff @ phi.T
-    vector_psi = coeff @ system.psi[:, :order].T
+    vector_phi = coeff @ disc.phi_t
+    vector_psi = coeff @ disc.psi_t
     overlap = np.einsum("ij,ij->i", vector_phi.conj(), vector_psi)
     terms = magnitude * disc.phi_norms
     # The analytic tail |z|*|c_{M-1}|*||phi_{M-1}|| can underflow far below
@@ -321,11 +351,10 @@ def _assemble_states(
     # arithmetic's resolution, so the reported bound is floored there.
     rounding_floor = system.dim * _UNIT_ROUNDOFF * (1.0 + absz) * terms.sum(axis=1)
     tail_bound = np.maximum(absz * terms[:, -1], rounding_floor)
-    converged = np.ones(zs.size, dtype=bool)
-    if order >= 2:
-        last, prev = terms[:, -1], terms[:, -2]
-        live = prev > 0
-        converged[live] = last[live] / prev[live] <= TAIL_RATIO_LIMIT
+    # the last two terms' ratio; a single term, or a vanished one before the last, passes
+    prev = terms[:, -2] if order >= 2 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        converged = (prev <= 0) | (terms[:, -1] / prev <= TAIL_RATIO_LIMIT)
     normalization = np.exp(-0.5 * log_norm2[:, 0])
     return [
         BicoherentState(
@@ -354,18 +383,22 @@ def _assemble_states(
 
 
 def _radius_gate(
-    system: BiorthogonalSystem, eps: EpsilonSequence, zs: np.ndarray, order: int
+    system: BiorthogonalSystem,
+    eps: EpsilonSequence,
+    zs: np.ndarray,
+    absz: np.ndarray,
+    order: int,
 ) -> _Disc:
     """One radius check for every z: refuse non-finite z and |z| >= rho.
 
     Calls convergence_for_system once, which fits the disc on the first
     call for this (system, eps, order) and reads it from ``system.memo``
-    after; returns the memoized disc with its norms and log-factorials.
+    after; returns the memoized disc with its z-independent rows.
     """
     if not np.isfinite(zs).all():
         raise ParameterError("z must be finite")
     conv = convergence_for_system(system, eps, order)
-    largest = float(np.abs(zs).max(initial=0.0))
+    largest = float(absz.max(initial=0.0))
     if math.isfinite(conv.rho) and largest >= conv.rho:
         raise DivergenceError(
             f"|z| = {largest:.6g} is outside the convergence disc of radius "
@@ -376,11 +409,13 @@ def _radius_gate(
 
 def _states(system: BiorthogonalSystem, eps, zs, order: int) -> list[BicoherentState]:
     """Check order, gate once (the gate refuses kernel modes), assemble: the
-    one path of every state."""
+    one path of every state.  The order is checked before anything else, so
+    a bad order is refused first whatever else is wrong."""
     _check_order(system, order)
     eps = EpsilonSequence.of(eps)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    return _assemble_states(system, zs, order, _radius_gate(system, eps, zs, order))
+    absz = np.abs(zs)
+    return _assemble_states(system, zs, absz, order, _radius_gate(system, eps, zs, absz, order))
 
 
 def coherent_pair(system: BiorthogonalSystem, eps, z: complex, order: int) -> BicoherentState:
@@ -523,7 +558,8 @@ def solve_moment_measure(
     For s > 0 the solution is dlambda(r) = r exp(-r^2/s) / (pi s) dr on
     [0, inf); the quadrature is Gauss-Laguerre in t = r^2/s, exact for all
     moments up to k = 2*nodes - 1.  Any other sequence has no closed form
-    here and raises; callers fall back to the sum-form identity.
+    here and raises; callers fall back to the sum-form identity.  The
+    Gauss-Laguerre rule is built once per node count and kept.
     """
     eps = EpsilonSequence.of(eps)
     if len(eps) < max(2, order):
@@ -540,8 +576,16 @@ def solve_moment_measure(
         )
     if nodes < 2:
         raise ParameterError("need at least 2 quadrature nodes")
-    t, w = np.polynomial.laguerre.laggauss(nodes)
+    t, w = _laguerre_rule(nodes)
     return RadialMeasure(s=s, nodes=np.sqrt(s * t), weights=w / (2.0 * math.pi))
+
+
+# typed: a float count is laggauss's TypeError, never the rule of an equal int
+@functools.lru_cache(maxsize=LAGUERRE_RULES_KEPT, typed=True)
+def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Laguerre nodes and weights, built once per node count."""
+    t, w = np.polynomial.laguerre.laggauss(nodes)
+    return read_only(t), read_only(w)
 
 
 @dataclass(frozen=True)

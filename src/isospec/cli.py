@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 
@@ -216,12 +215,25 @@ def _load_model_doc(path: str) -> dict:
         doc["theta2_matrix"] = iomod.jsonable_to_matrix(doc.pop("theta2"))
         # the per-mode fields verify compares, when present
         if "tilde_k" in doc:
-            doc["tilde_k"] = np.asarray(doc["tilde_k"], dtype=float)
+            tilde = np.array(_json_list(doc, "tilde_k", (float, int), path), dtype=float)
+            if not np.isfinite(tilde).all():
+                raise ParameterError(f"model file {path} has a non-finite tilde_k entry")
+            doc["tilde_k"] = tilde
         if "kernel_set" in doc:
-            doc["kernel_set"] = tuple(operator.index(n) for n in doc["kernel_set"])
-    except (KeyError, ValueError, TypeError) as exc:
+            doc["kernel_set"] = tuple(_json_list(doc, "kernel_set", (int,), path))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ParameterError(f"model file {path} is missing or corrupts required keys: {exc}") from exc
     return doc
+
+
+def _json_list(doc: dict, key: str, kinds: tuple, path: str) -> list:
+    """``doc[key]`` if it is a list whose entries are all of ``kinds``; as in
+    the matrix reader, a boolean or a numeric string is not a number here."""
+    values = doc[key]
+    if not isinstance(values, list) or not all(type(v) in kinds for v in values):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ParameterError(f"model file {path}: {key} must be a list of JSON {names} values")
+    return values
 
 
 def _write_model(args: argparse.Namespace, model, relation_tol: float) -> int:

@@ -37,6 +37,7 @@ from isospec import (
     solve_moment_measure,
     standard_boson,
 )
+from isospec import bicoherent
 from isospec.bicoherent import _fit_growth_from_norms
 from isospec.io import canonical_json
 
@@ -720,6 +721,34 @@ def test_measure_scaling_is_linear():
     measure = solve_moment_measure(eps, 8)
     doubled = measure.scaled(2.0)
     assert doubled.moment(3) == pytest.approx(2.0 * measure.moment(3), rel=1e-12)
+
+
+def test_a_kept_gauss_laguerre_rule_gives_the_fresh_rule_bit_for_bit():
+    measures = []
+    for nodes in (64, 20, 64, 2, 20):
+        t, w = np.polynomial.laguerre.laggauss(nodes)
+        for s in (0.5, 2.0):
+            measure = solve_moment_measure(EpsilonSequence.linear(s, 40), 40, nodes)
+            assert measure.nodes.tobytes() == np.sqrt(s * t).tobytes()
+            assert measure.weights.tobytes() == (w / (2.0 * math.pi)).tobytes()
+            measures.append(measure)
+    # the kept rule is read-only, and no measure shares it or another's arrays
+    rule = bicoherent._laguerre_rule(64)
+    assert bicoherent._laguerre_rule(64) is rule
+    for array in rule:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    arrays = [a for m in measures for a in (m.nodes, m.weights)] + list(rule)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    # a float count stays laggauss's TypeError, even once an equal count is kept
+    eps = EpsilonSequence.linear(1.0, 40)
+    solve_moment_measure(eps, 40, np.int64(48))
+    with pytest.raises(TypeError):
+        solve_moment_measure(eps, 40, 48.0)
+    assert bicoherent._laguerre_rule.cache_info().maxsize == bicoherent.LAGUERRE_RULES_KEPT
 
 
 # ---------------------------------------------------------------------------

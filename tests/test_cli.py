@@ -223,7 +223,24 @@ def test_verify_of_a_model_with_broken_entries_is_an_input_error(built_model, tm
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("tilde_k", ["a"]), ("kernel_set", 5), ("kernel_set", [1.5])])
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("tilde_k", ["a"]),
+        ("kernel_set", 5),
+        ("kernel_set", [1.5]),
+        # ex3x3's own values as strings and booleans: numpy reads them as numbers
+        ("tilde_k", ["1.4999999999999998", "1.4999999999999998", "0"]),
+        ("tilde_k", [1.4999999999999998, 1.4999999999999998, False]),
+        ("tilde_k", "1.5"),
+        ("tilde_k", [[1.5], [1.5], [0.0]]),
+        ("tilde_k", [1.5, 1.5, math.inf]),
+        ("tilde_k", [10**400, 1.5, 0.0]),
+        ("kernel_set", ["2"]),
+        ("kernel_set", [True]),
+        ("kernel_set", [2.0]),
+    ],
+)
 def test_verify_of_a_model_with_broken_mode_fields_is_an_input_error(
     key, value, built_model, tmp_path, capsys
 ):
