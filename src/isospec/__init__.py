@@ -54,6 +54,7 @@ from .intertwining import (
 )
 from .linalg import (
     BiorthogonalSystem,
+    Decision,
     Eigensystem,
     EpsilonSequence,
     adjoint,

@@ -59,7 +59,7 @@ from .intertwining import (
     verify_relations,
 )
 from .linalg import KERNEL_TOL, MULTIPLICITY_TOL, BiorthogonalSystem, EpsilonSequence
-from .linalg import certified_ratio
+from .linalg import Decision, certified_ratio
 from .zoo import FIXTURE_IDS, get_fixture
 
 EXIT_OK = 0
@@ -67,6 +67,8 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 3
 # series order of coherent and quantize when --order is not given (capped at the system size)
 DEFAULT_ORDER = 40
+# largest quantized-symbol defect from its ladder, relative to the ladder's largest entry
+LADDER_DEFECT_TOL = 1e-8
 
 
 def _checked(kind, ok, message: str):
@@ -244,7 +246,8 @@ def _write_model(args: argparse.Namespace, model, relation_tol: float) -> int:
     iomod.save_report(doc, path)
     print(f"model written to {path} (case={model.case}, kernel_set={list(model.kernel_set)})")
     if relation_tol == RELATION_TOL:
-        failures = sorted(name for name, value in doc["residuals"].items() if value > relation_tol)
+        stored = doc["residuals"].items()
+        failures = sorted(name for name, v in stored if not Decision(v, relation_tol).passed)
     else:
         failures = sorted(verify_relations(model, relation_tol).failures())
     if failures:
@@ -265,24 +268,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ParameterError("verify needs --model FILE")
     doc = _load_model_doc(args.model_path)
     model = _build(args, doc["theta1_matrix"], doc["x_matrix"])
-    stored_theta2 = doc["theta2_matrix"]
-    theta2_residual, _ = certified_ratio(
-        model.theta2 - stored_theta2, (model.norms["theta2"],), args.relation_tol, 1.0
-    )
-    stored_tilde = doc.get("tilde_k", np.empty(0))
-    if stored_tilde.shape == model.tilde_k.shape:
-        tilde_residual = float(np.max(np.abs(stored_tilde - model.tilde_k)))
-    else:
-        tilde_residual = math.inf
+    tilde = doc.get("tilde_k", np.empty(0))
+    same_length = tilde.shape == model.tilde_k.shape
+    stored = {
+        "stored_theta2": certified_ratio(
+            model.theta2 - doc["theta2_matrix"], (model.norms["theta2"],), args.relation_tol, 1.0
+        ),
+        "stored_tilde_k": Decision(
+            float(np.max(np.abs(tilde - model.tilde_k))) if same_length else math.inf, 1e-8
+        ),
+    }
     case_match = doc.get("case") == model.case
     kernel_match = doc.get("kernel_set", ()) == model.kernel_set
 
     report = verify_relations(model, args.relation_tol)
-    failures = report.failures()
-    if theta2_residual > args.relation_tol:
-        failures.append("stored_theta2")
-    if tilde_residual > 1e-8:
-        failures.append("stored_tilde_k")
+    failures = report.failures() + [name for name, d in stored.items() if not d.passed]
     if not case_match:
         failures.append("stored_case")
     if not kernel_match:
@@ -293,8 +293,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if model.case == CASE_NONINVERTIBLE:
         prop = structure_check(model, args.relation_tol)
         failures.extend(f"structure:{name}" for name in prop.failures())
-        descent = adjoint_descent(model)
-        if descent > args.relation_tol:
+        descent = Decision(adjoint_descent(model), args.relation_tol)
+        if not descent.passed:
             failures.append("adjoint_descent")
 
     out = {
@@ -303,12 +303,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "stored": {
             "case_match": case_match,
             "kernel_set_match": kernel_match,
-            "theta2_residual": theta2_residual,
-            "tilde_k_residual": tilde_residual,
+            "theta2_residual": stored["stored_theta2"].value,
+            "tilde_k_residual": stored["stored_tilde_k"].value,
         },
         "relations": report.to_jsonable(),
         "structure": prop.to_jsonable() if prop is not None else None,
-        "adjoint_descent": descent,
+        "adjoint_descent": descent.value if descent is not None else None,
         "failures": sorted(failures),
         "all_passed": not failures,
     }
@@ -319,8 +319,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if prop is not None:
         print("structure checks:")
         print(str(prop))
-        print(f"adjoint_descent                  {descent:12.3e}  "
-              f"{'PASS' if descent <= args.relation_tol else 'FAIL'}")
+        print(descent.row("adjoint_descent"))
     if failures:
         print(f"FAILED: {', '.join(sorted(failures))} (report: {path})")
         return EXIT_VERIFY
@@ -361,13 +360,14 @@ def _level1_inputs(args: argparse.Namespace):
 
 
 def _quantized(system: BiorthogonalSystem, eps, order: int, measure, symbol: str):
-    """The quantized symbol and its max-entry distance from its ladder, relative
-    to that ladder's largest entry; both live on the first ``order`` modes."""
+    """The quantized symbol and the Decision of its max-entry distance from its
+    ladder, relative to that ladder's largest entry, against LADDER_DEFECT_TOL;
+    both operators live on the first ``order`` modes."""
     op = quantize(symbol, system, eps, measure, order)
     ladder = build_ladders(system.columns(slice(order)), eps)
     target = ladder.a if symbol == "z" else ladder.b
     scale = max(1.0, float(np.max(np.abs(target))))
-    return op, float(np.max(np.abs(op - target))) / scale
+    return op, Decision(float(np.max(np.abs(op - target))) / scale, LADDER_DEFECT_TOL)
 
 
 def cmd_coherent(args: argparse.Namespace) -> int:
@@ -443,9 +443,10 @@ def cmd_coherent(args: argparse.Namespace) -> int:
         files = ["coherent_quantize_z.json", "coherent_quantize_zbar.json"]
         quant_info = {"files": files}
         for symbol, name in zip(("z", "zbar"), files):
-            op, quant_info[f"defect_{symbol}"] = _quantized(system, eps, order, measure, symbol)
+            op, defect = _quantized(system, eps, order, measure, symbol)
             iomod.save_report(iomod.matrix_to_jsonable(op), os.path.join(args.outdir, name))
-        quant_pass = max(quant_info["defect_z"], quant_info["defect_zbar"]) <= 1e-8
+            quant_info[f"defect_{symbol}"] = defect.value
+            quant_pass = quant_pass and defect.passed
 
     all_passed = states_pass and all_converged and resolution_pass and quant_pass
     report = {
@@ -504,12 +505,12 @@ def cmd_quantize(args: argparse.Namespace) -> int:
         "symbol": args.symbol,
         "order": order,
         "matrix": iomod.matrix_to_jsonable(op),
-        "ladder_defect": defect,
+        "ladder_defect": defect.value,
     }
     path = _outpath(args, f"quantize_{args.symbol}.json")
     iomod.save_report(out, path)
-    print(f"quantized symbol {args.symbol} written to {path} (ladder defect {defect:.3e})")
-    return EXIT_OK if defect <= 1e-8 else EXIT_VERIFY
+    print(f"quantized symbol {args.symbol} written to {path} (ladder defect {defect})")
+    return EXIT_OK if defect.passed else EXIT_VERIFY
 
 
 class _Parser(argparse.ArgumentParser):

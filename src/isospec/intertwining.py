@@ -30,11 +30,11 @@ from .linalg import (
     MULTIPLICITY_TOL,
     RANK_TOL,
     BiorthogonalSystem,
+    Decision,
     Eigensystem,
     SpectralNorm,
     _eig,
     _pairwise_gaps,
-    _quote,
     _strictly_positive,
     as_matrix,
     biorthogonal_partner,
@@ -74,23 +74,6 @@ def _grams(x: np.ndarray):
     return xh, as_matrix(x @ xh), as_matrix(xh @ x)
 
 
-def _noninvertible_preconditions(theta1, n1, n2, tol: float) -> dict:
-    """Check N2 > 0 and [N1, Theta1] = 0; return the operand norms used."""
-    norms = {"n2": SpectralNorm(n2), "n1": SpectralNorm(n1), "theta1": SpectralNorm(theta1)}
-    if not _strictly_positive(n2, norms["n2"], tol):
-        raise RegimeError(
-            "N2 = X-adjoint X is not strictly positive; the non-invertible "
-            "regime needs full column rank"
-        )
-    comm = certified_ratio(n1 @ theta1 - theta1 @ n1, (norms["n1"], norms["theta1"]), tol)
-    if comm[0] > tol:
-        raise RegimeError(
-            f"[N1, Theta1] relative norm {_quote(comm)} exceeds {tol:.1e}; the "
-            "non-invertible regime needs the seed to commute with N1"
-        )
-    return norms
-
-
 def _classify(theta1, x, n1, n2, tol: float):
     """Regime of validated (Theta1, X) with Grams N1, N2.
 
@@ -98,20 +81,33 @@ def _classify(theta1, x, n1, n2, tol: float):
     SpectralNorms classification bounded, and ``s`` holds the singular
     values of a square X (None for rectangular X).
     """
-    d1, d2 = x.shape
-    if d1 != d2:
-        return CASE_NONINVERTIBLE, _noninvertible_preconditions(theta1, n1, n2, tol), None
-    s = np.linalg.svd(x, compute_uv=False)
-    if not (s[0] > 0 and s[-1] > tol * s[0]):
-        raise RegimeError(
-            "square X is singular: a square non-invertible intertwiner cannot "
-            "have strictly positive N2 = X-adjoint X, so no regime applies "
-            "(finite-dimensional no-go)"
-        )
     norms = {"n1": SpectralNorm(n1), "theta1": SpectralNorm(theta1)}
-    if certified_ratio(n1 @ theta1 - theta1 @ n1, (norms["n1"], norms["theta1"]), tol)[0] <= tol:
-        return CASE_INVERTIBLE_COMMUTING, norms, s
-    return CASE_INVERTIBLE, norms, s
+    square = x.shape[0] == x.shape[1]
+    s = None
+    if square:
+        s = np.linalg.svd(x, compute_uv=False)
+        if not (s[0] > 0 and s[-1] > tol * s[0]):
+            raise RegimeError(
+                "square X is singular: a square non-invertible intertwiner cannot "
+                "have strictly positive N2 = X-adjoint X, so no regime applies "
+                "(finite-dimensional no-go)"
+            )
+    else:
+        norms["n2"] = SpectralNorm(n2)
+        if not _strictly_positive(n2, norms["n2"], tol):
+            raise RegimeError(
+                "N2 = X-adjoint X is not strictly positive; the non-invertible "
+                "regime needs full column rank"
+            )
+    comm = certified_ratio(n1 @ theta1 - theta1 @ n1, (norms["n1"], norms["theta1"]), tol)
+    if square:
+        return (CASE_INVERTIBLE_COMMUTING if comm.passed else CASE_INVERTIBLE), norms, s
+    if not comm.passed:
+        raise RegimeError(
+            f"[N1, Theta1] relative norm {comm} exceeds {tol:.1e}; the "
+            "non-invertible regime needs the seed to commute with N1"
+        )
+    return CASE_NONINVERTIBLE, norms, s
 
 
 def classify(theta1, x, tol: float = RELATION_TOL) -> str:
@@ -183,31 +179,32 @@ def _degeneracy_classes(values: list[float], indices: list[int]) -> tuple[tuple[
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Named relative residuals with a single pass threshold.
+    """Named relation decisions under a single pass threshold.
 
     ``skipped`` maps relation names to the reason they do not apply to the
     model at hand; ``details`` carries auxiliary non-residual payloads.
-    ``bounded`` names the residuals that are bounds (``certified_ratio``).
     """
 
-    residuals: dict[str, float]
+    decisions: dict[str, Decision]
     tolerance: float
     skipped: dict[str, str] = field(default_factory=dict)
     details: dict = field(default_factory=dict)
-    bounded: frozenset[str] = frozenset()
 
-    @classmethod
-    def decided(cls, found: dict, tolerance: float, skipped: dict, **details) -> "RelationReport":
-        """The report of ``found``, which maps names to (value, bounded) decisions."""
-        bounded = frozenset(name for name, (_, bound) in found.items() if bound)
-        return cls({k: v for k, (v, _) in found.items()}, tolerance, skipped, details, bounded)
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {name: d.value for name, d in self.decisions.items()}
+
+    @property
+    def bounded(self) -> frozenset[str]:
+        """The names whose residual is a bound (``certified_ratio``)."""
+        return frozenset(name for name, d in self.decisions.items() if d.bounded)
 
     @property
     def all_passed(self) -> bool:
-        return all(v <= self.tolerance for v in self.residuals.values())
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        return [k for k, v in self.residuals.items() if v > self.tolerance]
+        return [name for name, d in self.decisions.items() if not d.passed]
 
     def to_jsonable(self) -> dict:
         return {
@@ -219,13 +216,7 @@ class RelationReport:
         }
 
     def __str__(self) -> str:
-        lines = []
-        for name in sorted(self.residuals):
-            passed = self.residuals[name] <= self.tolerance
-            text = f"{self.residuals[name]:.3e}"
-            if name in self.bounded:
-                text = ("<= " if passed else ">= ") + text
-            lines.append(f"{name:32s} {text:>12s}  {'PASS' if passed else 'FAIL'}")
+        lines = [self.decisions[name].row(name) for name in sorted(self.decisions)]
         for name in sorted(self.skipped):
             lines.append(f"{name:32s} {'skipped':>12s}  ({self.skipped[name]})")
         lines.append(f"tolerance: {self.tolerance:.1e}")
@@ -241,7 +232,7 @@ class IntertwiningModel:
     from the partner spectrum.  ``tilde_k`` is 0.0 on kernel indices.
 
     The model is a snapshot: ``norms`` bounds each operand's spectral norm
-    once, and takes the exact value (``theta1_norm``, ...) only when a
+    once, and takes the exact value (``norms[name].exact``) only when a
     decision falls back to it, so its arrays must not be mutated in place.
     """
 
@@ -263,12 +254,6 @@ class IntertwiningModel:
     @cached_property
     def norms(self) -> dict[str, SpectralNorm]:
         return {name: SpectralNorm(getattr(self, name)) for name in _OPERANDS}
-
-    theta1_norm = property(lambda self: self.norms["theta1"].exact)
-    x_norm = property(lambda self: self.norms["x"].exact)
-    n1_norm = property(lambda self: self.norms["n1"].exact)
-    n2_norm = property(lambda self: self.norms["n2"].exact)
-    theta2_norm = property(lambda self: self.norms["theta2"].exact)
 
     @property
     def commuting(self) -> bool:
@@ -313,7 +298,7 @@ class IntertwiningModel:
             "theta2": matrix_to_jsonable(self.theta2),
             "case": self.case,
             "kernel_set": list(self.kernel_set),
-            "tilde_k": [float(v) for v in self.tilde_k],
+            "tilde_k": self.tilde_k,
             "residuals": verify_relations(self).to_jsonable()["residuals"],
         }
 
@@ -383,13 +368,13 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
 
     Relations that require the commuting hypothesis are skipped (with a
     reason) on a plain-Invertible model rather than reported as failures.
-    A relative residual may be a bound (``certified_ratio``): see ``bounded``.
+    A relative residual may be a bound (``certified_ratio``): see ``Decision``.
     """
     t1, t2, x = model.theta1, model.theta2, model.x
     xh = x.conj().T
     n1, n2 = model.n1, model.n2
     nt1, nx, nn1, nn2, nt2 = (model.norms[name] for name in _OPERANDS)
-    found: dict[str, tuple[float, bool]] = {}
+    found: dict[str, Decision] = {}
     skipped: dict[str, str] = {}
 
     def rel(num, *den, floor=1e-300):
@@ -404,8 +389,8 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
             tp1, tp2 = tp1 @ t1, tp2 @ t2
             found[f"intertwine_power_{n}"] = rel(x @ tp2 - tp1 @ x, SpectralNorm(tp1), nx)
 
-    gram1 = model.phi1.conj().T @ model.psi1
-    found["pairing_level1"] = (float(np.max(np.abs(gram1 - np.eye(gram1.shape[0])))), False)
+    gram1 = model.phi1.conj().T @ model.psi1 - np.eye(len(model.values))
+    found["pairing_level1"] = Decision(float(np.max(np.abs(gram1))), tol)
     found["psi1_eigen"] = rel(_worst_defect(t1.conj().T, model.psi1, np.conj(model.values)), nt1)
 
     if model.commuting:
@@ -416,7 +401,7 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
         gram2 = model.phi2.conj().T @ model.psi2
         target = np.diag(model.tilde_k)
         kscale = max(1.0, float(np.max(model.tilde_k, initial=0.0)))
-        found["pairing_level2"] = (float(np.max(np.abs(gram2 - target))) / kscale, False)
+        found["pairing_level2"] = Decision(float(np.max(np.abs(gram2 - target))) / kscale, tol)
 
         alive = list(model.survivors)
         values, tilde_k = model.values[alive], model.tilde_k[alive]
@@ -430,8 +415,8 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
                 name: np.linalg.norm(getattr(model, name)[:, dead], axis=0)
                 for name in ("phi1", "phi2", "psi1", "psi2")
             }
-            found["kernel_phi2_zero"] = (float(np.max(norms["phi2"] / norms["phi1"])), False)
-            found["kernel_psi2_zero"] = (float(np.max(norms["psi2"] / norms["psi1"])), False)
+            found["kernel_phi2_zero"] = Decision(float(np.max(norms["phi2"] / norms["phi1"])), tol)
+            found["kernel_psi2_zero"] = Decision(float(np.max(norms["psi2"] / norms["psi1"])), tol)
         else:
             skipped["kernel_phi2_zero"] = "kernel set empty"
             skipped["kernel_psi2_zero"] = "kernel set empty"
@@ -451,7 +436,7 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
         # similarity regime: partner eigenvectors come from X inverse
         phit = np.linalg.solve(x, model.phi1)
         found["theta2_eigen"] = rel(_worst_defect(t2, phit, model.values), nt2)
-    return RelationReport.decided(found, tol, skipped, degeneracy_classes=model.degeneracy_classes)
+    return RelationReport(found, tol, skipped, {"degeneracy_classes": model.degeneracy_classes})
 
 
 def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> RelationReport:
@@ -467,24 +452,24 @@ def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rela
     t1, t2, x = model.theta1, model.theta2, model.x
     n1, n2 = model.n1, model.n2
     nt1, nx, nn1, nn2, nt2 = (model.norms[name] for name in _OPERANDS)
-    found: dict[str, tuple[float, bool]] = {}
+    found: dict[str, Decision] = {}
     skipped: dict[str, str] = {}
 
     found["commutator_n2_theta2"] = certified_ratio(n2 @ t2 - t2 @ n2, (nn2, nt2), tol)
     sa1 = certified_ratio(t1 - t1.conj().T, (nt1,), tol, 1.0)
     sa2 = certified_ratio(t2 - t2.conj().T, (nt2,), tol, 1.0)
-    if sa1[0] <= tol:
+    if sa1.passed:
         found["theta2_self_adjoint"] = sa2
     else:
-        skipped["theta2_self_adjoint"] = f"seed not self-adjoint (defect {_quote(sa1)})"
+        skipped["theta2_self_adjoint"] = f"seed not self-adjoint (defect {sa1})"
 
     n1_positive = _strictly_positive(n1, nn1, tol)
-    if sa2[0] <= tol and n1_positive:
+    if sa2.passed and n1_positive:
         found["theta1_self_adjoint"] = sa1
     else:
         reasons = []
-        if sa2[0] > tol:
-            reasons.append(f"partner not self-adjoint (defect {_quote(sa2)})")
+        if not sa2.passed:
+            reasons.append(f"partner not self-adjoint (defect {sa2})")
         if not n1_positive:
             reasons.append("N1 not strictly positive")
         skipped["theta1_self_adjoint"] = "; ".join(reasons)
@@ -502,7 +487,7 @@ def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rela
         skipped["n_inverse_intertwine"] = "N1 singular"
         skipped["theta1_reconstruction"] = "N1 singular"
 
-    return RelationReport.decided(found, tol, skipped)
+    return RelationReport(found, tol, skipped)
 
 
 def adjoint_descent(model: IntertwiningModel) -> float:
@@ -515,7 +500,7 @@ def adjoint_descent(model: IntertwiningModel) -> float:
         raise RegimeError("adjoint-descent comparison targets the non-invertible regime")
     xh = model.x.conj().T
     lifted = np.linalg.solve(model.n2, xh @ model.theta1.conj().T @ model.x)
-    return opnorm(lifted - model.theta2.conj().T) / max(1.0, model.theta2_norm)
+    return opnorm(lifted - model.theta2.conj().T) / max(1.0, model.norms["theta2"].exact)
 
 
 def make_commuting_pair(dim1: int, dim2: int, seed: int, hermitian: bool = False):

@@ -6,14 +6,14 @@ with the format header line ``# isospec-csv-v1``.  Report JSON is written
 by a small canonical serializer (sorted keys, floats at 17 significant
 digits) so identical inputs produce byte-identical files.
 
-Every float goes through one batched formatter, ``_float_text``.  A float
-list, a list of equal-width float rows and a real float64 array (1-D, or
-2-D rows) take the same text; an array, such as the (rows*cols, 2) entry
-pairs ``matrix_to_jsonable`` returns, is formatted straight from its
-memory, ``PIECE_ROWS`` rows at a time, by a few array passes and one
-format call per piece.  The writers stream the pieces to a sibling partial
-file and then rename it over the target: the whole text never exists in
-memory, and a document refused part way leaves the target as it was.
+Every float goes through one formatter, ``_float_text``.  A real float64
+array (1-D, or 2-D rows), such as the (rows*cols, 2) entry pairs
+``matrix_to_jsonable`` returns, takes the text of its ``tolist()`` but is
+formatted straight from its memory, ``PIECE_ROWS`` rows at a time, by a
+few array passes and one format call per piece.  The writers stream the
+pieces to a sibling partial file and then rename it over the target: the
+whole text never exists in memory, and a document refused part way leaves
+the target as it was.
 """
 
 from __future__ import annotations
@@ -179,19 +179,6 @@ def load_matrix_csv(path) -> np.ndarray:
     return values.reshape(len(cells), -1).view(complex)
 
 
-def _float_rows(items) -> np.ndarray | None:
-    """A non-empty list of floats, or of equal-width rows of floats, as the
-    float64 array of the same text; None for any other list, which then
-    takes the general path."""
-    kinds = set(map(type, items))
-    if kinds != {float}:
-        if not kinds <= {list, tuple} or len(set(map(len, items))) != 1:
-            return None
-        if set(map(type, chain.from_iterable(items))) != {float}:
-            return None
-    return np.array(items, dtype=float)
-
-
 def _float_array_pieces(arr: np.ndarray, pad: str, inner: str):
     """The canonical text of a non-empty 1-D or 2-D float array, laid out as
     element-by-element serialization of its ``tolist()`` lays it out."""
@@ -239,10 +226,6 @@ def _json_pieces(obj, indent: int):
         else:
             yield from _json_pieces(obj.tolist(), indent)
     elif isinstance(obj, (list, tuple)) and obj:
-        rows = _float_rows(obj)
-        if rows is not None:
-            yield from _float_array_pieces(rows, pad, inner)
-            return
         sep = "[\n"
         for item in obj:
             yield sep + inner

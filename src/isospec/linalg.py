@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,11 +86,34 @@ class SpectralNorm:
         return opnorm(self.m)
 
 
-def certified_ratio(num, den, tol: float, floor: float = 1e-300) -> tuple[float, bool]:
-    """(value, bounded) of ||num|| / max(product of the SpectralNorms ``den``, floor).
+class Decision(NamedTuple):
+    """A threshold verdict: ``value`` passes when it is at most ``tolerance``, so
+    NaN fails.  ``bounded`` marks a bound (``certified_ratio``) rather than an
+    exact value: above the exact value if it passes, below it if it fails."""
+
+    value: float
+    tolerance: float
+    bounded: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tolerance
+
+    def __str__(self) -> str:
+        # a passing bound is an upper bound, a failing one a lower bound
+        sign = ("<= " if self.passed else ">= ") if self.bounded else ""
+        return f"{sign}{self.value:.3e}"
+
+    def row(self, name: str) -> str:
+        """The report line of this decision under ``name``."""
+        return f"{name:32s} {str(self):>12s}  {'PASS' if self.passed else 'FAIL'}"
+
+
+def certified_ratio(num, den, tol: float, floor: float = 1e-300) -> Decision:
+    """The Decision of ||num|| / max(product of the SpectralNorms ``den``, floor) <= tol.
 
     ``num`` is a matrix, a SpectralNorm or an exact float.  Where the bounds
-    decide ``ratio <= tol`` with CERTIFY_MARGIN to spare, ``value`` is a bound
+    decide the verdict with CERTIFY_MARGIN to spare, the value is a bound
     on the verdict's side of ``tol`` (above the exact ratio if it passes,
     below it if it fails); else it is the exact ratio, from SVDs.
     """
@@ -97,20 +121,15 @@ def certified_ratio(num, den, tol: float, floor: float = 1e-300) -> tuple[float,
         num = SpectralNorm(num)
     n_lo, n_hi = num.bounds if isinstance(num, SpectralNorm) else (num, num)
     if n_hi == 0.0:
-        return 0.0, False
+        return Decision(0.0, tol)
     hi = n_hi / max(math.prod(d.bounds[0] for d in den), floor)
     lo = n_lo / max(math.prod(d.bounds[1] for d in den), floor)
     if hi <= tol * (1.0 - CERTIFY_MARGIN):
-        return hi * (1.0 + CERTIFY_MARGIN), True
+        return Decision(hi * (1.0 + CERTIFY_MARGIN), tol, True)
     if lo > tol * (1.0 + CERTIFY_MARGIN):
-        return lo / (1.0 + CERTIFY_MARGIN), True
+        return Decision(lo / (1.0 + CERTIFY_MARGIN), tol, True)
     exact = num.exact if isinstance(num, SpectralNorm) else num
-    return exact / max(math.prod(d.exact for d in den), floor), False
-
-
-def _quote(decision) -> str:
-    """A decided value as a message quotes it: a failing bound is a lower bound."""
-    return f"{'>= ' if decision[1] else ''}{decision[0]:.3e}"
+    return Decision(exact / max(math.prod(d.exact for d in den), floor), tol)
 
 
 def column_defects(op, vectors, values, scale: float = 1.0) -> np.ndarray:
@@ -210,11 +229,9 @@ def _eig(m: np.ndarray, multiplicity_tolerance: float, norm: SpectralNorm) -> Ei
     vectors = _fix_phase(vectors)
     defect = np.linalg.norm(m @ vectors - vectors * values[np.newaxis, :], axis=0)
     max_res = certified_ratio(float(np.max(defect)), (norm,), 1e-8)
-    if max_res[0] > 1e-8:
-        raise NumericalError(
-            f"eigendecomposition residual {_quote(max_res)} exceeds 1e-8 of ||M||"
-        )
-    return Eigensystem(values, vectors, multiplicity_tolerance, max_res[0])
+    if not max_res.passed:
+        raise NumericalError(f"eigendecomposition residual {max_res} exceeds 1e-8 of ||M||")
+    return Eigensystem(values, vectors, multiplicity_tolerance, max_res.value)
 
 
 def biorthogonal_partner(phi) -> np.ndarray:
@@ -246,7 +263,7 @@ def is_strictly_positive(m, tol: float = KERNEL_TOL) -> bool:
 
 def _strictly_positive(m: np.ndarray, norm: SpectralNorm, tol: float) -> bool:
     """``is_strictly_positive`` on a validated square matrix of spectral ``norm``."""
-    if certified_ratio(m - m.conj().T, (norm,), tol, 1.0)[0] > tol:
+    if not certified_ratio(m - m.conj().T, (norm,), tol, 1.0).passed:
         return False
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
     return bool(w[0] > tol)

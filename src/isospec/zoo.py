@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     DegenerateError,
     DimensionError,
+    NumericalError,
     ParameterError,
     SeedVectorError,
     SpectrumError,
@@ -30,6 +31,7 @@ from .intertwining import (
 )
 from .linalg import (
     MULTIPLICITY_TOL,
+    Decision,
     EpsilonSequence,
     Eigensystem,
     _pairwise_gaps,
@@ -577,6 +579,7 @@ def standard_boson(dim: int):
     return a, a.conj().T, eps, e0.copy(), e0.copy()
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> RelationReport:
     """Check a deformed ladder pair against its defining properties.
 
@@ -585,7 +588,9 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     eigen-equations of M = b a and its adjoint, biorthonormality of the two
     families, and the shifted-eigenvector property of a b.  The basis
     property is only decidable at truncation, so it is reported as the
-    condition number of the Phi column matrix, never as a boolean.
+    condition number of the Phi column matrix, never as a boolean.  An
+    overflow, of a family or of its norms, leaves a residual that is not
+    finite: a NumericalError naming its check.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -601,6 +606,8 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     eta0 = np.asarray(eta0, dtype=complex).reshape(-1)
     if phi0.size != dim or eta0.size != dim:
         raise DimensionError("seed vectors must match the operator dimension")
+    if not (np.isfinite(phi0).all() and np.isfinite(eta0).all()):
+        raise DimensionError("seed vectors must be finite (no NaN/Inf)")
 
     n0 = np.linalg.norm(phi0)
     m0 = np.linalg.norm(eta0)
@@ -637,9 +644,9 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
         below = family[:, :-1]
         scale = np.maximum(np.linalg.norm(below, axis=0), 1e-300)
         step = np.linalg.norm(op @ family[:, 1:] - roots * below, axis=0)
-        per_mode = (step / (roots * scale + 1e-300)).tolist()
-        residuals[f"p3_{name}"] = max(per_mode)
-        details[f"p3_{name}_per_mode"] = per_mode
+        per_mode = step / (roots * scale + 1e-300)
+        residuals[f"p3_{name}"] = float(per_mode.max())
+        details[f"p3_{name}_per_mode"] = per_mode.tolist()
 
     m = b @ a
     sm = max(opnorm(m), 1e-300)
@@ -658,8 +665,11 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     live = np.linalg.norm(v, axis=0) > 1e-300
     shifted = column_defects(ab, v[:, live], eps.values[1:n_modes][live], sab)
     residuals["shifted_eigen"] = float(shifted.max(initial=0.0))
+    for name, value in residuals.items():
+        if not math.isfinite(value):
+            raise NumericalError(f"nlpb check {name} is {value}: a family or its norm overflowed")
 
     sing = np.linalg.svd(phis, compute_uv=False)
     details["phi_condition_number"] = float(sing[0] / max(sing[-1], 1e-300))
-
-    return RelationReport(residuals=residuals, tolerance=tol, details=details)
+    decisions = {name: Decision(value, tol) for name, value in residuals.items()}
+    return RelationReport(decisions, tol, details=details)

@@ -1,8 +1,7 @@
 """Serialization against reference copies of the element-by-element writers.
 
-``canonical_json`` formats float lists and equal-width float rows in one
-batch, and ``matrix_to_jsonable``/``save_matrix_csv`` work on whole
-arrays.  The functions prefixed ``_reference_`` below are the earlier
+``canonical_json`` formats float arrays in batches, and
+``matrix_to_jsonable``/``save_matrix_csv`` work on whole arrays.  The functions prefixed ``_reference_`` below are the earlier
 implementations, kept verbatim: one recursive call per JSON value and one
 Python call per matrix entry.  Every written byte must be the same, and
 an input one side refuses must be refused by the other with the same
