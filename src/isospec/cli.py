@@ -223,6 +223,12 @@ def _load_model_doc(path: str) -> dict:
             doc["tilde_k"] = tilde
         if "kernel_set" in doc:
             doc["kernel_set"] = tuple(_json_list(doc, "kernel_set", (int,), path))
+        # verify recomputes every residual; the stored ones are only type-checked
+        stored = doc.get("residuals", {})
+        if not isinstance(stored, dict) or not all(
+            type(v) in (float, int) and math.isfinite(v) for v in stored.values()
+        ):
+            raise ParameterError(f"model file {path}: residuals must map names to finite JSON numbers")
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ParameterError(f"model file {path} is missing or corrupts required keys: {exc}") from exc
     return doc

@@ -239,6 +239,14 @@ def test_verify_of_a_model_with_broken_entries_is_an_input_error(built_model, tm
         ("kernel_set", ["2"]),
         ("kernel_set", [True]),
         ("kernel_set", [2.0]),
+        # verify recomputes the residuals, but a stored one must still be a finite number
+        ("residuals", "x"),
+        ("residuals", [1, 2]),
+        ("residuals", {"intertwine": None}),
+        ("residuals", {"intertwine": "1e-16"}),
+        ("residuals", {"intertwine": True}),
+        ("residuals", {"intertwine": math.nan}),
+        ("residuals", {"intertwine": 10**400}),
     ],
 )
 def test_verify_of_a_model_with_broken_mode_fields_is_an_input_error(

@@ -292,6 +292,24 @@ def test_structure_requires_noninvertible_regime():
         structure_check(model)
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (8, 9)], ids=["square", "wide"])
+def test_structure_refuses_a_noninvertible_tag_on_an_x_that_is_not_tall(shape):
+    # only a strictly tall X makes N1 = X X-adjoint singular by rank
+    model = build_model(*make_commuting_pair(8, 4, 0))
+    x = np.ones(shape, dtype=complex)
+    with pytest.raises(RegimeError, match="strictly tall X"):
+        structure_check(dataclasses.replace(model, x=x))
+
+
+def test_structure_skips_the_n_inverse_identities_of_a_large_x():
+    # at X * 1e5 the rounded zero eigenvalue of N1 reads about 1e-6: a positivity
+    # test would take that for strict positivity and fail theta1_reconstruction
+    theta1, x = make_commuting_pair(3, 2, 3)
+    report = structure_check(build_model(theta1, x * 1e5))
+    assert report.skipped["n_inverse_intertwine"] == "N1 singular"
+    assert report.skipped["theta1_reconstruction"] == "N1 singular"
+
+
 def test_adjoint_descent_is_consistent():
     assert adjoint_descent(fixture_3x3(1.0, 2.0, 3.0).model) < 1e-10
 

@@ -443,6 +443,34 @@ def test_noninvertible_model_svd_budget(svd_count):
     assert len(svd_count) == 2 + 1
 
 
+@pytest.mark.parametrize(
+    "dims,hermitian",
+    [((40, 20), False), ((120, 60), False), ((40, 20), True)],
+    ids=["40x20", "120x60", "hermitian"],
+)
+def test_structure_check_takes_no_eigensolve_and_no_inverse(dims, hermitian, monkeypatch):
+    # N1 = X X-adjoint has rank d2 < d1: its positivity and inverse are never needed
+    model = build_model(*make_commuting_pair(*dims, 5, hermitian=hermitian))
+    want = _reference_structure(model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("structure_check called an eigensolver or an inverse")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    structure = structure_check(model)
+    got = dict(structure.residuals, adjoint_descent=adjoint_descent(model))
+    _assert_residuals_match(got, want, structure.bounded)
+    assert structure.skipped["n_inverse_intertwine"] == "N1 singular"
+    assert structure.skipped["theta1_reconstruction"] == "N1 singular"
+    reason = structure.skipped["theta1_self_adjoint"]
+    if hermitian:
+        assert reason == "N1 not strictly positive"
+    else:
+        assert reason.startswith("partner not self-adjoint (defect ")
+        assert reason.endswith("); N1 not strictly positive")
+
+
 def test_similarity_model_svd_budget(svd_count):
     theta1, x = _square_pair(3, 6)
     model = build_model(theta1, x)
