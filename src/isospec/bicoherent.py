@@ -255,7 +255,7 @@ def convergence_for_system(system: BiorthogonalSystem, eps, order=None) -> Conve
 
 def _disc(system: BiorthogonalSystem, eps: EpsilonSequence, order: int) -> _Disc:
     """The memoized disc of convergence_for_system; checks and fits on a miss."""
-    key = ("disc", order, eps.values.tobytes())
+    key = ("disc", order, eps.key)
     disc = system.memo.get(key)
     if disc is None:
         _check_order(system, order)
@@ -319,56 +319,50 @@ def _assemble_states(
     The weights |z|^(2k) / eps_k! are taken in log space and normalized by
     log-sum-exp, so no power of |z| overflows on the way to N(|z|).  Every
     z-independent row, from the exponents to the transposed families, is
-    the one the radius gate's disc was fitted with; ``absz`` is |zs|.
+    the one the radius gate's disc was fitted with; ``absz`` is |zs|.  A
+    state's cost is mostly per-call dispatch, so the reductions call their
+    ufuncs directly and one error-state block covers every real-valued row.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         # log|z|^(2k) - log eps_k!; the k = 0 column is log 1 = 0, also at z = 0
         log_w = np.multiply.outer(np.log(absz), disc.exponents)
         log_w[:, 0] = 0.0
         log_w -= disc.log_factorials
-        top = log_w.max(axis=1, keepdims=True)
-        log_norm2 = top + np.log(np.exp(log_w - top).sum(axis=1, keepdims=True))
+        top = np.maximum.reduce(log_w, axis=1, keepdims=True)
+        log_norm2 = top + np.log(np.add.reduce(np.exp(log_w - top), axis=1, keepdims=True))
         # |c_k| = N |z|^k / sqrt(eps_k! p_k); the phase is (z/|z|)^k
         magnitude = np.exp(0.5 * (log_w - log_norm2 - disc.log_pairing))
         # numpy divides by |z| through 1/|z|, which overflows for a subnormal
         # |z|: such a z is first scaled by 2^600, exactly.  Every other z is
-        # scaled by 1, which rounds its signed zeros alike in any batch.
-        tiny = absz.min(initial=1.0) < 2.0 ** -600
-        lift = np.where(absz < 2.0 ** -600, 2.0 ** 600, 1.0) if tiny else 1.0
-        unit = (zs * lift) / (absz * lift)
-        if tiny:  # z = 0 is tiny too, and its phase is 1
-            unit[absz == 0] = 1.0
+        # scaled by 1, which rounds its signed zeros alike in any batch (|z|
+        # times 1 is |z| itself).
+        if np.minimum.reduce(absz, initial=1.0) < 2.0 ** -600:
+            lift = np.where(absz < 2.0 ** -600, 2.0 ** 600, 1.0)
+            unit = (zs * lift) / (absz * lift)
+            unit[absz == 0] = 1.0  # z = 0 is tiny too, and its phase is 1
+        else:
+            unit = (zs * 1.0) / absz
+        terms = magnitude * disc.phi_norms
+        # The analytic tail |z|*|c_{M-1}|*||phi_{M-1}|| can underflow far below
+        # unit roundoff; a truncated series cannot certify residuals below the
+        # arithmetic's resolution, so the reported bound is floored there.
+        rounding_floor = system.dim * _UNIT_ROUNDOFF * (1.0 + absz) * np.add.reduce(terms, axis=1)
+        tail_bound = np.maximum(absz * terms[:, -1], rounding_floor)
+        # the last two terms' ratio; a single term, or a vanished one before the last, passes
+        prev = terms[:, -2] if order >= 2 else 0.0
+        converged = (prev <= 0) | (terms[:, -1] / prev <= TAIL_RATIO_LIMIT)
+        normalization = np.exp(-0.5 * log_norm2[:, 0])
     coeff = magnitude * np.power.outer(unit, disc.modes)
-    if not np.isfinite(coeff).all():
-        bad = zs[np.argmin(np.isfinite(coeff).all(axis=1))]
+    finite = np.isfinite(coeff)
+    if not np.logical_and.reduce(finite, axis=None):
+        bad = zs[np.argmin(np.logical_and.reduce(finite, axis=1))]
         raise DivergenceError(f"series coefficients are not finite at z = {bad:.6g}")
     vector_phi = coeff @ disc.phi_t
     vector_psi = coeff @ disc.psi_t
     overlap = np.einsum("ij,ij->i", vector_phi.conj(), vector_psi)
-    terms = magnitude * disc.phi_norms
-    # The analytic tail |z|*|c_{M-1}|*||phi_{M-1}|| can underflow far below
-    # unit roundoff; a truncated series cannot certify residuals below the
-    # arithmetic's resolution, so the reported bound is floored there.
-    rounding_floor = system.dim * _UNIT_ROUNDOFF * (1.0 + absz) * terms.sum(axis=1)
-    tail_bound = np.maximum(absz * terms[:, -1], rounding_floor)
-    # the last two terms' ratio; a single term, or a vanished one before the last, passes
-    prev = terms[:, -2] if order >= 2 else 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        converged = (prev <= 0) | (terms[:, -1] / prev <= TAIL_RATIO_LIMIT)
-    normalization = np.exp(-0.5 * log_norm2[:, 0])
+    conv = disc.convergence
     return [
-        BicoherentState(
-            z=z,
-            order=order,
-            coefficients=c,
-            vector_phi=vphi,
-            vector_psi=vpsi,
-            normalization=norm,
-            overlap=ov,
-            tail_bound=tail,
-            converged=ok,
-            convergence=disc.convergence,
-        )
+        BicoherentState(z, order, c, vphi, vpsi, norm, ov, tail, ok, conv)
         for z, c, vphi, vpsi, norm, ov, tail, ok in zip(
             zs.tolist(),
             coeff,
@@ -393,12 +387,15 @@ def _radius_gate(
 
     Calls convergence_for_system once, which fits the disc on the first
     call for this (system, eps, order) and reads it from ``system.memo``
-    after; returns the memoized disc with its z-independent rows.
+    after; returns the memoized disc with its z-independent rows.  Both
+    reads hash the sequence's own key, which is taken once per sequence.
     """
-    if not np.isfinite(zs).all():
+    # a non-finite z has a non-finite |z|, which the maximum propagates, so
+    # only a non-finite maximum needs the test of every z
+    largest = float(np.maximum.reduce(absz, initial=0.0))
+    if not math.isfinite(largest) and not np.logical_and.reduce(np.isfinite(zs)):
         raise ParameterError("z must be finite")
     conv = convergence_for_system(system, eps, order)
-    largest = float(absz.max(initial=0.0))
     if math.isfinite(conv.rho) and largest >= conv.rho:
         raise DivergenceError(
             f"|z| = {largest:.6g} is outside the convergence disc of radius "
@@ -464,10 +461,11 @@ def filter_system(system2: BiorthogonalSystem, eps, convention: str = "original"
         raise DimensionError(
             f"need {system2.size} epsilon values, got {len(eps)}"
         )
-    key = ("filter", convention, eps.values.tobytes())
-    if key not in system2.memo:
-        system2.memo[key] = _filter(system2, eps, convention)
-    return system2.memo[key]
+    key = ("filter", convention, eps.key)
+    found = system2.memo.get(key)
+    if found is None:
+        found = system2.memo[key] = _filter(system2, eps, convention)
+    return found
 
 
 def _filter(system2: BiorthogonalSystem, eps: EpsilonSequence, convention: str):

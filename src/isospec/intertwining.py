@@ -93,6 +93,14 @@ def _classify(theta1, x, n1, n2, tol: float):
                 "(finite-dimensional no-go)"
             )
     else:
+        d1, d2 = x.shape
+        if d2 > d1:
+            # N2 = X-adjoint X has rank at most d1 < d2: refused by shape, since a
+            # positivity test can read a rounded zero eigenvalue as positive
+            raise RegimeError(
+                f"a non-invertible model needs a strictly tall X, got {d1}x{d2}: "
+                "a wide X never has strictly positive N2 = X-adjoint X"
+            )
         norms["n2"] = SpectralNorm(n2)
         if not _strictly_positive(n2, norms["n2"], tol):
             raise RegimeError(
@@ -115,8 +123,9 @@ def classify(theta1, x, tol: float = RELATION_TOL) -> str:
 
     Square X with sigma_min > tol*sigma_max is Invertible, and additionally
     InvertibleCommuting when [X X-adjoint, Theta1] vanishes relative to the
-    operand norms.  Rectangular X needs N2 = X-adjoint X strictly positive
-    and [N1, Theta1] = 0 (NonInvertible regime); anything else is refused.
+    operand norms.  Rectangular X must be strictly tall, with N2 = X-adjoint X
+    strictly positive and [N1, Theta1] = 0 (NonInvertible regime); anything
+    else is refused.
     """
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
@@ -380,11 +389,12 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
     def rel(num, *den, floor=1e-300):
         return certified_ratio(num, den, tol, floor)
 
-    found["intertwine"] = rel(x @ t2 - t1 @ x, nt1, nx)
-    found["intertwine_n"] = rel(x @ n2 - n1 @ x, nn1, nx)
-    tp1, tp2 = t1, t2
-    # a power that overflows ends in opnorm's NumericalError, not in a RuntimeWarning
+    # a product or power that overflows ends in opnorm's NumericalError, not in a
+    # RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
+        found["intertwine"] = rel(x @ t2 - t1 @ x, nt1, nx)
+        found["intertwine_n"] = rel(x @ n2 - n1 @ x, nn1, nx)
+        tp1, tp2 = t1, t2
         for n in range(2, 5):
             tp1, tp2 = tp1 @ t1, tp2 @ t2
             found[f"intertwine_power_{n}"] = rel(x @ tp2 - tp1 @ x, SpectralNorm(tp1), nx)

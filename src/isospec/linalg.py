@@ -227,7 +227,9 @@ def _eig(m: np.ndarray, multiplicity_tolerance: float, norm: SpectralNorm) -> Ei
     vectors = vectors[:, order]
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     vectors = _fix_phase(vectors)
-    defect = np.linalg.norm(m @ vectors - vectors * values[np.newaxis, :], axis=0)
+    # a residual that overflows fails the check below, not in a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.linalg.norm(m @ vectors - vectors * values[np.newaxis, :], axis=0)
     max_res = certified_ratio(float(np.max(defect)), (norm,), 1e-8)
     if not max_res.passed:
         raise NumericalError(f"eigendecomposition residual {max_res} exceeds 1e-8 of ||M||")
@@ -308,6 +310,12 @@ class EpsilonSequence:
 
     def __len__(self) -> int:
         return self.values.size
+
+    @cached_property
+    def key(self) -> bytes:
+        """The bytes of ``values``, taken once: the memo key of what is derived
+        from the sequence.  ``values`` is a read-only copy, so the key holds."""
+        return self.values.tobytes()
 
     def factorials(self, count: int) -> np.ndarray:
         """Array of generalized factorials eps_0! .. eps_{count-1}!."""

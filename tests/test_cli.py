@@ -103,6 +103,48 @@ def test_build_of_a_model_failing_its_own_relations_exits_3(tmp_path):
     assert verify.returncode == 3
 
 
+def _wide_pair(draw):
+    """Draw ``draw`` (from 0) of a complex 2x3 X = (N + iN) 1e5, with Theta1 = X X-adjoint."""
+    rng = np.random.default_rng(0)
+    for _ in range(draw + 1):
+        x = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) * 1e5
+    return x @ x.conj().T, x
+
+
+def _build_files(theta1, x, tmp_path, capsys):
+    """``build --theta1 --x`` in this process: (exit code, stderr lines)."""
+    save_matrix_json(theta1, tmp_path / "t.json")
+    save_matrix_json(x, tmp_path / "x.json")
+    code = cli.main(["build", "--theta1", str(tmp_path / "t.json"), "--x",
+                     str(tmp_path / "x.json"), "--outdir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err.splitlines()
+
+
+# draws 1 and 3 pass the positivity test of N2 on its rounded zero eigenvalue:
+# the first would build a model, the second would end in LinAlgError
+@pytest.mark.parametrize("draw", [1, 3])
+def test_build_refuses_a_wide_intertwiner_by_its_shape(draw, tmp_path, capsys):
+    code, lines = _build_files(*_wide_pair(draw), tmp_path, capsys)
+    assert code == errors.RegimeError.exit_code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "strictly tall X, got 2x3" in lines[0]
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+# an overflowing eigen residual (Theta1 * 1e300) and an overflowing intertwining
+# relation (X * 1e150) end in the NumericalError alone; pytest makes a
+# RuntimeWarning an error, so a warning on the way would end the run first
+@pytest.mark.parametrize("theta_scale, x_scale", [(1e300, 1.0), (1.0, 1e150)],
+                         ids=["theta1_1e300", "x_1e150"])
+def test_an_overflowing_build_ends_in_the_numerical_error_only(theta_scale, x_scale, tmp_path,
+                                                               capsys):
+    theta1, x = make_commuting_pair(8, 4, 0)
+    code, lines = _build_files(theta1 * theta_scale, x * x_scale, tmp_path, capsys)
+    assert code == errors.NumericalError.exit_code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 def test_build_random_pair_is_seed_deterministic(tmp_path):
     for sub, seed in (("a", 7), ("b", 7), ("c", 8)):
         (tmp_path / sub).mkdir()

@@ -89,6 +89,32 @@ def test_classify_rank_deficient_columns_has_no_regime():
         classify(theta1, x)
 
 
+def _wide_pair(draw):
+    """Draw ``draw`` (from 0) of a complex 2x3 X = (N + iN) 1e5, with Theta1 = X X-adjoint."""
+    rng = np.random.default_rng(0)
+    for _ in range(draw + 1):
+        x = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) * 1e5
+    return x @ x.conj().T, x
+
+
+# on draws 1 and 3 the rounded zero eigenvalue of the rank-2 N2 reads above the
+# tolerance, so a positivity test would take N2 for strictly positive
+@pytest.mark.parametrize("draw", [1, 3])
+def test_classify_refuses_a_wide_x_by_its_shape(draw, monkeypatch):
+    from isospec import intertwining
+
+    theta1, x = _wide_pair(draw)
+
+    def no_positivity_test(*args):
+        raise AssertionError("a wide X reached the positivity test")
+
+    monkeypatch.setattr(intertwining, "_strictly_positive", no_positivity_test)
+    with pytest.raises(RegimeError, match="strictly tall X, got 2x3"):
+        classify(theta1, x)
+    with pytest.raises(RegimeError, match="strictly tall X, got 2x3"):
+        build_model(theta1, x)
+
+
 # ---------------------------------------------------------------------------
 # the partner Theta2 of build_model
 
