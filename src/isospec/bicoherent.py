@@ -319,10 +319,18 @@ def _assemble_states(
     The weights |z|^(2k) / eps_k! are taken in log space and normalized by
     log-sum-exp, so no power of |z| overflows on the way to N(|z|).  Every
     z-independent row, from the exponents to the transposed families, is
-    the one the radius gate's disc was fitted with; ``absz`` is |zs|.  A
-    state's cost is mostly per-call dispatch, so the reductions call their
-    ufuncs directly and one error-state block covers every real-valued row.
+    the one the radius gate's disc was fitted with; ``absz`` is |zs|.
+
+    A state's cost is mostly per-call dispatch, so the reductions call their
+    ufuncs directly, one error-state block covers every real-valued row, and
+    what is one number per z is a Python float: |z|, the sum and the last
+    two of the tail terms, and from them the rounding floor, the tail bound
+    and ``converged``.  Those take only +, *, / and comparisons, which round
+    exactly as numpy's float64 ufuncs do, so their bits are the ones of the
+    row expressions they replace.  Logs, exponentials and the sums stay
+    numpy, whose vector loops need not round like ``math``.
     """
+    absz_list = absz.tolist()
     with np.errstate(divide="ignore", invalid="ignore"):
         # log|z|^(2k) - log eps_k!; the k = 0 column is log 1 = 0, also at z = 0
         log_w = np.multiply.outer(np.log(absz), disc.exponents)
@@ -336,22 +344,16 @@ def _assemble_states(
         # |z|: such a z is first scaled by 2^600, exactly.  Every other z is
         # scaled by 1, which rounds its signed zeros alike in any batch (|z|
         # times 1 is |z| itself).
-        if np.minimum.reduce(absz, initial=1.0) < 2.0 ** -600:
+        if min(absz_list, default=1.0) < 2.0 ** -600:
             lift = np.where(absz < 2.0 ** -600, 2.0 ** 600, 1.0)
             unit = (zs * lift) / (absz * lift)
             unit[absz == 0] = 1.0  # z = 0 is tiny too, and its phase is 1
         else:
             unit = (zs * 1.0) / absz
         terms = magnitude * disc.phi_norms
-        # The analytic tail |z|*|c_{M-1}|*||phi_{M-1}|| can underflow far below
-        # unit roundoff; a truncated series cannot certify residuals below the
-        # arithmetic's resolution, so the reported bound is floored there.
-        rounding_floor = system.dim * _UNIT_ROUNDOFF * (1.0 + absz) * np.add.reduce(terms, axis=1)
-        tail_bound = np.maximum(absz * terms[:, -1], rounding_floor)
-        # the last two terms' ratio; a single term, or a vanished one before the last, passes
-        prev = terms[:, -2] if order >= 2 else 0.0
-        converged = (prev <= 0) | (terms[:, -1] / prev <= TAIL_RATIO_LIMIT)
+        totals = np.add.reduce(terms, axis=1).tolist()
         normalization = np.exp(-0.5 * log_norm2[:, 0])
+    lasts = terms[:, -2:].tolist()
     coeff = magnitude * np.power.outer(unit, disc.modes)
     finite = np.isfinite(coeff)
     if not np.logical_and.reduce(finite, axis=None):
@@ -361,19 +363,33 @@ def _assemble_states(
     vector_psi = coeff @ disc.psi_t
     overlap = np.einsum("ij,ij->i", vector_phi.conj(), vector_psi)
     conv = disc.convergence
-    return [
-        BicoherentState(z, order, c, vphi, vpsi, norm, ov, tail, ok, conv)
-        for z, c, vphi, vpsi, norm, ov, tail, ok in zip(
-            zs.tolist(),
-            coeff,
-            vector_phi,
-            vector_psi,
-            normalization.tolist(),
-            overlap.tolist(),
-            tail_bound.tolist(),
-            converged.tolist(),
-        )
-    ]
+    floor_scale = system.dim * _UNIT_ROUNDOFF
+    states = []
+    for z, a, total, last_two, c, vphi, vpsi, norm, ov in zip(
+        zs.tolist(),
+        absz_list,
+        totals,
+        lasts,
+        coeff,
+        vector_phi,
+        vector_psi,
+        normalization.tolist(),
+        overlap.tolist(),
+    ):
+        # The analytic tail |z|*|c_{M-1}|*||phi_{M-1}|| can underflow far below
+        # unit roundoff; a truncated series cannot certify residuals below the
+        # arithmetic's resolution, so the reported bound is floored there.
+        # The choice is np.maximum's: a NaN on either side is the bound.
+        last = last_two[-1]
+        floor = floor_scale * (1.0 + a) * total
+        tail = a * last
+        tail = tail if tail >= floor or tail != tail else floor
+        # the last two terms' ratio; a single term, or a vanished one before
+        # the last, passes (and is never divided by)
+        prev = last_two[0] if order >= 2 else 0.0
+        ok = prev <= 0 or last / prev <= TAIL_RATIO_LIMIT
+        states.append(BicoherentState(z, order, c, vphi, vpsi, norm, ov, tail, ok, conv))
+    return states
 
 
 def _radius_gate(
@@ -616,6 +632,13 @@ def resolution_check(
     leaving radial moments evaluated by the measure's quadrature; moment
     defects therefore propagate honestly into the residual.  Without a
     measure the integral is taken as its sum form.
+
+    The pairing, moments and factorials are read as Python floats, and the
+    families through row views of their transposes, which are views of the
+    same columns.  The one float operation, eps_k! * p_k, rounds as numpy's
+    float64 product does; every operation with a complex operand (the inner
+    products, their product and the accumulation in mode order) stays a
+    numpy scalar one, so every field keeps its bits.
     """
     eps = EpsilonSequence.of(eps)
     _check_order(system, order)
@@ -623,13 +646,15 @@ def resolution_check(
     g = np.asarray(g, dtype=complex).reshape(-1)
     if f.size != system.dim or g.size != system.dim:
         raise DimensionError("f and g must live in the system's ambient space")
-    facts = eps.factorials(order)
-    moments = None if measure is None else measure.moments(order)
+    facts = eps.factorials(order).tolist()
+    moments = None if measure is None else measure.moments(order).tolist()
+    pairing = system.pairing[:order].tolist()
+    phi_t, psi_t = system.phi.T, system.psi.T
     lhs = sum_form = 0.0 + 0.0j
     # accumulated in mode order: the residual is rounding noise that reports record
     for k in range(order):
-        fg = np.vdot(f, system.phi[:, k]) * np.vdot(system.psi[:, k], g)
-        pk = system.pairing[k]
+        fg = np.vdot(f, phi_t[k]) * np.vdot(psi_t[k], g)
+        pk = pairing[k]
         sum_form += fg / pk
         if moments is not None:
             lhs += fg * 2.0 * math.pi * moments[k] / (facts[k] * pk)

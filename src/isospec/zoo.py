@@ -579,6 +579,21 @@ def standard_boson(dim: int):
     return a, a.conj().T, eps, e0.copy(), e0.copy()
 
 
+def _column_scales(m: np.ndarray) -> np.ndarray:
+    """Per column of ``m``, the power of two that brings its largest
+    magnitude into [1, 2) (a subnormal one to at least 2^-52).
+
+    A norm squares the entries, which overflows past about 1e154 and
+    underflows below 1e-154 while the column itself is finite.  Scaling a
+    column by one constant leaves every ratio of its norms unchanged, and a
+    power of two scales exactly: within the normal range the ratios keep
+    their bits.
+    """
+    _, exponent = np.frexp(np.max(np.abs(m), axis=0))
+    # within the normal range, so the factor itself is finite and exact
+    return np.ldexp(1.0, np.clip(1 - exponent, -1022, 1022))
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> RelationReport:
     """Check a deformed ladder pair against its defining properties.
@@ -588,9 +603,11 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     eigen-equations of M = b a and its adjoint, biorthonormality of the two
     families, and the shifted-eigenvector property of a b.  The basis
     property is only decidable at truncation, so it is reported as the
-    condition number of the Phi column matrix, never as a boolean.  An
-    overflow, of a family or of its norms, leaves a residual that is not
-    finite: a NumericalError naming its check.
+    condition number of the Phi column matrix, never as a boolean.  Every
+    norm is taken on columns rescaled by powers of two (``_column_scales``),
+    so a rescaled pair whose families are finite verifies as the pair does.
+    An overflow of a family leaves a residual that is not finite: a
+    NumericalError naming its check.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -641,17 +658,19 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     roots = np.sqrt(eps.values[1:n_modes])
     for name, op, family in (("lowering", a, phis), ("raising", b.conj().T, etas)):
         # ||op v_n - sqrt(eps_n) v_{n-1}|| relative to sqrt(eps_n) ||v_{n-1}||, n >= 1
+        # both norms over the power of two of v_{n-1}: their ratio is unchanged
         below = family[:, :-1]
-        scale = np.maximum(np.linalg.norm(below, axis=0), 1e-300)
-        step = np.linalg.norm(op @ family[:, 1:] - roots * below, axis=0)
+        unit = _column_scales(below)
+        scale = np.maximum(np.linalg.norm(below * unit, axis=0), 1e-300)
+        step = np.linalg.norm((op @ family[:, 1:] - roots * below) * unit, axis=0)
         per_mode = step / (roots * scale + 1e-300)
         residuals[f"p3_{name}"] = float(per_mode.max())
         details[f"p3_{name}_per_mode"] = per_mode.tolist()
 
     m = b @ a
     sm = max(opnorm(m), 1e-300)
-    em = column_defects(m, phis, eps.values[:n_modes], sm)
-    ema = column_defects(m.conj().T, etas, eps.values[:n_modes], sm)
+    em = column_defects(m, phis * _column_scales(phis), eps.values[:n_modes], sm)
+    ema = column_defects(m.conj().T, etas * _column_scales(etas), eps.values[:n_modes], sm)
     residuals["eigen_m"], residuals["eigen_m_adjoint"] = float(em.max()), float(ema.max())
     details["eigen_m_per_mode"] = em.tolist()
 
@@ -662,12 +681,13 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     ab = a @ b
     sab = max(opnorm(ab), 1e-300)
     v = a @ phis[:, 1:]
+    v *= _column_scales(v)
     live = np.linalg.norm(v, axis=0) > 1e-300
     shifted = column_defects(ab, v[:, live], eps.values[1:n_modes][live], sab)
     residuals["shifted_eigen"] = float(shifted.max(initial=0.0))
     for name, value in residuals.items():
         if not math.isfinite(value):
-            raise NumericalError(f"nlpb check {name} is {value}: a family or its norm overflowed")
+            raise NumericalError(f"nlpb check {name} is {value}: a family or its image under an operator overflowed")
 
     sing = np.linalg.svd(phis, compute_uv=False)
     details["phi_condition_number"] = float(sing[0] / max(sing[-1], 1e-300))

@@ -94,10 +94,12 @@ RESCALINGS = [
     ((1.0, 1.0), False),
     ((1e10, 1e-10), False),
     ((1e-10, 1e10), False),
-    # the eta columns reach 1e280, and their squared norms overflow
-    ((1e40, 1e-40), True),
+    # the eta columns reach 1e280: their norms are taken on rescaled columns
+    ((1e40, 1e-40), False),
     # b^n Phi_0 overflows to inf and NaN
     ((1e-200, 1e200), True),
+    # the Phi columns reach 1e280
+    ((1e-40, 1e40), False),
 ]
 
 

@@ -398,3 +398,25 @@ def test_verifier_accepts_scaled_seed():
     a, b, eps, phi0, eta0 = standard_boson(10)
     report = nlpb_verify(a, b, eps, phi0, 2.5 * eta0, n_modes=6)
     assert report.all_passed
+
+
+@pytest.mark.parametrize("power", [1, 130, -130])
+def test_a_power_of_two_rescaling_keeps_every_residual_bit_for_bit(power):
+    a, b, eps, phi0, eta0 = standard_boson(8)
+    report = nlpb_verify(a, b, eps, phi0, eta0, n_modes=8)
+    scaled = nlpb_verify(a * 2.0**power, b * 2.0**-power, eps, phi0, eta0, n_modes=8)
+    assert scaled.residuals == report.residuals
+    for name in ("p3_lowering_per_mode", "p3_raising_per_mode", "eigen_m_per_mode"):
+        assert scaled.details[name] == report.details[name]
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e-40])
+def test_a_planted_fault_fails_its_check_at_a_scale_whose_squares_overflow(scale):
+    a, b, eps, phi0, eta0 = standard_boson(8)
+    b_bad = b.copy()
+    b_bad[5, 4] += 1e-3
+    report = nlpb_verify(a * scale, b_bad / scale, eps, phi0, eta0, n_modes=8)
+    assert "p3_raising" in report.failures()
+    per_mode = np.asarray(report.details["p3_raising_per_mode"])
+    assert int(np.argmax(per_mode)) == 4
+    assert per_mode[4] > 1e-4
