@@ -581,7 +581,7 @@ def standard_boson(dim: int):
 
 def _column_scales(m: np.ndarray) -> np.ndarray:
     """Per column of ``m``, the power of two that brings its largest
-    magnitude into [1, 2) (a subnormal one to at least 2^-52).
+    magnitude near 1: into [1, 4), or a subnormal one to at least 2^-52.
 
     A norm squares the entries, which overflows past about 1e154 and
     underflows below 1e-154 while the column itself is finite.  Scaling a
@@ -660,9 +660,9 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
         # ||op v_n - sqrt(eps_n) v_{n-1}|| relative to sqrt(eps_n) ||v_{n-1}||, n >= 1
         # both norms over the power of two of v_{n-1}: their ratio is unchanged
         below = family[:, :-1]
-        unit = _column_scales(below)
-        scale = np.maximum(np.linalg.norm(below * unit, axis=0), 1e-300)
-        step = np.linalg.norm((op @ family[:, 1:] - roots * below) * unit, axis=0)
+        factor = _column_scales(below)
+        scale = np.maximum(np.linalg.norm(below * factor, axis=0), 1e-300)
+        step = np.linalg.norm((op @ family[:, 1:] - roots * below) * factor, axis=0)
         per_mode = step / (roots * scale + 1e-300)
         residuals[f"p3_{name}"] = float(per_mode.max())
         details[f"p3_{name}_per_mode"] = per_mode.tolist()
@@ -687,7 +687,7 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     residuals["shifted_eigen"] = float(shifted.max(initial=0.0))
     for name, value in residuals.items():
         if not math.isfinite(value):
-            raise NumericalError(f"nlpb check {name} is {value}: a family or its image under an operator overflowed")
+            raise NumericalError(f"nlpb check {name} is {value}: a family or its image overflowed")
 
     sing = np.linalg.svd(phis, compute_uv=False)
     details["phi_condition_number"] = float(sing[0] / max(sing[-1], 1e-300))

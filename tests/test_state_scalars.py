@@ -43,7 +43,9 @@ def _reference_rows(system, eps, zs, order):
     n_blocks=st.sampled_from([3, 5, 6, 7]),
     alpha1=st.floats(0.1, 4.0),
     order=st.integers(1, 14),
-    moduli=st.lists(st.floats(0.0, 2.0) | st.sampled_from([1e-310, 1e-8, 1e-3]), min_size=1, max_size=6),
+    moduli=st.lists(
+        st.floats(0.0, 2.0) | st.sampled_from([1e-310, 1e-8, 1e-3]), min_size=1, max_size=6
+    ),
     angle=st.floats(0.0, 2 * math.pi),
 )
 @settings(max_examples=80, deadline=None)
@@ -52,7 +54,8 @@ def test_tail_bounds_and_verdicts_match_the_rows(n_blocks, alpha1, order, moduli
     system = fixture.model.system1()
     eps = EpsilonSequence(fixture.expected["epsilon"])
     order = min(order, system.size)
-    zs = np.array([r * complex(math.cos(angle + i), math.sin(angle + i)) for i, r in enumerate(moduli)])
+    zs = np.array([r * complex(math.cos(angle + i), math.sin(angle + i))
+                   for i, r in enumerate(moduli)])
     tails, verdicts = _reference_rows(system, eps, zs, order)
     batch = coherent_grid(system, eps, zs, order)
     singles = [coherent_pair(system, eps, z, order) for z in zs]
