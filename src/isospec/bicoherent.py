@@ -642,6 +642,7 @@ def resolution_check(
     """
     eps = EpsilonSequence.of(eps)
     _check_order(system, order)
+    _refuse_kernel(system.pairing[:order])
     f = np.asarray(f, dtype=complex).reshape(-1)
     g = np.asarray(g, dtype=complex).reshape(-1)
     if f.size != system.dim or g.size != system.dim:
@@ -663,9 +664,9 @@ def resolution_check(
     return ResolutionResult(
         lhs=complex(lhs),
         rhs=rhs,
-        residual=abs(lhs - rhs),
+        residual=float(abs(lhs - rhs)),
         sum_form=complex(sum_form),
-        sum_residual=abs(lhs - sum_form),
+        sum_residual=float(abs(lhs - sum_form)),
     )
 
 

@@ -146,6 +146,17 @@ def _noninvertible_partner(theta1, x, xh, n2) -> np.ndarray:
     return np.linalg.solve(n2, xh @ theta1 @ x)
 
 
+def _range_and_kernel(x: np.ndarray):
+    """Orthonormal bases, as columns, of range(X) and of ker(X-adjoint).
+
+    In the non-invertible regime [N1, Theta1] = 0 makes both invariant under
+    Theta1: the modes of the first survive into Theta2, those of the second
+    are the kernel losses.
+    """
+    q = np.linalg.qr(x, mode="complete")[0]
+    return q[:, : x.shape[1]], q[:, x.shape[1] :]
+
+
 def _transport(phi1, xh, tol: float):
     """(phi2, kernel_set, tilde_k, degeneracy_classes) of the columns ``phi1``."""
     if xh.shape[1] != phi1.shape[0]:
@@ -324,7 +335,8 @@ def build_model(
     """Classify, build the partner, and transport the eigensystem.
 
     ``eigensystem`` lets fixtures supply exact eigendata (their own
-    normalization and ordering); by default the seed is diagonalized here.
+    normalization and ordering); by default the seed is diagonalized here,
+    a non-invertible one on range(X) and ker(X-adjoint) separately.
     Either way the spectrum counts as simple only if every pairwise
     eigenvalue gap exceeds ``multiplicity_tolerance``.
     """
@@ -338,7 +350,8 @@ def build_model(
     else:
         theta2 = _similarity_partner(theta1, x, s)
     if eigensystem is None:
-        eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1"])
+        blocks = _range_and_kernel(x) if case == CASE_NONINVERTIBLE else None
+        eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1"], blocks)
     if np.any(_pairwise_gaps(eigensystem.values) <= multiplicity_tolerance):
         raise SpectrumError(
             "seed spectrum is not simple at the configured multiplicity "

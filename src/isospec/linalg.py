@@ -29,6 +29,11 @@ MULTIPLICITY_TOL = 1e-8
 RANK_TOL = 1e-12
 # Relative margin of certified_ratio: the rounding of the bounds and of the SVD.
 CERTIFY_MARGIN = 1e-6
+# ||phi||_F ||phi^-1||_F below which a computed inverse certifies full rank.  The
+# inverse is accurate to about n u ||phi|| ||phi^-1|| relative (Higham 2002,
+# 14.3), which near 1/RANK_TOL is 1e-4 n: two orders inside it, no rounding
+# of the inverse can turn the verdict of the singular values.
+RANK_CERTIFY = 1e-2 / RANK_TOL
 
 
 def as_matrix(m) -> np.ndarray:
@@ -216,10 +221,27 @@ def eig(m, multiplicity_tolerance: float = MULTIPLICITY_TOL) -> Eigensystem:
     return _eig(m, multiplicity_tolerance, SpectralNorm(m))
 
 
-def _eig(m: np.ndarray, multiplicity_tolerance: float, norm: SpectralNorm) -> Eigensystem:
-    """``eig`` on a validated square matrix whose spectral ``norm`` is that of ``m``."""
+def _eig(
+    m: np.ndarray,
+    multiplicity_tolerance: float,
+    norm: SpectralNorm,
+    blocks: tuple[np.ndarray, ...] | None = None,
+) -> Eigensystem:
+    """``eig`` on a validated square matrix whose spectral ``norm`` is that of ``m``.
+
+    ``blocks`` are orthonormal bases Q_i, as columns, of complementary
+    subspaces that ``m`` leaves invariant; None means the whole space.  Each
+    Q_i^H m Q_i is diagonalized on its own and its eigenvectors are lifted
+    as Q_i V_i.  The residual gate is measured on ``m`` itself, so it also
+    certifies that the dropped off-diagonal blocks do not matter.
+    """
     try:
-        values, vectors = np.linalg.eig(m)
+        if blocks is None:
+            values, vectors = np.linalg.eig(m)
+        else:
+            pairs = [np.linalg.eig(q.conj().T @ m @ q) for q in blocks]
+            values = np.concatenate([w for w, _ in pairs])
+            vectors = np.hstack([q @ v for q, (_, v) in zip(blocks, pairs)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((values.imag, values.real))
@@ -240,19 +262,28 @@ def biorthogonal_partner(phi) -> np.ndarray:
     """Partner family psi with <phi_k, psi_n> = delta_kn.
 
     ``phi`` holds the family as columns of a square matrix; the partner is
-    the inverse-adjoint of that matrix, columnwise.
+    the inverse-adjoint of that matrix, columnwise.  The family is full rank
+    when sigma_min > RANK_TOL * sigma_max.  Since sigma_max <= ||phi||_F and
+    1/sigma_min <= ||phi^-1||_F, the inverse certifies that from O(n^2) work
+    below RANK_CERTIFY; the singular values decide only above it, or when
+    the inverse fails.
     """
     phi = as_matrix(phi)
     if phi.shape[0] != phi.shape[1]:
         raise SingularityError(
             f"family must span the space: need square column matrix, got {phi.shape}"
         )
-    s = np.linalg.svd(phi, compute_uv=False)
-    if s[-1] <= RANK_TOL * s[0]:
-        raise SingularityError(
-            f"vector family is rank deficient (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
-        )
-    return np.linalg.inv(phi).conj().T
+    try:
+        inv = np.linalg.inv(phi)
+    except np.linalg.LinAlgError:  # exactly singular: the singular values word the refusal
+        inv = None
+    if inv is None or SpectralNorm(phi).bounds[1] * SpectralNorm(inv).bounds[1] >= RANK_CERTIFY:
+        s = np.linalg.svd(phi, compute_uv=False)
+        if s[-1] <= RANK_TOL * s[0]:
+            raise SingularityError(
+                f"vector family is rank deficient (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
+            )
+    return (np.linalg.inv(phi) if inv is None else inv).conj().T
 
 
 def is_strictly_positive(m, tol: float = KERNEL_TOL) -> bool:

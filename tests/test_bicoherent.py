@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -777,6 +778,22 @@ def test_resolution_on_random_span():
         g[:10] = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         result = resolution_check(system, eps, measure, f, g, 24)
         assert result.residual < RESOLUTION_TOL
+
+
+def test_resolution_check_refuses_a_kernel_mode():
+    # the level-2 shift system keeps its kernel mode (pairing 0) at index 0
+    system = get_fixture("shift").model.system2(include_kernel=True)
+    eps = EpsilonSequence.linear(1.0, 8)
+    f = np.ones(system.dim, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in (None, solve_moment_measure(eps, 8)):
+            for order in (1, 8):
+                with pytest.raises(KernelError, match="index 0"):
+                    resolution_check(system, eps, measure, f, f, order)
+        # past the kernel mode the check runs, and its residuals are floats
+        result = resolution_check(system.columns(slice(1, None)), eps, None, f, f, 7)
+    assert type(result.residual) is float and type(result.sum_residual) is float
 
 
 def test_level2_dyad_sum_is_not_the_identity():

@@ -89,10 +89,10 @@ def test_build_refuses_square_singular_intertwiner(tmp_path):
 
 
 def test_build_of_a_model_failing_its_own_relations_exits_3(tmp_path):
-    # X scaled by 1e5: the construction goes through, its eigen relations do not
+    # X scaled by 1e7: the construction goes through, its eigen relations do not
     theta1, x = make_commuting_pair(8, 4, 0)
     save_matrix_json(theta1, tmp_path / "t.json")
-    save_matrix_json(x * 1e5, tmp_path / "x.json")
+    save_matrix_json(x * 1e7, tmp_path / "x.json")
     proc = run_cli("build", "--theta1", str(tmp_path / "t.json"), "--x", str(tmp_path / "x.json"),
                    "--outdir", str(tmp_path))
     assert proc.returncode == 3
@@ -101,6 +101,21 @@ def test_build_of_a_model_failing_its_own_relations_exits_3(tmp_path):
     assert doc["residuals"]["theta2_eigen"] > RELATION_TOL
     verify = run_cli("verify", "--model", str(tmp_path / "model.json"), "--outdir", str(tmp_path))
     assert verify.returncode == 3
+
+
+def test_build_keeps_the_kernel_of_x_scaled_by_1e5(tmp_path):
+    # the seed is diagonalized on range(X) and ker(X-adjoint), so the kernel
+    # modes are exact to rounding in the basis of ker(X-adjoint)
+    theta1, x = make_commuting_pair(8, 4, 0)
+    save_matrix_json(theta1, tmp_path / "t.json")
+    save_matrix_json(x * 1e5, tmp_path / "x.json")
+    proc = run_cli("build", "--theta1", str(tmp_path / "t.json"), "--x", str(tmp_path / "x.json"),
+                   "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads((tmp_path / "model.json").read_text())
+    assert doc["kernel_set"] == [0, 4, 6, 7]
+    verify = run_cli("verify", "--model", str(tmp_path / "model.json"), "--outdir", str(tmp_path))
+    assert verify.returncode == 0, verify.stdout + verify.stderr
 
 
 def _wide_pair(draw):

@@ -238,6 +238,77 @@ def test_partner_rejects_rank_deficient_family():
         biorthogonal_partner(phi)
 
 
+def _reference_partner(phi):
+    """The rank test as it read before the certified bound: singular values first."""
+    s = np.linalg.svd(phi, compute_uv=False)
+    if s[-1] <= 1e-12 * s[0]:
+        raise SingularityError(
+            f"vector family is rank deficient (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
+        )
+    return np.linalg.inv(phi).conj().T
+
+
+def _family(seed, n, cond):
+    """A random n x n complex family with singular values geomspace(1, 1/cond)."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(_random_complex(rng, n, n))
+    v, _ = np.linalg.qr(_random_complex(rng, n, n))
+    return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.conj().T
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    shapes = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+def test_a_well_conditioned_family_takes_no_svd(svd_shapes):
+    rng = np.random.default_rng(3)
+    phi = _random_complex(rng, 30, 30) + 8.0 * np.eye(30)
+    psi = biorthogonal_partner(phi)
+    assert (30, 30) not in svd_shapes
+    assert np.array_equal(psi, np.linalg.inv(phi).conj().T)
+
+
+@pytest.mark.parametrize("singular", [True, False], ids=["exact", "cond_1e13"])
+def test_a_rank_deficient_family_raises_the_svd_message(singular, svd_shapes):
+    if singular:
+        phi = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(phi)
+    else:
+        phi = _family(7, 6, 1e13)
+        assert np.all(np.isfinite(np.linalg.inv(phi)))
+    with pytest.raises(SingularityError) as want:
+        _reference_partner(phi)
+    svd_shapes.clear()
+    with pytest.raises(SingularityError) as got:
+        biorthogonal_partner(phi)
+    assert str(got.value) == str(want.value)
+    assert svd_shapes == [phi.shape]
+
+
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12), log_cond=st.floats(0.0, 14.0))
+@settings(max_examples=80, deadline=None)
+def test_partner_verdict_and_bits_match_the_svd_test(seed, n, log_cond):
+    phi = _family(seed, n, 10.0**log_cond)
+    try:
+        want = _reference_partner(phi)
+    except SingularityError as exc:
+        with pytest.raises(SingularityError) as got:
+            biorthogonal_partner(phi)
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(biorthogonal_partner(phi), want)
+
+
 @given(st.integers(0, 10**6), st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
 def test_partner_pairing_defect(seed, n):

@@ -102,6 +102,29 @@ def _reference_make_commuting_pair(dim1, dim2, seed, hermitian=False):
     raise NumericalError("could not draw a simple-spectrum commuting pair in 64 tries")
 
 
+def _reference_split_eig(theta1, x):
+    """The seed eigensystem of a NonInvertible model: eig on range(X) and ker(X-adjoint)."""
+    q = np.linalg.qr(x, mode="complete")[0]
+    d2 = x.shape[1]
+    values, vectors = [], []
+    for block in (q[:, :d2], q[:, d2:]):
+        w, v = np.linalg.eig(block.conj().T @ theta1 @ block)
+        values.append(w)
+        vectors.append(block @ v)
+    values = np.concatenate(values)
+    vectors = np.hstack(vectors)
+    order = np.lexsort((values.imag, values.real))
+    values = values[order]
+    vectors = vectors[:, order]
+    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+    rows = np.argmax(np.abs(vectors), axis=0)
+    pivot = vectors[rows, np.arange(vectors.shape[1])]
+    size = np.hypot(pivot.real, pivot.imag)
+    out = vectors.copy()
+    out *= np.divide(size, pivot, out=np.ones_like(pivot), where=pivot != 0)
+    return Eigensystem(values, out)
+
+
 def _reference_map(x, phi1, tol=1e-10):
     """kernel_set, tilde_k, N-residuals and degeneracy classes, column by column."""
     phi2 = x.conj().T @ phi1
@@ -329,7 +352,34 @@ def _square_pair(seed, n):
 def test_commuting_pairs_match_the_column_loops(seed, dim2, extra, hermitian):
     theta1, x = make_commuting_pair(dim2 + extra, dim2, seed, hermitian=hermitian)
     model = build_model(theta1, x)
-    _check_against_reference(model, eig(theta1))
+    _check_against_reference(model, _reference_split_eig(theta1, x))
+    assert np.array_equal(model.values, _reference_split_eig(theta1, x).values)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    dim2=st.integers(1, 8),
+    extra=st.integers(1, 8),
+    hermitian=st.booleans(),
+    power=st.integers(-6, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_split_eigensystem_matches_the_full_one(seed, dim2, extra, hermitian, power):
+    # the same model through eig of the whole seed, its modes matched by nearest eigenvalue
+    theta1, x = make_commuting_pair(dim2 + extra, dim2, seed, hermitian=hermitian)
+    x = x * 2.0**power
+    blocks = intertwining._range_and_kernel(x)
+    split = linalg._eig(theta1, linalg.MULTIPLICITY_TOL, linalg.SpectralNorm(theta1), blocks)
+    assert split.max_residual <= 1e-8
+    model = build_model(theta1, x)
+    full = build_model(theta1, x, eigensystem=eig(theta1))
+    match = np.argmin(np.abs(model.values[:, None] - full.values[None, :]), axis=1)
+    assert sorted(match) == list(range(len(model.values)))
+    scale = max(1.0, opnorm(theta1))
+    assert np.max(np.abs(model.values - full.values[match])) <= 1e-12 * scale
+    assert {int(match[n]) for n in model.kernel_set} == set(full.kernel_set)
+    np.testing.assert_allclose(model.tilde_k, full.tilde_k[match], rtol=1e-10, atol=0.0)
+    assert verify_relations(model).all_passed
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
