@@ -233,7 +233,8 @@ def _eig(
     subspaces that ``m`` leaves invariant; None means the whole space.  Each
     Q_i^H m Q_i is diagonalized on its own and its eigenvectors are lifted
     as Q_i V_i.  The residual gate is measured on ``m`` itself, so it also
-    certifies that the dropped off-diagonal blocks do not matter.
+    certifies that the dropped off-diagonal blocks do not matter; where they
+    do, the whole of ``m`` is diagonalized instead.
     """
     try:
         if blocks is None:
@@ -254,6 +255,10 @@ def _eig(
         defect = np.linalg.norm(m @ vectors - vectors * values[np.newaxis, :], axis=0)
     max_res = certified_ratio(float(np.max(defect)), (norm,), 1e-8)
     if not max_res.passed:
+        if blocks is not None:
+            # off-diagonal blocks the gate can see: a seed that commutes with N1
+            # only to the relation tolerance, through an ill-conditioned X
+            return _eig(m, multiplicity_tolerance, norm)
         raise NumericalError(f"eigendecomposition residual {max_res} exceeds 1e-8 of ||M||")
     return Eigensystem(values, vectors, multiplicity_tolerance, max_res.value)
 
@@ -264,9 +269,9 @@ def biorthogonal_partner(phi) -> np.ndarray:
     ``phi`` holds the family as columns of a square matrix; the partner is
     the inverse-adjoint of that matrix, columnwise.  The family is full rank
     when sigma_min > RANK_TOL * sigma_max.  Since sigma_max <= ||phi||_F and
-    1/sigma_min <= ||phi^-1||_F, the inverse certifies that from O(n^2) work
-    below RANK_CERTIFY; the singular values decide only above it, or when
-    the inverse fails.
+    1/sigma_min <= ||phi^-1||_F, the inverse the partner needs certifies that
+    with O(n^2) more work below RANK_CERTIFY; the singular values decide only
+    above it, or when the inverse fails.
     """
     phi = as_matrix(phi)
     if phi.shape[0] != phi.shape[1]:

@@ -125,6 +125,12 @@ def _reference_split_eig(theta1, x):
     return Eigensystem(values, out)
 
 
+def _eigen_defect(theta1, eigensystem):
+    """max_n ||Theta1 v_n - lambda_n v_n|| / ||Theta1|| over the unit columns v_n."""
+    vectors, values = eigensystem.vectors, eigensystem.values
+    return np.max(np.linalg.norm(theta1 @ vectors - vectors * values, axis=0)) / opnorm(theta1)
+
+
 def _reference_map(x, phi1, tol=1e-10):
     """kernel_set, tilde_k, N-residuals and degeneracy classes, column by column."""
     phi2 = x.conj().T @ phi1
@@ -352,8 +358,9 @@ def _square_pair(seed, n):
 def test_commuting_pairs_match_the_column_loops(seed, dim2, extra, hermitian):
     theta1, x = make_commuting_pair(dim2 + extra, dim2, seed, hermitian=hermitian)
     model = build_model(theta1, x)
-    _check_against_reference(model, _reference_split_eig(theta1, x))
-    assert np.array_equal(model.values, _reference_split_eig(theta1, x).values)
+    reference = _reference_split_eig(theta1, x)
+    _check_against_reference(model, reference)
+    assert np.array_equal(model.values, reference.values)
 
 
 @given(
@@ -368,10 +375,10 @@ def test_the_split_eigensystem_matches_the_full_one(seed, dim2, extra, hermitian
     # the same model through eig of the whole seed, its modes matched by nearest eigenvalue
     theta1, x = make_commuting_pair(dim2 + extra, dim2, seed, hermitian=hermitian)
     x = x * 2.0**power
-    blocks = intertwining._range_and_kernel(x)
-    split = linalg._eig(theta1, linalg.MULTIPLICITY_TOL, linalg.SpectralNorm(theta1), blocks)
-    assert split.max_residual <= 1e-8
+    split = _reference_split_eig(theta1, x)
+    assert _eigen_defect(theta1, split) <= 1e-8  # the gate passes on the split itself
     model = build_model(theta1, x)
+    assert np.array_equal(model.phi1, split.vectors)
     full = build_model(theta1, x, eigensystem=eig(theta1))
     match = np.argmin(np.abs(model.values[:, None] - full.values[None, :]), axis=1)
     assert sorted(match) == list(range(len(model.values)))
@@ -379,6 +386,23 @@ def test_the_split_eigensystem_matches_the_full_one(seed, dim2, extra, hermitian
     assert np.max(np.abs(model.values - full.values[match])) <= 1e-12 * scale
     assert {int(match[n]) for n in model.kernel_set} == set(full.kernel_set)
     np.testing.assert_allclose(model.tilde_k, full.tilde_k[match], rtol=1e-10, atol=0.0)
+    assert verify_relations(model).all_passed
+
+
+@pytest.mark.parametrize("size", [1e-8, 1e-7])
+def test_a_seed_whose_blocks_are_not_invariant_is_diagonalized_whole(size):
+    # Theta1 + size ||Theta1|| q_k u^H maps range(X) into ker(X-adjoint).  Through an X
+    # of condition 1e3 it still commutes with N1 to 1e-9, but the split fails the gate
+    theta1, x = make_commuting_pair(8, 4, 0)
+    u, _, vh = np.linalg.svd(x, full_matrices=False)
+    x = (u * np.geomspace(1.0, 1e-3, 4)) @ vh
+    q_k = intertwining._range_and_kernel(x)[1]
+    theta1 = theta1 + size * opnorm(theta1) * np.outer(q_k[:, 1], u[:, 3].conj())
+    assert _eigen_defect(theta1, _reference_split_eig(theta1, x)) > 1e-8
+    model = build_model(theta1, x)
+    assert model.case == CASE_NONINVERTIBLE
+    assert np.array_equal(model.phi1, eig(theta1).vectors)
+    assert model.kernel_set == (0, 4, 6, 7)
     assert verify_relations(model).all_passed
 
 
