@@ -146,15 +146,15 @@ def _noninvertible_partner(theta1, x, xh, n2) -> np.ndarray:
     return np.linalg.solve(n2, xh @ theta1 @ x)
 
 
-def _range_and_kernel(x: np.ndarray):
-    """Orthonormal bases, as columns, of range(X) and of ker(X-adjoint).
+def _range_and_kernel(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Q = [Q_r | Q_k] unitary and d2: Q_r, the first d2 columns, is an orthonormal
+    basis of range(X), and Q_k one of ker(X-adjoint).
 
     In the non-invertible regime [N1, Theta1] = 0 makes both invariant under
     Theta1: the modes of the first survive into Theta2, those of the second
     are the kernel losses.
     """
-    q = np.linalg.qr(x, mode="complete")[0]
-    return q[:, : x.shape[1]], q[:, x.shape[1] :]
+    return np.linalg.qr(x, mode="complete")[0], x.shape[1]
 
 
 def _transport(phi1, xh, tol: float):
@@ -350,8 +350,8 @@ def build_model(
     else:
         theta2 = _similarity_partner(theta1, x, s)
     if eigensystem is None:
-        blocks = _range_and_kernel(x) if case == CASE_NONINVERTIBLE else None
-        eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1"], blocks)
+        split = _range_and_kernel(x) if case == CASE_NONINVERTIBLE else None
+        eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1"], split)
     if np.any(_pairwise_gaps(eigensystem.values) <= multiplicity_tolerance):
         raise SpectrumError(
             "seed spectrum is not simple at the configured multiplicity "

@@ -34,6 +34,10 @@ CERTIFY_MARGIN = 1e-6
 # 14.3), which near 1/RANK_TOL is 1e-4 n: two orders inside it, no rounding
 # of the inverse can turn the verdict of the singular values.
 RANK_CERTIFY = 1e-2 / RANK_TOL
+# Per dimension, relative to ||M||: the dropped off-diagonal blocks of a split
+# eigensolve (see _eig) at most this large are rounding, about what the
+# backward error of eig on the whole M allows, so the split is as exact.
+SPLIT_TOL = 10 * np.finfo(float).eps
 
 
 def as_matrix(m) -> np.ndarray:
@@ -225,24 +229,19 @@ def _eig(
     m: np.ndarray,
     multiplicity_tolerance: float,
     norm: SpectralNorm,
-    blocks: tuple[np.ndarray, ...] | None = None,
+    split: tuple[np.ndarray, int] | None = None,
 ) -> Eigensystem:
     """``eig`` on a validated square matrix whose spectral ``norm`` is that of ``m``.
 
-    ``blocks`` are orthonormal bases Q_i, as columns, of complementary
-    subspaces that ``m`` leaves invariant; None means the whole space.  Each
-    Q_i^H m Q_i is diagonalized on its own and its eigenvectors are lifted
-    as Q_i V_i.  The residual gate is measured on ``m`` itself, so it also
-    certifies that the dropped off-diagonal blocks do not matter; where they
-    do, the whole of ``m`` is diagonalized instead.
+    ``split`` is a unitary Q and a column count k: Q's first k columns and
+    the rest span subspaces that ``m`` may leave invariant.  None, or
+    off-diagonal blocks of Q^H m Q above rounding level, means the whole of
+    ``m`` is diagonalized; else each diagonal block is, on its own, and its
+    eigenvectors are lifted back by its columns of Q.
     """
     try:
-        if blocks is None:
-            values, vectors = np.linalg.eig(m)
-        else:
-            pairs = [np.linalg.eig(q.conj().T @ m @ q) for q in blocks]
-            values = np.concatenate([w for w, _ in pairs])
-            vectors = np.hstack([q @ v for q, (_, v) in zip(blocks, pairs)])
+        pairs = None if split is None else _split_pairs(m, norm, *split)
+        values, vectors = np.linalg.eig(m) if pairs is None else pairs
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((values.imag, values.real))
@@ -255,12 +254,24 @@ def _eig(
         defect = np.linalg.norm(m @ vectors - vectors * values[np.newaxis, :], axis=0)
     max_res = certified_ratio(float(np.max(defect)), (norm,), 1e-8)
     if not max_res.passed:
-        if blocks is not None:
-            # off-diagonal blocks the gate can see: a seed that commutes with N1
-            # only to the relation tolerance, through an ill-conditioned X
-            return _eig(m, multiplicity_tolerance, norm)
         raise NumericalError(f"eigendecomposition residual {max_res} exceeds 1e-8 of ||M||")
     return Eigensystem(values, vectors, multiplicity_tolerance, max_res.value)
+
+
+def _split_pairs(m: np.ndarray, norm: SpectralNorm, q: np.ndarray, k: int):
+    """(values, vectors) of ``m`` from the two diagonal blocks of T = Q^H m Q, or
+    None when the blocks it drops, T[k:, :k] and T[:k, k:], exceed
+    SPLIT_TOL * dim times the lower bound of ||m||: on a doubt, no split."""
+    # an overflow leaves ``dropped`` inf or NaN, so the whole of m is diagonalized
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = q.conj().T @ m @ q
+        dropped = math.hypot(np.linalg.norm(t[k:, :k]), np.linalg.norm(t[:k, k:]))
+    if not dropped <= SPLIT_TOL * m.shape[0] * norm.bounds[0]:
+        return None
+    parts = [(np.linalg.eig(t[b, b]), q[:, b]) for b in (slice(None, k), slice(k, None))]
+    values = np.concatenate([w for (w, _), _ in parts])
+    vectors = np.hstack([qb @ v for (_, v), qb in parts])
+    return values, vectors
 
 
 def biorthogonal_partner(phi) -> np.ndarray:
@@ -281,14 +292,20 @@ def biorthogonal_partner(phi) -> np.ndarray:
     try:
         inv = np.linalg.inv(phi)
     except np.linalg.LinAlgError:  # exactly singular: the singular values word the refusal
-        inv = None
-    if inv is None or SpectralNorm(phi).bounds[1] * SpectralNorm(inv).bounds[1] >= RANK_CERTIFY:
-        s = np.linalg.svd(phi, compute_uv=False)
-        if s[-1] <= RANK_TOL * s[0]:
-            raise SingularityError(
-                f"vector family is rank deficient (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
-            )
-    return (np.linalg.inv(phi) if inv is None else inv).conj().T
+        _require_full_rank(phi)
+        raise
+    if SpectralNorm(phi).bounds[1] * SpectralNorm(inv).bounds[1] >= RANK_CERTIFY:
+        _require_full_rank(phi)
+    return inv.conj().T
+
+
+def _require_full_rank(phi: np.ndarray) -> None:
+    """Raise SingularityError unless sigma_min > RANK_TOL * sigma_max."""
+    s = np.linalg.svd(phi, compute_uv=False)
+    if s[-1] <= RANK_TOL * s[0]:
+        raise SingularityError(
+            f"vector family is rank deficient (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
+        )
 
 
 def is_strictly_positive(m, tol: float = KERNEL_TOL) -> bool:
