@@ -22,20 +22,17 @@ from .errors import (
     DimensionError,
     NumericalError,
     RegimeError,
-    SingularityError,
     SpectrumError,
 )
 from .linalg import (
     KERNEL_TOL,
     MULTIPLICITY_TOL,
-    RANK_TOL,
     BiorthogonalSystem,
     Decision,
     Eigensystem,
     SpectralNorm,
     _eig,
     _pairwise_gaps,
-    _strictly_positive,
     as_matrix,
     biorthogonal_partner,
     certified_ratio,
@@ -74,87 +71,66 @@ def _grams(x: np.ndarray):
     return xh, as_matrix(x @ xh), as_matrix(xh @ x)
 
 
-def _classify(theta1, x, n1, n2, tol: float):
-    """Regime of validated (Theta1, X) with Grams N1, N2.
+def _classify(theta1, x, n1, tol: float):
+    """Regime of validated (Theta1, X) with Gram N1 = X X-adjoint.
 
-    Returns (case, norms, s): ``norms`` maps operand names to the
-    SpectralNorms classification bounded, and ``s`` holds the singular
-    values of a square X (None for rectangular X).
+    Returns (case, norms): ``norms`` maps operand names to the SpectralNorms
+    classification bounded.  Either shape needs X of full column rank,
+    sigma_min > tol * sigma_max; a wide X is refused by its shape first.
     """
+    d1, d2 = x.shape
+    if d2 > d1:
+        # X-adjoint X has rank at most d1 < d2: refused by shape, since a rank test
+        # can read a rounded zero singular value as positive
+        raise RegimeError(
+            f"a non-invertible model needs a strictly tall X, got {d1}x{d2}: "
+            "a wide X never has strictly positive N2 = X-adjoint X"
+        )
+    s = np.linalg.svd(x, compute_uv=False)
+    ratio = s[-1] / s[0] if s[0] > 0 else 0.0
+    if not ratio > tol:
+        raise RegimeError(
+            f"X is numerically singular: sigma_min/sigma_max = {ratio:.3e} is not above "
+            f"{tol:.1e}, so N2 = X-adjoint X is not strictly positive; every regime "
+            "needs X of full column rank"
+        )
     norms = {"n1": SpectralNorm(n1), "theta1": SpectralNorm(theta1)}
-    square = x.shape[0] == x.shape[1]
-    s = None
-    if square:
-        s = np.linalg.svd(x, compute_uv=False)
-        if not (s[0] > 0 and s[-1] > tol * s[0]):
-            raise RegimeError(
-                "square X is singular: a square non-invertible intertwiner cannot "
-                "have strictly positive N2 = X-adjoint X, so no regime applies "
-                "(finite-dimensional no-go)"
-            )
-    else:
-        d1, d2 = x.shape
-        if d2 > d1:
-            # N2 = X-adjoint X has rank at most d1 < d2: refused by shape, since a
-            # positivity test can read a rounded zero eigenvalue as positive
-            raise RegimeError(
-                f"a non-invertible model needs a strictly tall X, got {d1}x{d2}: "
-                "a wide X never has strictly positive N2 = X-adjoint X"
-            )
-        norms["n2"] = SpectralNorm(n2)
-        if not _strictly_positive(n2, norms["n2"], tol):
-            raise RegimeError(
-                "N2 = X-adjoint X is not strictly positive; the non-invertible "
-                "regime needs full column rank"
-            )
     comm = certified_ratio(n1 @ theta1 - theta1 @ n1, (norms["n1"], norms["theta1"]), tol)
-    if square:
-        return (CASE_INVERTIBLE_COMMUTING if comm.passed else CASE_INVERTIBLE), norms, s
+    if d1 == d2:
+        return (CASE_INVERTIBLE_COMMUTING if comm.passed else CASE_INVERTIBLE), norms
     if not comm.passed:
         raise RegimeError(
             f"[N1, Theta1] relative norm {comm} exceeds {tol:.1e}; the "
             "non-invertible regime needs the seed to commute with N1"
         )
-    return CASE_NONINVERTIBLE, norms, s
+    return CASE_NONINVERTIBLE, norms
 
 
 def classify(theta1, x, tol: float = RELATION_TOL) -> str:
     """Decide which construction regime applies to (Theta1, X).
 
-    Square X with sigma_min > tol*sigma_max is Invertible, and additionally
-    InvertibleCommuting when [X X-adjoint, Theta1] vanishes relative to the
-    operand norms.  Rectangular X must be strictly tall, with N2 = X-adjoint X
-    strictly positive and [N1, Theta1] = 0 (NonInvertible regime); anything
-    else is refused.
+    X must have full column rank, sigma_min > tol*sigma_max.  A square X is
+    then Invertible, and additionally InvertibleCommuting when
+    [X X-adjoint, Theta1] vanishes relative to the operand norms.  A
+    rectangular X must be strictly tall, with [N1, Theta1] = 0
+    (NonInvertible regime); anything else is refused.
     """
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
     _check_shapes(theta1, x)
-    _, n1, n2 = _grams(x)
-    return _classify(theta1, x, n1, n2, tol)[0]
+    _, n1, _ = _grams(x)
+    return _classify(theta1, x, n1, tol)[0]
 
 
-def _similarity_partner(theta1, x, s) -> np.ndarray:
-    """X^{-1} Theta1 X for square X with singular values ``s``."""
-    if s[0] == 0 or s[-1] <= RANK_TOL * s[0]:
-        raise SingularityError("X is numerically singular; similarity unavailable")
-    return np.linalg.solve(x, theta1 @ x)
+def _partner(m, x, q, r) -> np.ndarray:
+    """X^+ m X = R^{-1} Q_r-adjoint m X for X of full column rank d2, from a QR of X,
+    complete or reduced: Q_r is the first d2 columns of Q, R[:d2] the square R.
 
-
-def _noninvertible_partner(theta1, x, xh, n2) -> np.ndarray:
-    """N2^{-1} (X-adjoint Theta1 X)."""
-    return np.linalg.solve(n2, xh @ theta1 @ x)
-
-
-def _range_and_kernel(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Q = [Q_r | Q_k] unitary and d2: Q_r, the first d2 columns, is an orthonormal
-    basis of range(X), and Q_k one of ker(X-adjoint).
-
-    In the non-invertible regime [N1, Theta1] = 0 makes both invariant under
-    Theta1: the modes of the first survive into Theta2, those of the second
-    are the kernel losses.
+    For a square X this is X^{-1} m X; for a tall one, N2^{-1} X-adjoint m X,
+    without the normal equations, whose error grows with cond(X)^2.
     """
-    return np.linalg.qr(x, mode="complete")[0], x.shape[1]
+    d2 = x.shape[1]
+    return np.linalg.solve(r[:d2], q[:, :d2].conj().T @ m @ x)
 
 
 def _transport(phi1, xh, tol: float):
@@ -344,13 +320,14 @@ def build_model(
     x = as_matrix(x)
     _check_shapes(theta1, x)
     xh, n1, n2 = _grams(x)
-    case, norms, s = _classify(theta1, x, n1, n2, relation_tol)
-    if case == CASE_NONINVERTIBLE:
-        theta2 = _noninvertible_partner(theta1, x, xh, n2)
-    else:
-        theta2 = _similarity_partner(theta1, x, s)
+    case, norms = _classify(theta1, x, n1, relation_tol)
+    # Q = [Q_r | Q_k]: Q_r spans range(X), Q_k ker(X-adjoint).  In the non-invertible
+    # regime [N1, Theta1] = 0 makes both invariant under Theta1: the modes of the
+    # first survive into Theta2, those of the second are the kernel losses
+    q, r = np.linalg.qr(x, mode="complete")
+    theta2 = _partner(theta1, x, q, r)
     if eigensystem is None:
-        split = _range_and_kernel(x) if case == CASE_NONINVERTIBLE else None
+        split = (q, x.shape[1]) if case == CASE_NONINVERTIBLE else None
         eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1"], split)
     if np.any(_pairwise_gaps(eigensystem.values) <= multiplicity_tolerance):
         raise SpectrumError(
@@ -499,15 +476,14 @@ def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rela
 
 
 def adjoint_descent(model: IntertwiningModel) -> float:
-    """||N2^{-1}(X-adjoint Theta1-adjoint X) - Theta2-adjoint|| (relative).
+    """||X^+ Theta1-adjoint X - Theta2-adjoint|| (relative).
 
     Building the partner of the adjoint seed and taking the adjoint of the
     partner must agree; returns the exact relative difference norm.
     """
     if model.case != CASE_NONINVERTIBLE:
         raise RegimeError("adjoint-descent comparison targets the non-invertible regime")
-    xh = model.x.conj().T
-    lifted = np.linalg.solve(model.n2, xh @ model.theta1.conj().T @ model.x)
+    lifted = _partner(model.theta1.conj().T, model.x, *np.linalg.qr(model.x))
     return opnorm(lifted - model.theta2.conj().T) / max(1.0, model.norms["theta2"].exact)
 
 

@@ -313,12 +313,7 @@ def is_strictly_positive(m, tol: float = KERNEL_TOL) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"positivity test needs a square matrix, got {m.shape}")
-    return _strictly_positive(m, SpectralNorm(m), tol)
-
-
-def _strictly_positive(m: np.ndarray, norm: SpectralNorm, tol: float) -> bool:
-    """``is_strictly_positive`` on a validated square matrix of spectral ``norm``."""
-    if not certified_ratio(m - m.conj().T, (norm,), tol, 1.0).passed:
+    if not certified_ratio(m - m.conj().T, (SpectralNorm(m),), tol, 1.0).passed:
         return False
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
     return bool(w[0] > tol)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import isospec.linalg as linalg
 from isospec import NumericalError, build_model, eig, opnorm, verify_relations
 from isospec.linalg import SpectralNorm, certified_ratio, is_strictly_positive
 
@@ -102,7 +101,6 @@ def test_strict_positivity_gives_the_svd_verdict(seed, n, offset, size):
     m = h + (target / (2.0 * opnorm(k))) * k
     want = _reference_strictly_positive(m, tol)
     assert is_strictly_positive(m, tol) == want
-    assert linalg._strictly_positive(m, SpectralNorm(m), tol) == want
 
 
 @given(

@@ -101,14 +101,12 @@ def _wide_pair(draw):
 # tolerance, so a positivity test would take N2 for strictly positive
 @pytest.mark.parametrize("draw", [1, 3])
 def test_classify_refuses_a_wide_x_by_its_shape(draw, monkeypatch):
-    from isospec import intertwining
-
     theta1, x = _wide_pair(draw)
 
-    def no_positivity_test(*args):
-        raise AssertionError("a wide X reached the positivity test")
+    def no_rank_test(*args, **kwargs):
+        raise AssertionError("a wide X reached the rank test")
 
-    monkeypatch.setattr(intertwining, "_strictly_positive", no_positivity_test)
+    monkeypatch.setattr(np.linalg, "svd", no_rank_test)
     with pytest.raises(RegimeError, match="strictly tall X, got 2x3"):
         classify(theta1, x)
     with pytest.raises(RegimeError, match="strictly tall X, got 2x3"):
@@ -167,6 +165,70 @@ def test_case3_requires_positive_column_gram():
     x = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(RegimeError, match="positiv"):
         build_model(theta1, x)
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 2)], ids=["square", "tall"])
+def test_one_rank_rule_refuses_either_shape_quoting_the_ratio(dims):
+    # the same singular values, 1 and 1e-10, through a square and a tall X
+    d1, d2 = dims
+    theta1 = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    x = np.eye(d1, d2, dtype=complex) * np.geomspace(1.0, 1e-10, d2)
+    with pytest.raises(RegimeError, match=r"sigma_min/sigma_max = 1\.000e-10 is not above 1\.0e-09"):
+        build_model(theta1, x)
+
+
+def test_the_rank_rule_is_the_classification_tolerance():
+    # no second rank threshold: below 1e-12 a square X is decided at relation_tol alone
+    x = np.diag([1.0, 1e-13]).astype(complex)
+    with pytest.raises(RegimeError, match="singular"):
+        build_model(PLAIN_THETA1, x)
+    assert build_model(PLAIN_THETA1, x, relation_tol=1e-14).case == CASE_INVERTIBLE
+
+
+def _planted_partner(seed, d2, extra, cond):
+    """(Theta1, X, exact Theta2): X = W_r diag(geomspace(1, 1/cond)) V-adjoint and
+    Theta1 = W (diag(lam) + B) W-adjoint, so X (V diag(lam) V-adjoint) = Theta1 X."""
+    rng = np.random.default_rng(seed)
+    d1 = d2 + extra
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    w = np.linalg.qr(gauss(d1, d1))[0]
+    v = np.linalg.qr(gauss(d2, d2))[0]
+    lam = gauss(d2)
+    x = (w[:, :d2] * np.geomspace(1.0, 1.0 / cond, d2)) @ v.conj().T
+    core = np.zeros((d1, d1), dtype=complex)
+    core[:d2, :d2] = np.diag(lam)
+    core[d2:, d2:] = gauss(extra, extra)
+    return w @ core @ w.conj().T, x, (v * lam) @ v.conj().T
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    d2=st.integers(1, 8),
+    extra=st.integers(0, 8),
+    log_cond=st.floats(0.0, 8.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_the_partner_error_grows_with_cond_x_not_its_square(seed, d2, extra, log_cond):
+    # from a QR of X the forward error is O(cond(X) u); the normal equations gave
+    # O(cond(X)^2 u), about 2e4 cond(X) u at cond(X) = 1e4
+    cond = 10.0**log_cond
+    theta1, x, exact = _planted_partner(seed, d2, extra, cond)
+    model = build_model(theta1, x)
+    error = opnorm(model.theta2 - exact) / opnorm(exact)
+    assert error <= 64 * cond * np.finfo(float).eps / 2, (error, cond)
+    if cond <= 1e4:
+        assert verify_relations(model).all_passed, verify_relations(model).failures()
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-5])
+def test_a_small_x_builds_and_verifies(scale):
+    theta1, x = make_commuting_pair(8, 4, 0)
+    model = build_model(theta1, x * scale)
+    assert model.kernel_set == (0, 4, 6, 7)
+    assert verify_relations(model).all_passed
 
 
 # ---------------------------------------------------------------------------

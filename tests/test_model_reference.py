@@ -145,6 +145,12 @@ def _reference_seed_eig(theta1, x):
     return _reference_split_eig(theta1, x) if _reference_split_taken(theta1, x) else eig(theta1)
 
 
+def _reference_partner(m, x, q, r):
+    """X^+ m X = R^{-1} Q_r-adjoint m X from a QR of X (complete or reduced), both regimes."""
+    d2 = x.shape[1]
+    return np.linalg.solve(r[:d2], q[:, :d2].conj().T @ m @ x)
+
+
 def _eigen_defect(theta1, eigensystem):
     """max_n ||Theta1 v_n - lambda_n v_n|| / ||Theta1|| over the unit columns v_n."""
     vectors, values = eigensystem.vectors, eigensystem.values
@@ -309,7 +315,7 @@ def _reference_structure(model, tol=1e-9):
         residuals["theta1_reconstruction"] = _rel(
             opnorm(t1 - n1_inv @ (x @ t2 @ x.conj().T)), max(1.0, opnorm(t1))
         )
-    lifted = np.linalg.solve(n2, x.conj().T @ t1.conj().T @ x)
+    lifted = _reference_partner(t1.conj().T, x, *np.linalg.qr(x))
     residuals["adjoint_descent"] = _rel(
         opnorm(lifted - t2.conj().T), max(1.0, opnorm(t2))
     )
@@ -339,10 +345,7 @@ def _assert_residuals_match(got, want, bounded, tol=1e-9):
 
 def _check_against_reference(model, eigensystem):
     theta1, x = model.theta1, model.x
-    if model.case == CASE_NONINVERTIBLE:
-        theta2 = np.linalg.solve(x.conj().T @ x, x.conj().T @ theta1 @ x)
-    else:
-        theta2 = np.linalg.solve(x, theta1 @ x)
+    theta2 = _reference_partner(theta1, x, *np.linalg.qr(x, mode="complete"))
     assert np.array_equal(model.theta2, theta2)
     assert np.array_equal(model.phi1, eigensystem.vectors)
     kernel_set, tilde_k, _, _, classes = _reference_map(x, eigensystem.vectors)
@@ -427,8 +430,8 @@ def test_a_seed_whose_blocks_are_not_invariant_is_diagonalized_whole(size):
     theta1, x = make_commuting_pair(8, 4, 0)
     u, _, vh = np.linalg.svd(x, full_matrices=False)
     x = (u * np.geomspace(1.0, 1e-3, 4)) @ vh
-    q, d2 = intertwining._range_and_kernel(x)
-    theta1 = theta1 + size * opnorm(theta1) * np.outer(q[:, d2 + 1], u[:, 3].conj())
+    q = np.linalg.qr(x, mode="complete")[0]
+    theta1 = theta1 + size * opnorm(theta1) * np.outer(q[:, 5], u[:, 3].conj())
     assert not _reference_split_taken(theta1, x)
     split = _reference_split_eig(theta1, x)
     if size < 1e-8:
