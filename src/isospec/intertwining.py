@@ -80,8 +80,8 @@ def _classify(theta1, x, n1, tol: float):
     """
     d1, d2 = x.shape
     if d2 > d1:
-        # X-adjoint X has rank at most d1 < d2: refused by shape, since a rank test
-        # can read a rounded zero singular value as positive
+        # X-adjoint X has rank at most d1 < d2, which the d1 singular values of X
+        # cannot show: refused by shape
         raise RegimeError(
             f"a non-invertible model needs a strictly tall X, got {d1}x{d2}: "
             "a wide X never has strictly positive N2 = X-adjoint X"
@@ -90,9 +90,9 @@ def _classify(theta1, x, n1, tol: float):
     ratio = s[-1] / s[0] if s[0] > 0 else 0.0
     if not ratio > tol:
         raise RegimeError(
-            f"X is numerically singular: sigma_min/sigma_max = {ratio:.3e} is not above "
-            f"{tol:.1e}, so N2 = X-adjoint X is not strictly positive; every regime "
-            "needs X of full column rank"
+            f"X lacks full column rank: sigma_min/sigma_max = {ratio:.3e} is not above "
+            f"{tol:.1e}, so N2 = X-adjoint X is numerically singular, not strictly "
+            "positive, and no regime applies"
         )
     norms = {"n1": SpectralNorm(n1), "theta1": SpectralNorm(theta1)}
     comm = certified_ratio(n1 @ theta1 - theta1 @ n1, (norms["n1"], norms["theta1"]), tol)
@@ -124,7 +124,7 @@ def classify(theta1, x, tol: float = RELATION_TOL) -> str:
 
 def _partner(m, x, q, r) -> np.ndarray:
     """X^+ m X = R^{-1} Q_r-adjoint m X for X of full column rank d2, from a QR of X,
-    complete or reduced: Q_r is the first d2 columns of Q, R[:d2] the square R.
+    complete or reduced: Q_r is the first d2 columns of Q, R[:d2] the square top of R.
 
     For a square X this is X^{-1} m X; for a tall one, N2^{-1} X-adjoint m X,
     without the normal equations, whose error grows with cond(X)^2.
