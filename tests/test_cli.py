@@ -118,24 +118,24 @@ def test_build_keeps_the_kernel_of_x_scaled_by_1e5(tmp_path):
     assert verify.returncode == 0, verify.stdout + verify.stderr
 
 
-def _pair_x(kind):
-    """make_commuting_pair(8, 4, 0) with its X scaled by 1e-5, or refactored from its
-    SVD with singular values geomspace(1, 1/cond)."""
-    theta1, x = make_commuting_pair(8, 4, 0)
-    if kind == "scale_1e-5":
-        return theta1, x * 1e-5
+def _refactored(x, cond):
+    """X from its own SVD factors with singular values geomspace(1, 1/cond)."""
     u, _, vh = np.linalg.svd(x, full_matrices=False)
-    return theta1, (u * np.geomspace(1.0, 1.0 / float(kind[len("cond_"):]), 4)) @ vh
+    return (u * np.geomspace(1.0, 1.0 / cond, x.shape[1])) @ vh
 
 
 # the rank rule is relative to sigma_max, and the partner comes from a QR of X: a small
 # X and a tall X of condition 1e4 build and verify; at 1e8 the model is built and
 # fails its own relations (exit 3), with no traceback
-@pytest.mark.parametrize("kind, code", [("scale_1e-5", 0), ("cond_1e4", 0), ("cond_1e8", 3)])
-def test_build_of_a_small_or_ill_conditioned_x(kind, code, tmp_path):
-    theta1, x = _pair_x(kind)
+@pytest.mark.parametrize(
+    "remake, code",
+    [(lambda x: x * 1e-5, 0), (lambda x: _refactored(x, 1e4), 0), (lambda x: _refactored(x, 1e8), 3)],
+    ids=["scale_1e-5", "cond_1e4", "cond_1e8"],
+)
+def test_build_of_a_small_or_ill_conditioned_x(remake, code, tmp_path):
+    theta1, x = make_commuting_pair(8, 4, 0)
     save_matrix_json(theta1, tmp_path / "t.json")
-    save_matrix_json(x, tmp_path / "x.json")
+    save_matrix_json(remake(x), tmp_path / "x.json")
     proc = run_cli("build", "--theta1", str(tmp_path / "t.json"), "--x", str(tmp_path / "x.json"),
                    "--outdir", str(tmp_path))
     assert proc.returncode == code, proc.stdout + proc.stderr
