@@ -63,6 +63,14 @@ def _check_shapes(theta1: np.ndarray, x: np.ndarray) -> None:
             f"intertwiner rows ({x.shape[0]}) must match seed dimension "
             f"({theta1.shape[0]}): X maps the partner space into the seed space"
         )
+    d1, d2 = x.shape
+    if d2 > d1:
+        # X-adjoint X has rank at most d1 < d2, which the d1 singular values of X
+        # cannot show: refused by shape, before X is factorized
+        raise RegimeError(
+            f"a non-invertible model needs a strictly tall X, got {d1}x{d2}: "
+            "a wide X never has strictly positive N2 = X-adjoint X"
+        )
 
 
 def _grams(x: np.ndarray):
@@ -71,22 +79,12 @@ def _grams(x: np.ndarray):
     return xh, as_matrix(x @ xh), as_matrix(xh @ x)
 
 
-def _classify(theta1, x, n1, tol: float):
-    """Regime of validated (Theta1, X) with Gram N1 = X X-adjoint.
-
-    Returns (case, norms): ``norms`` maps operand names to the SpectralNorms
-    classification bounded.  Either shape needs X of full column rank,
-    sigma_min > tol * sigma_max; a wide X is refused by its shape first.
+def _singular_values(r, tol: float) -> np.ndarray:
+    """Singular values of a square or tall X, from the square top of the R of a QR
+    of X (any mode), after the one rank rule: full column rank, sigma_min > tol * sigma_max.
     """
-    d1, d2 = x.shape
-    if d2 > d1:
-        # X-adjoint X has rank at most d1 < d2, which the d1 singular values of X
-        # cannot show: refused by shape
-        raise RegimeError(
-            f"a non-invertible model needs a strictly tall X, got {d1}x{d2}: "
-            "a wide X never has strictly positive N2 = X-adjoint X"
-        )
-    s = np.linalg.svd(x, compute_uv=False)
+    d2 = r.shape[1]
+    s = np.linalg.svd(r[:d2], compute_uv=False)
     ratio = s[-1] / s[0] if s[0] > 0 else 0.0
     if not ratio > tol:
         raise RegimeError(
@@ -94,9 +92,18 @@ def _classify(theta1, x, n1, tol: float):
             f"{tol:.1e}, so N2 = X-adjoint X is numerically singular, not strictly "
             "positive, and no regime applies"
         )
+    return s
+
+
+def _classify(theta1, n1, square: bool, tol: float):
+    """Regime of validated (Theta1, X), X of full column rank with Gram N1 = X X-adjoint.
+
+    Returns (case, norms): ``norms`` maps operand names to the SpectralNorms
+    classification bounded.
+    """
     norms = {"n1": SpectralNorm(n1), "theta1": SpectralNorm(theta1)}
     comm = certified_ratio(n1 @ theta1 - theta1 @ n1, (norms["n1"], norms["theta1"]), tol)
-    if d1 == d2:
+    if square:
         return (CASE_INVERTIBLE_COMMUTING if comm.passed else CASE_INVERTIBLE), norms
     if not comm.passed:
         raise RegimeError(
@@ -109,17 +116,18 @@ def _classify(theta1, x, n1, tol: float):
 def classify(theta1, x, tol: float = RELATION_TOL) -> str:
     """Decide which construction regime applies to (Theta1, X).
 
-    X must have full column rank, sigma_min > tol*sigma_max.  A square X is
-    then Invertible, and additionally InvertibleCommuting when
-    [X X-adjoint, Theta1] vanishes relative to the operand norms.  A
-    rectangular X must be strictly tall, with [N1, Theta1] = 0
+    A wide X is refused by its shape; any other X must have full column
+    rank, sigma_min > tol*sigma_max.  A square X is then Invertible, and
+    additionally InvertibleCommuting when [X X-adjoint, Theta1] vanishes
+    relative to the operand norms.  A strictly tall X needs [N1, Theta1] = 0
     (NonInvertible regime); anything else is refused.
     """
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
     _check_shapes(theta1, x)
     _, n1, _ = _grams(x)
-    return _classify(theta1, x, n1, tol)[0]
+    _singular_values(np.linalg.qr(x, mode="r"), tol)
+    return _classify(theta1, n1, x.shape[0] == x.shape[1], tol)[0]
 
 
 def _partner(m, x, q, r) -> np.ndarray:
@@ -314,17 +322,27 @@ def build_model(
     normalization and ordering); by default the seed is diagonalized here,
     a non-invertible one on range(X) and ker(X-adjoint) separately.
     Either way the spectrum counts as simple only if every pairwise
-    eigenvalue gap exceeds ``multiplicity_tolerance``.
+    eigenvalue gap exceeds ``multiplicity_tolerance``.  Past the rank rule
+    of ``classify``, sigma_min(X) must exceed ``kernel_tol``, or the
+    absolute kernel test would file surviving modes as kernel losses.
     """
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
     _check_shapes(theta1, x)
     xh, n1, n2 = _grams(x)
-    case, norms = _classify(theta1, x, n1, relation_tol)
     # Q = [Q_r | Q_k]: Q_r spans range(X), Q_k ker(X-adjoint).  In the non-invertible
     # regime [N1, Theta1] = 0 makes both invariant under Theta1: the modes of the
     # first survive into Theta2, those of the second are the kernel losses
     q, r = np.linalg.qr(x, mode="complete")
+    s = _singular_values(r, relation_tol)
+    if not s[-1] > kernel_tol:
+        # a surviving mode has ||X-adjoint phi|| >= sigma_min ||phi||
+        raise RegimeError(
+            f"sigma_min(X) = {s[-1]:.3e} is not above the kernel tolerance "
+            f"{kernel_tol:.1e}: the kernel test ||X-adjoint phi|| <= kernel_tol ||phi|| "
+            "cannot tell a surviving mode from a kernel loss"
+        )
+    case, norms = _classify(theta1, n1, x.shape[0] == x.shape[1], relation_tol)
     theta2 = _partner(theta1, x, q, r)
     if eigensystem is None:
         split = (q, x.shape[1]) if case == CASE_NONINVERTIBLE else None

@@ -124,13 +124,14 @@ def _refactored(x, cond):
     return (u * np.geomspace(1.0, 1.0 / cond, x.shape[1])) @ vh
 
 
-# the rank rule is relative to sigma_max, and the partner comes from a QR of X: a small
-# X and a tall X of condition 1e4 build and verify; at 1e8 the model is built and
-# fails its own relations (exit 3), with no traceback
+# the rank rule is relative to sigma_max and the partner comes from a QR of X: a tall X
+# of condition 1e4 builds and verifies; at 1e8 the model is built and fails its own
+# relations (exit 3); X scaled by 1e-11 has sigma_min below the kernel tolerance and is
+# refused (exit 2, no model written); none ends in a traceback
 @pytest.mark.parametrize(
     "remake, code",
-    [(lambda x: x * 1e-5, 0), (lambda x: _refactored(x, 1e4), 0), (lambda x: _refactored(x, 1e8), 3)],
-    ids=["scale_1e-5", "cond_1e4", "cond_1e8"],
+    [(lambda x: _refactored(x, 1e4), 0), (lambda x: _refactored(x, 1e8), 3), (lambda x: x * 1e-11, 2)],
+    ids=["cond_1e4", "cond_1e8", "scale_1e-11"],
 )
 def test_build_of_a_small_or_ill_conditioned_x(remake, code, tmp_path):
     theta1, x = make_commuting_pair(8, 4, 0)
@@ -140,6 +141,10 @@ def test_build_of_a_small_or_ill_conditioned_x(remake, code, tmp_path):
                    "--outdir", str(tmp_path))
     assert proc.returncode == code, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
+    if code == errors.RegimeError.exit_code:
+        assert "kernel tolerance" in proc.stderr
+        assert not (tmp_path / "model.json").exists()
+        return
     assert json.loads((tmp_path / "model.json").read_text())["kernel_set"] == [0, 4, 6, 7]
     verify = run_cli("verify", "--model", str(tmp_path / "model.json"), "--outdir", str(tmp_path))
     assert verify.returncode == code, verify.stdout + verify.stderr

@@ -103,10 +103,11 @@ def _wide_pair(draw):
 def test_classify_refuses_a_wide_x_by_its_shape(draw, monkeypatch):
     theta1, x = _wide_pair(draw)
 
-    def no_rank_test(*args, **kwargs):
-        raise AssertionError("a wide X reached the rank test")
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("a wide X was factorized")
 
-    monkeypatch.setattr(np.linalg, "svd", no_rank_test)
+    monkeypatch.setattr(np.linalg, "svd", no_factorization)
+    monkeypatch.setattr(np.linalg, "qr", no_factorization)
     with pytest.raises(RegimeError, match="strictly tall X, got 2x3"):
         classify(theta1, x)
     with pytest.raises(RegimeError, match="strictly tall X, got 2x3"):
@@ -178,11 +179,15 @@ def test_one_rank_rule_refuses_either_shape_quoting_the_ratio(dims):
 
 
 def test_the_rank_rule_is_the_classification_tolerance():
-    # no second rank threshold: below 1e-12 a square X is decided at relation_tol alone
+    # no second rank threshold: below 1e-12 a square X is decided at relation_tol alone,
+    # and sigma_min = 1e-13 must clear the kernel tolerance too
     x = np.diag([1.0, 1e-13]).astype(complex)
     with pytest.raises(RegimeError, match="singular"):
         build_model(PLAIN_THETA1, x)
-    assert build_model(PLAIN_THETA1, x, relation_tol=1e-14).case == CASE_INVERTIBLE
+    with pytest.raises(RegimeError, match="kernel tolerance"):
+        build_model(PLAIN_THETA1, x, relation_tol=1e-14)
+    model = build_model(PLAIN_THETA1, x, relation_tol=1e-14, kernel_tol=1e-14)
+    assert model.case == CASE_INVERTIBLE and model.kernel_set == ()
 
 
 def _planted_partner(seed, d2, extra, cond):
@@ -223,10 +228,25 @@ def test_the_partner_error_grows_with_cond_x_not_its_square(seed, d2, extra, log
         assert verify_relations(model).all_passed, verify_relations(model).failures()
 
 
-@pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-5])
+@pytest.mark.parametrize("scale", [1e-10, 1e-9, 1e-7, 1e-5])
 def test_a_small_x_builds_and_verifies(scale):
+    # sigma(X) is about 2.1 to 5.5: at 1e-10 sigma_min still clears the kernel tolerance
     theta1, x = make_commuting_pair(8, 4, 0)
     model = build_model(theta1, x * scale)
+    assert model.kernel_set == (0, 4, 6, 7)
+    assert verify_relations(model).all_passed
+
+
+# a surviving mode has ||X-adjoint phi|| >= sigma_min ||phi||: once sigma_min is at or
+# below the kernel tolerance the absolute kernel test would file it as a kernel loss
+# (at 1e-11 all eight modes, with every relation passing), so the build is refused
+@pytest.mark.parametrize("scale", [1e-11, 1e-12])
+def test_an_x_below_the_kernel_tolerance_is_refused(scale):
+    theta1, x = make_commuting_pair(8, 4, 0)
+    with pytest.raises(RegimeError, match=r"sigma_min\(X\) = .* is not above the kernel tolerance 1\.0e-10"):
+        build_model(theta1, x * scale)
+    assert classify(theta1, x * scale) == CASE_NONINVERTIBLE
+    model = build_model(theta1, x * scale, kernel_tol=1e-14)
     assert model.kernel_set == (0, 4, 6, 7)
     assert verify_relations(model).all_passed
 
