@@ -50,7 +50,6 @@ from .bicoherent import (
 from .errors import IsospecError, MomentError, ParameterError, RegimeError
 from .intertwining import (
     CASE_NONINVERTIBLE,
-    MODEL_SCHEMA,
     RELATION_TOL,
     adjoint_descent,
     build_model,
@@ -69,6 +68,8 @@ EXIT_VERIFY = 3
 DEFAULT_ORDER = 40
 # largest quantized-symbol defect from its ladder, relative to the ladder's largest entry
 LADDER_DEFECT_TOL = 1e-8
+# the model-file reader, under the name the benchmark's tracer times it by (io.read)
+_load_model_doc = iomod.load_model
 
 
 def _checked(kind, ok, message: str):
@@ -135,17 +136,6 @@ def parse_params(text: str | None) -> dict:
     return out
 
 
-def _load_matrix_any(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ParameterError(f"input file not found: {path}")
-    try:
-        if path.endswith(".csv"):
-            return iomod.load_matrix_csv(path)
-        return iomod.load_matrix_json(path)
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise ParameterError(f"could not parse matrix file {path}: {exc}") from exc
-
-
 def _outpath(args: argparse.Namespace, default_name: str) -> str:
     if args.output:
         return args.output
@@ -194,68 +184,19 @@ def _build_target_model(args: argparse.Namespace):
         return _build(args, doc["theta1_matrix"], doc["x_matrix"])
     if args.theta1_path is None or args.x_path is None:
         raise ParameterError("--theta1 and --x must be given together")
-    return _build(
-        args, _load_matrix_any(args.theta1_path), _load_matrix_any(args.x_path)
-    )
-
-
-def _load_model_doc(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ParameterError(f"model file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"model file {path} is not valid JSON: {exc}") from exc
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != MODEL_SCHEMA:
-        raise ParameterError(f"model file {path} has schema {schema!r}, not {MODEL_SCHEMA!r}")
-    try:
-        # popped: each matrix's parsed lists are freed once its array exists
-        doc["theta1_matrix"] = iomod.jsonable_to_matrix(doc.pop("theta1"))
-        doc["x_matrix"] = iomod.jsonable_to_matrix(doc.pop("X"))
-        doc["theta2_matrix"] = iomod.jsonable_to_matrix(doc.pop("theta2"))
-        # the per-mode fields verify compares, when present
-        if "tilde_k" in doc:
-            tilde = np.array(_json_list(doc, "tilde_k", (float, int), path), dtype=float)
-            if not np.isfinite(tilde).all():
-                raise ParameterError(f"model file {path} has a non-finite tilde_k entry")
-            doc["tilde_k"] = tilde
-        if "kernel_set" in doc:
-            doc["kernel_set"] = tuple(_json_list(doc, "kernel_set", (int,), path))
-        # verify recomputes every residual; the stored ones are only type-checked
-        stored = doc.get("residuals", {})
-        if not isinstance(stored, dict) or not all(
-            type(v) in (float, int) and math.isfinite(v) for v in stored.values()
-        ):
-            raise ParameterError(f"model file {path}: residuals must map names to finite JSON numbers")
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise ParameterError(f"model file {path} is missing or corrupts required keys: {exc}") from exc
-    return doc
-
-
-def _json_list(doc: dict, key: str, kinds: tuple, path: str) -> list:
-    """``doc[key]`` if it is a list whose entries are all of ``kinds``; as in
-    the matrix reader, a boolean or a numeric string is not a number here."""
-    values = doc[key]
-    if not isinstance(values, list) or not all(type(v) in kinds for v in values):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ParameterError(f"model file {path}: {key} must be a list of JSON {names} values")
-    return values
+    return _build(args, iomod.load_matrix(args.theta1_path), iomod.load_matrix(args.x_path))
 
 
 def _write_model(args: argparse.Namespace, model, relation_tol: float) -> int:
-    """Write the model document; exit 3 when a relation residual it stores
-    exceeds ``relation_tol`` (stored bounds hold at the default tolerance only)."""
-    doc = model.to_jsonable()
+    """Verify the model at the default tolerance and write it with those residuals;
+    exit 3 when a relation fails at ``relation_tol`` (checked again if it is another)."""
+    report = verify_relations(model)
     path = _outpath(args, "model.json")
-    iomod.save_report(doc, path)
+    iomod.save_report(iomod.model_document(model, report.residuals), path)
     print(f"model written to {path} (case={model.case}, kernel_set={list(model.kernel_set)})")
-    if relation_tol == RELATION_TOL:
-        stored = doc["residuals"].items()
-        failures = sorted(name for name, v in stored if not Decision(v, relation_tol).passed)
-    else:
-        failures = sorted(verify_relations(model, relation_tol).failures())
+    if relation_tol != RELATION_TOL:
+        report = verify_relations(model, relation_tol)
+    failures = sorted(report.failures())
     if failures:
         print(f"FAILED: {', '.join(failures)} exceed {relation_tol:.1e}")
         return EXIT_VERIFY

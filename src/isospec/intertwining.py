@@ -44,8 +44,6 @@ from .linalg import (
 RELATION_TOL = 1e-9
 # k-tilde values closer than this are reported as one degeneracy class.
 DEGENERACY_TOL = 1e-8
-# The schema tag of a model document (IntertwiningModel.to_jsonable).
-MODEL_SCHEMA = "isospec-model-v1"
 
 # The operands of a model, each with one SpectralNorm (IntertwiningModel.norms).
 _OPERANDS = ("theta1", "x", "n1", "n2", "theta2")
@@ -291,20 +289,6 @@ class IntertwiningModel:
         )
         idx = range(len(self.values)) if include_kernel else self.survivors
         return transported.columns(list(idx))
-
-    def to_jsonable(self) -> dict:
-        from .io import matrix_to_jsonable
-
-        return {
-            "schema": MODEL_SCHEMA,
-            "theta1": matrix_to_jsonable(self.theta1),
-            "X": matrix_to_jsonable(self.x),
-            "theta2": matrix_to_jsonable(self.theta2),
-            "case": self.case,
-            "kernel_set": list(self.kernel_set),
-            "tilde_k": self.tilde_k,
-            "residuals": verify_relations(self).to_jsonable()["residuals"],
-        }
 
 
 def build_model(

@@ -1,10 +1,12 @@
-"""File formats: matrix JSON/CSV, canonical JSON reports.
+"""File formats: matrix JSON/CSV, the model file, canonical JSON reports.
 
 Matrix JSON carries explicit "rows"/"cols" keys and a row-major flat list
 of [re, im] entry pairs.  Matrix CSV interleaves re,im columns and starts
-with the format header line ``# isospec-csv-v1``.  Report JSON is written
-by a small canonical serializer (sorted keys, floats at 17 significant
-digits) so identical inputs produce byte-identical files.
+with the format header line ``# isospec-csv-v1``.  The model file
+(``MODEL_SCHEMA``) is made by ``model_document`` and read by
+``load_model`` alone.  Report JSON is written by a small canonical
+serializer (sorted keys, floats at 17 significant digits) so identical
+inputs produce byte-identical files.
 
 Every float goes through one formatter, ``_float_text``.  A real float64
 array (1-D, or 2-D rows), such as the (rows*cols, 2) entry pairs
@@ -19,6 +21,7 @@ the target as it was.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from itertools import chain
@@ -26,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 from .linalg import as_matrix, read_only
 
 CSV_HEADER = "# isospec-csv-v1"
+MODEL_SCHEMA = "isospec-model-v1"
 # rows of a float array formatted at a time: bounds the writers' working memory
 PIECE_ROWS = 1024
 _NONFINITE = re.compile(r"-?inf|nan")
@@ -177,6 +181,77 @@ def load_matrix_csv(path) -> np.ndarray:
         raise DimensionError("matrix CSV rows have inconsistent widths")
     values = np.array(list(map(float, chain.from_iterable(cells))))
     return values.reshape(len(cells), -1).view(complex)
+
+
+def load_matrix(path) -> np.ndarray:
+    """A matrix input file, CSV by its ``.csv`` suffix; an unreadable one is a ParameterError."""
+    if not os.path.exists(path):
+        raise ParameterError(f"input file not found: {path}")
+    try:
+        return (load_matrix_csv if str(path).endswith(".csv") else load_matrix_json)(path)
+    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise ParameterError(f"could not parse matrix file {path}: {exc}") from exc
+
+
+def model_document(model, residuals) -> dict:
+    """The model file of ``model`` with the relation ``residuals`` its writer decided."""
+    return {
+        "schema": MODEL_SCHEMA,
+        "theta1": matrix_to_jsonable(model.theta1),
+        "X": matrix_to_jsonable(model.x),
+        "theta2": matrix_to_jsonable(model.theta2),
+        "case": model.case,
+        "kernel_set": list(model.kernel_set),
+        "tilde_k": model.tilde_k,
+        "residuals": dict(residuals),
+    }
+
+
+def load_model(path) -> dict:
+    """A model file's document, its matrices as ``theta1_matrix``, ``x_matrix`` and
+    ``theta2_matrix``; a missing file or field, or another schema, is a ParameterError."""
+    if not os.path.exists(path):
+        raise ParameterError(f"model file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"model file {path} is not valid JSON: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != MODEL_SCHEMA:
+        raise ParameterError(f"model file {path} has schema {schema!r}, not {MODEL_SCHEMA!r}")
+    try:
+        # popped: each matrix's parsed lists are freed once its array exists
+        doc["theta1_matrix"] = jsonable_to_matrix(doc.pop("theta1"))
+        doc["x_matrix"] = jsonable_to_matrix(doc.pop("X"))
+        doc["theta2_matrix"] = jsonable_to_matrix(doc.pop("theta2"))
+        # the per-mode fields verify compares, when present
+        if "tilde_k" in doc:
+            tilde = np.array(_json_list(doc, "tilde_k", (float, int), path), dtype=float)
+            if not np.isfinite(tilde).all():
+                raise ParameterError(f"model file {path} has a non-finite tilde_k entry")
+            doc["tilde_k"] = tilde
+        if "kernel_set" in doc:
+            doc["kernel_set"] = tuple(_json_list(doc, "kernel_set", (int,), path))
+        # verify recomputes every residual; the stored ones are only type-checked
+        stored = doc.get("residuals", {})
+        if not isinstance(stored, dict) or not all(
+            type(v) in (float, int) and math.isfinite(v) for v in stored.values()
+        ):
+            raise ParameterError(f"model file {path}: residuals must map names to finite JSON numbers")
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise ParameterError(f"model file {path} is missing or corrupts required keys: {exc}") from exc
+    return doc
+
+
+def _json_list(doc: dict, key: str, kinds: tuple, path) -> list:
+    """``doc[key]`` if it is a list whose entries are all of ``kinds``; as in
+    the matrix reader, a boolean or a numeric string is not a number here."""
+    values = doc[key]
+    if not isinstance(values, list) or not all(type(v) in kinds for v in values):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ParameterError(f"model file {path}: {key} must be a list of JSON {names} values")
+    return values
 
 
 def _float_array_pieces(arr: np.ndarray, pad: str, inner: str):

@@ -627,6 +627,45 @@ def test_fixture_build_by_id(tmp_path):
     assert doc["kernel_set"] == [0, 2, 4, 6, 8]
 
 
+# block lists its kernel modes as (0, 2, 4, 6); the rebuilt seed's (Re, Im) eigenvalue
+# sort breaks the tie of each block's a - b, a + b on rounding and gives (1, 2, 4, 6)
+BLOCK_MODE_ORDER = pytest.mark.xfail(
+    strict=True,
+    reason="verify compares modes by index, not by eigenvalue: stored_kernel_set and "
+    "stored_tilde_k fail on block (ROADMAP item 8); remove this mark when it is mended",
+)
+
+
+@pytest.mark.parametrize(
+    "fixture_id", [pytest.param(f, marks=BLOCK_MODE_ORDER) if f == "block" else f
+                   for f in FIXTURE_IDS]
+)
+def test_fixture_build_then_verify_round_trips(fixture_id, tmp_path, capsys):
+    outdir = str(tmp_path)
+    assert cli.main(["fixture", "build", fixture_id, "--outdir", outdir]) == 0
+    assert cli.main(["verify", "--model", str(tmp_path / "model.json"), "--outdir", outdir]) == 0
+
+
+@pytest.mark.parametrize("tol, checks", [(None, [RELATION_TOL]), ("1e-12", [RELATION_TOL, 1e-12])])
+def test_build_verifies_at_the_default_tolerance_and_again_at_another(
+    tol, checks, tmp_path, monkeypatch
+):
+    # the stored residuals come from the default-tolerance check; writing runs none
+    seen = []
+
+    def counted(model, tol=RELATION_TOL):
+        seen.append(tol)
+        return intertwining.verify_relations(model, tol)
+
+    monkeypatch.setattr(cli, "verify_relations", counted)
+    argv = ["build", "--fixture", "ex3x3", "--outdir", str(tmp_path)]
+    assert cli.main(argv + (["--relation-tol", tol] if tol else [])) == 0
+    assert seen == checks
+    doc = iomod.load_model(tmp_path / "model.json")
+    model = get_fixture("ex3x3").model
+    assert doc["residuals"] == intertwining.verify_relations(model).residuals
+
+
 # ---------------------------------------------------------------------------
 # options: each flag and config key has one reader
 

@@ -28,6 +28,7 @@ from isospec import (
     structure_check,
     verify_relations,
 )
+from isospec import io as iomod
 
 RELATION_TOL = 1e-9
 PROPERTY_TOL = 1e-8
@@ -487,10 +488,20 @@ def test_generator_models_satisfy_transport_properties(seed):
     )
 
 
-def test_model_serialization_roundtrip():
-    f = fixture_3x3(1.0, 2.0, 3.0)
-    doc = f.model.to_jsonable()
+def test_model_serialization_roundtrip(tmp_path):
+    model = fixture_3x3(1.0, 2.0, 3.0).model
+    doc = iomod.model_document(model, verify_relations(model).residuals)
     for key in ("schema", "theta1", "X", "theta2", "case", "kernel_set", "tilde_k", "residuals"):
         assert key in doc, key
     assert doc["case"] == CASE_NONINVERTIBLE
     assert doc["kernel_set"] == [2]
+    iomod.save_report(doc, tmp_path / "model.json")
+    back = iomod.load_model(tmp_path / "model.json")
+    for key, stored in (("theta1_matrix", model.theta1), ("x_matrix", model.x),
+                        ("theta2_matrix", model.theta2)):
+        # bit for bit, but for the sign of a zero: the writer stores -0.0 as 0
+        # (theta2 here has one), and adding 0.0 makes a negative zero positive
+        assert back[key].tobytes() == (stored + 0.0).tobytes(), key
+    assert back["case"] == model.case
+    assert back["kernel_set"] == model.kernel_set
+    np.testing.assert_array_equal(back["tilde_k"], model.tilde_k)

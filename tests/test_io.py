@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isospec.errors import DimensionError
-from isospec.intertwining import build_model, make_commuting_pair
+from isospec.intertwining import build_model, make_commuting_pair, verify_relations
 from isospec.io import (
     CSV_HEADER,
     PIECE_ROWS,
@@ -19,6 +19,7 @@ from isospec.io import (
     load_matrix_csv,
     load_matrix_json,
     matrix_to_jsonable,
+    model_document,
     save_matrix_csv,
     save_matrix_json,
     save_report,
@@ -229,7 +230,7 @@ def test_a_report_is_written_through_a_symlink(tmp_path):
 
 def test_save_report_streams_a_model_in_less_than_its_matrices(tmp_path):
     model = build_model(*make_commuting_pair(300, 150, 3))
-    doc = model.to_jsonable()
+    doc = model_document(model, verify_relations(model).residuals)
     matrices = model.theta1.nbytes + model.x.nbytes + model.theta2.nbytes
     assert matrices == 2_520_000
     tracemalloc.start()
