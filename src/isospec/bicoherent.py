@@ -58,7 +58,7 @@ LAGUERRE_RULES_KEPT = 8
 
 
 # ---------------------------------------------------------------------------
-# ladder pairs
+# ladder pairs and the input gate of every construction
 
 
 @dataclass(frozen=True)
@@ -85,39 +85,51 @@ def build_ladders(system: BiorthogonalSystem, eps) -> LadderPair:
 
     tk is the system's pairing: 1 on a level-1 system, where A is
     sum_k sqrt(eps_k) |phi_{k-1}><psi_k|, and tilde_k on a level-2 one.
-    Kernel modes (pairing 0) are refused: filter the kernel first.  eps
-    must increase strictly from 0.  B A phi_n = eps_n phi_n holds for
+    The input gate runs at order = system size: kernel modes (pairing 0)
+    are refused, so filter first.  B A phi_n = eps_n phi_n holds for
     every n of the truncation; A B loses only the top mode.
     """
-    _refuse_kernel(system.pairing)
+    eps = _gate(system, eps, system.size)
+    tk = system.pairing
+    steps = eps.values[1 : system.size]
+    psih = (system.psi * (1.0 / tk)).conj().T
+    return LadderPair(
+        a=system.phi @ np.diag(np.sqrt(steps * tk[1:] / tk[:-1]), 1) @ psih,
+        b=system.phi @ np.diag(np.sqrt(steps * tk[:-1] / tk[1:]), -1) @ psih,
+        system=system, eps=eps,
+    )
+
+
+def _gate(system: BiorthogonalSystem, eps, order: int) -> EpsilonSequence:
+    """Every construction's input check on the first ``order`` modes, in turn:
+    the order, no kernel mode, ``order`` eps values, eps increasing from 0."""
+    _check_order(system, order)
+    _refuse_kernel(system.pairing[:order])
     eps = EpsilonSequence.of(eps)
-    if not eps.strictly_increasing:
-        raise ParameterError("epsilon sequence must increase strictly from 0")
-    return _ladder_pair(system, eps, system.pairing)
+    if len(eps) < order:
+        raise DimensionError(f"need {order} epsilon values, got {len(eps)}")
+    return _increasing(eps)
+
+
+def _check_order(system: BiorthogonalSystem, order: int) -> None:
+    if not 1 <= order <= system.size:
+        raise DimensionError(f"order must lie in 1..{system.size} (system size), got {order}")
 
 
 def _refuse_kernel(pairing: np.ndarray) -> None:
-    """The one kernel guard of the state and ladder constructions."""
+    """The gate's kernel guard: a mode with pairing 0 has no state."""
     dead = np.flatnonzero(pairing <= 0)
     if dead.size:
         raise KernelError(f"pairing constant at index {dead[0]} is not positive "
                           "(kernel mode); filter first")
 
 
-def _ladder_pair(system: BiorthogonalSystem, eps: EpsilonSequence, tk) -> LadderPair:
-    """A phi_k = sqrt(eps_k * tk_k / tk_{k-1}) phi_{k-1}, B dually, on the
-    dyads |phi_k><psi_k| / tk_k; the level-1 ladders are the case tk = 1."""
-    m = system.size
-    if len(eps) < m:
-        raise DimensionError(f"need {m} epsilon values, got {len(eps)}")
-    steps = eps.values[1:m]
-    psih = (system.psi * (1.0 / tk)).conj().T
-    return LadderPair(
-        a=system.phi @ np.diag(np.sqrt(steps * tk[1:] / tk[:-1]), 1) @ psih,
-        b=system.phi @ np.diag(np.sqrt(steps * tk[:-1] / tk[1:]), -1) @ psih,
-        system=system,
-        eps=eps,
-    )
+def _increasing(eps) -> EpsilonSequence:
+    """eps as a sequence, refused unless eps_0 = 0 < eps_1 < eps_2 < ..."""
+    eps = EpsilonSequence.of(eps)
+    if not eps.strictly_increasing:
+        raise ParameterError("epsilon sequence must increase strictly from 0")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +194,13 @@ def _tail_limit(seq: np.ndarray) -> float:
     return float(window[-1])
 
 
-def _check_order(system: BiorthogonalSystem, order: int) -> None:
-    if not 1 <= order <= system.size:
-        raise DimensionError(
-            f"order must lie in 1..{system.size} (system size), got {order}"
-        )
-
-
 def radius(r_phi, alpha_phi, r_psi, alpha_psi, eps) -> ConvergenceData:
     """Convergence data from growth constants and the epsilon tail.
 
     rho_phi = (1/r_phi) * lim_k eps_{k+1}^{1/2 - alpha_phi} (and dually),
     rho_hat = lim_k eps_k, each limit estimated from the truncated tail.
     """
-    eps = EpsilonSequence.of(eps)
-    if not eps.strictly_increasing:
-        raise ParameterError("epsilon sequence must increase strictly from 0")
+    eps = _increasing(eps)
     tail = eps.values[1:]
     rho_phi = _tail_limit(tail ** (0.5 - alpha_phi)) / r_phi
     rho_psi = _tail_limit(tail ** (0.5 - alpha_psi)) / r_psi
@@ -217,9 +220,9 @@ def radius(r_phi, alpha_phi, r_psi, alpha_psi, eps) -> ConvergenceData:
 class _Disc(NamedTuple):
     """One fitted disc and every z-independent row its states read.
 
-    A disc is kept in ``system.memo`` only after the order and kernel
-    checks passed on the same read-only snapshot, and its key holds the
-    order, so a disc found there needs no check again.  Every array is
+    A disc is kept in ``system.memo`` only after the input gate passed on
+    the same read-only snapshot, and its key holds the order and the eps
+    values, so a disc found there needs no check again.  Every array is
     read-only; the transposed families are views of the system's columns,
     not copies, since a matrix product rounds by its operands' layout.
     """
@@ -240,13 +243,10 @@ def convergence_for_system(system: BiorthogonalSystem, eps, order=None) -> Conve
     The norm sequences are rescaled by their first entries before fitting:
     a constant prefactor never changes the convergence radius, and the
     strict n = 0 bound would otherwise reject families with ||phi_0|| > 1.
-    Kernel modes (pairing 0) among the first ``order`` are refused, since
-    their zero norms leave no growth to fit.  The disc depends on z
-    nowhere, so it is fitted once per (system, eps values, order) and kept
-    in ``system.memo`` with the z-independent rows of its states.  The
-    memo is read first: a disc found there passed the order and kernel
-    checks when it was fitted, so they run only on a miss.  A refusal or
-    a failed fit is never kept.
+    The disc depends on z nowhere, so it is fitted once per (system, eps
+    values, order), after the input gate, and kept in ``system.memo`` with
+    the z-independent rows of its states; a disc found there runs no check
+    again.  A refusal or a failed fit is never kept.
     """
     eps = EpsilonSequence.of(eps)
     order = system.size if order is None else int(order)
@@ -254,13 +254,11 @@ def convergence_for_system(system: BiorthogonalSystem, eps, order=None) -> Conve
 
 
 def _disc(system: BiorthogonalSystem, eps: EpsilonSequence, order: int) -> _Disc:
-    """The memoized disc of convergence_for_system; checks and fits on a miss."""
+    """The memoized disc of convergence_for_system; gates and fits on a miss."""
     key = ("disc", order, eps.key)
     disc = system.memo.get(key)
     if disc is None:
-        _check_order(system, order)
-        pairing = system.pairing[:order]
-        _refuse_kernel(pairing)
+        _gate(system, eps, order)
         phi, psi = system.phi[:, :order], system.psi[:, :order]
         hphi = np.linalg.norm(phi, axis=0)
         hpsi = np.linalg.norm(psi, axis=0)
@@ -276,7 +274,7 @@ def _disc(system: BiorthogonalSystem, eps: EpsilonSequence, order: int) -> _Disc
             read_only(log_facts),
             read_only(np.arange(0.0, 2.0 * order, 2.0)),
             read_only(np.arange(order)),
-            read_only(np.log(pairing)),
+            read_only(np.log(system.pairing[:order])),
             phi.T,  # views of the read-only snapshot: read-only themselves
             psi.T,
         )
@@ -421,9 +419,8 @@ def _radius_gate(
 
 
 def _states(system: BiorthogonalSystem, eps, zs, order: int) -> list[BicoherentState]:
-    """Check order, gate once (the gate refuses kernel modes), assemble: the
-    one path of every state.  The order is checked before anything else, so
-    a bad order is refused first whatever else is wrong."""
+    """Check order, take the radius gate once, assemble: the one path of every
+    state.  The order is checked first, so a bad order is refused first."""
     _check_order(system, order)
     eps = EpsilonSequence.of(eps)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
@@ -555,8 +552,8 @@ class RadialMeasure:
         return float(self.moments(k + 1)[k])
 
     def moment_defects(self, eps, order: int) -> np.ndarray:
-        """Relative defects |quadrature - eps_k!/(2 pi)| / (eps_k!/(2 pi))."""
-        exact = EpsilonSequence.of(eps).factorials(order) / (2.0 * math.pi)
+        """Relative defects |quadrature - eps_k!/(2 pi)| / (eps_k!/(2 pi)); eps increasing."""
+        exact = _increasing(eps).factorials(order) / (2.0 * math.pi)
         return np.abs(self.moments(order) - exact) / exact
 
     def scaled(self, factor: float) -> "RadialMeasure":
@@ -631,7 +628,9 @@ def resolution_check(
     The angular integral is done analytically (only equal powers survive),
     leaving radial moments evaluated by the measure's quadrature; moment
     defects therefore propagate honestly into the residual.  Without a
-    measure the integral is taken as its sum form.
+    measure the integral is taken as its sum form.  After the input gate's
+    refusals (a bad order, a kernel mode, too few or non-increasing eps), f
+    and g of the wrong size are a DimensionError, non-finite a ParameterError.
 
     The pairing, moments and factorials are read as Python floats, and the
     families through row views of their transposes, which are views of the
@@ -640,13 +639,13 @@ def resolution_check(
     products, their product and the accumulation in mode order) stays a
     numpy scalar one, so every field keeps its bits.
     """
-    eps = EpsilonSequence.of(eps)
-    _check_order(system, order)
-    _refuse_kernel(system.pairing[:order])
+    eps = _gate(system, eps, order)
     f = np.asarray(f, dtype=complex).reshape(-1)
     g = np.asarray(g, dtype=complex).reshape(-1)
     if f.size != system.dim or g.size != system.dim:
         raise DimensionError("f and g must live in the system's ambient space")
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        raise ParameterError("f and g must be finite")
     facts = eps.factorials(order).tolist()
     moments = None if measure is None else measure.moments(order).tolist()
     pairing = system.pairing[:order].tolist()
@@ -683,12 +682,13 @@ def quantize(
     integral leaves one off-diagonal band whose radial moments are taken
     from the measure, so with exact moments the result is the lowering
     ladder (symbol z) or the raising ladder (symbol zbar); at order 1 the
-    band is empty and the operator is 0, the 1-mode ladder.
+    band is empty and the operator is 0, the 1-mode ladder.  An unknown
+    symbol is a ParameterError, then come the input gate's refusals: a bad
+    order, a kernel mode, too few or non-increasing eps.
     """
-    eps = EpsilonSequence.of(eps)
     if symbol not in ("z", "zbar"):
         raise ParameterError(f"unsupported symbol {symbol!r}; use 'z' or 'zbar'")
-    _check_order(system, order)
+    eps = _gate(system, eps, order)
     # one root per mode: the product of two neighbouring factorials can
     # overflow where each factorial, and the band, is finite
     root = np.sqrt(eps.factorials(order) * system.pairing[:order])

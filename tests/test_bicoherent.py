@@ -877,3 +877,134 @@ def test_quantize_agrees_with_ladders_on_skewed_system():
     )
     pair = build_ladders(truncated, EpsilonSequence(eps.values[:order]))
     np.testing.assert_allclose(op, pair.a, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the input gate: every construction refuses the same inputs, in one order
+
+
+def _gate_base():
+    # a fresh system per case, so no disc kept by another case is read
+    f = coherent_demo(1.0, 4)
+    system = f.model.system1()
+    eps = EpsilonSequence(f.expected["epsilon"])
+    return system, eps, system.size, solve_moment_measure(eps, system.size)
+
+
+def _with_eps(eps, index, value):
+    values = eps.values.copy()
+    values[index] = value
+    return EpsilonSequence(values)
+
+
+# each fault: (system, eps, order) -> (system, eps, order), the refusal, its message
+_GATE_FAULTS = {
+    "order_0": (lambda s, e, o: (s, e, 0), DimensionError, "order must lie"),
+    "order_past_size": (lambda s, e, o: (s, e, s.size + 1), DimensionError, "order must lie"),
+    "kernel_at_0": (
+        lambda s, e, o: (replace(s, pairing=np.r_[0.0, s.pairing[1:]]), e, o),
+        KernelError,
+        "index 0",
+    ),
+    "eps_short": (
+        lambda s, e, o: (s, EpsilonSequence(e.values[: s.size - 1]), o),
+        DimensionError,
+        "epsilon values",
+    ),
+    "eps1_zero": (lambda s, e, o: (s, _with_eps(e, 1, 0.0), o), ParameterError, "increase"),
+    "eps2_eps3_swapped": (
+        lambda s, e, o: (s, _with_eps(_with_eps(e, 2, e.values[3]), 3, e.values[2]), o),
+        ParameterError,
+        "increase",
+    ),
+}
+
+# each entry point: (system, eps, order, measure) -> its result; build_ladders
+# takes its order from the system
+_GATE_ENTRIES = {
+    "build_ladders": lambda s, e, o, m: build_ladders(s, e),
+    "coherent_pair": lambda s, e, o, m: coherent_pair(s, e, 0.1, o),
+    "coherent_grid": lambda s, e, o, m: coherent_grid(s, e, [0.0, 0.1j], o),
+    "convergence_for_system": lambda s, e, o, m: convergence_for_system(s, e, o),
+    "resolution_check": lambda s, e, o, m: resolution_check(
+        s, e, m, np.ones(s.dim), np.ones(s.dim), o
+    ),
+    "resolution_check_sum_form": lambda s, e, o, m: resolution_check(
+        s, e, None, np.ones(s.dim), np.ones(s.dim), o
+    ),
+    "quantize": lambda s, e, o, m: quantize("z", s, e, m, o),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, fault",
+    [
+        (entry, fault)
+        for entry in _GATE_ENTRIES
+        for fault in _GATE_FAULTS
+        if not (entry == "build_ladders" and fault.startswith("order"))
+    ],
+)
+def test_every_construction_refuses_what_the_gate_refuses(entry, fault):
+    system, eps, order, measure = _gate_base()
+    make, error, message = _GATE_FAULTS[fault]
+    system, eps, order = make(system, eps, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            _GATE_ENTRIES[entry](system, eps, order, measure)
+
+
+@pytest.mark.parametrize("entry", list(_GATE_ENTRIES))
+def test_the_gate_refuses_a_bad_order_first_then_in_its_own_order(entry):
+    # every fault at once, then one fewer at a time: each refusal is the first
+    # remaining fault's; build_ladders takes its order from the system
+    faults = ["order_0", "kernel_at_0", "eps_short", "eps1_zero"]
+    if entry == "build_ladders":
+        faults = faults[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for first in range(len(faults)):
+            system, eps, order, measure = _gate_base()
+            for fault in faults[first:]:
+                system, eps, order = _GATE_FAULTS[fault][0](system, eps, order)
+            _, error, message = _GATE_FAULTS[faults[first]]
+            with pytest.raises(error, match=message):
+                _GATE_ENTRIES[entry](system, eps, order, measure)
+
+
+def test_quantize_refuses_the_shift_fixtures_kernel_mode():
+    # the level-2 shift system keeps its kernel mode (pairing 0) at index 0,
+    # where a band entry would divide by zero
+    system = get_fixture("shift").model.system2(include_kernel=True)
+    eps = EpsilonSequence.linear(1.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for symbol in ("z", "zbar"):
+            with pytest.raises(KernelError, match="index 0"):
+                quantize(symbol, system, eps, solve_moment_measure(eps, 8), 8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+@pytest.mark.parametrize("which", ["f", "g"])
+@pytest.mark.parametrize("with_measure", [True, False])
+def test_resolution_check_refuses_a_non_finite_f_or_g(bad, which, with_measure):
+    system, eps, order, measure = _gate_base()
+    good = np.ones(system.dim, dtype=complex)
+    broken = good.copy()
+    broken[-1] = bad
+    f, g = (broken, good) if which == "f" else (good, broken)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="f and g must be finite"):
+            resolution_check(system, eps, measure if with_measure else None, f, g, order)
+
+
+@pytest.mark.parametrize("fault", ["eps1_zero", "eps2_eps3_swapped"])
+def test_moment_defects_refuse_a_sequence_that_does_not_increase(fault):
+    system, eps, order, measure = _gate_base()
+    _, eps, _ = _GATE_FAULTS[fault][0](system, eps, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="increase strictly from 0"):
+            measure.moment_defects(eps, order)
