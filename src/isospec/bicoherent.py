@@ -108,7 +108,7 @@ def _gate(system: BiorthogonalSystem, eps, order: int) -> EpsilonSequence:
     eps = EpsilonSequence.of(eps)
     if len(eps) < order:
         raise DimensionError(f"need {order} epsilon values, got {len(eps)}")
-    return _increasing(eps)
+    return eps.require_increasing()
 
 
 def _check_order(system: BiorthogonalSystem, order: int) -> None:
@@ -122,14 +122,6 @@ def _refuse_kernel(pairing: np.ndarray) -> None:
     if dead.size:
         raise KernelError(f"pairing constant at index {dead[0]} is not positive "
                           "(kernel mode); filter first")
-
-
-def _increasing(eps) -> EpsilonSequence:
-    """eps as a sequence, refused unless eps_0 = 0 < eps_1 < eps_2 < ..."""
-    eps = EpsilonSequence.of(eps)
-    if not eps.strictly_increasing:
-        raise ParameterError("epsilon sequence must increase strictly from 0")
-    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +192,7 @@ def radius(r_phi, alpha_phi, r_psi, alpha_psi, eps) -> ConvergenceData:
     rho_phi = (1/r_phi) * lim_k eps_{k+1}^{1/2 - alpha_phi} (and dually),
     rho_hat = lim_k eps_k, each limit estimated from the truncated tail.
     """
-    eps = _increasing(eps)
+    eps = EpsilonSequence.of(eps).require_increasing()
     tail = eps.values[1:]
     rho_phi = _tail_limit(tail ** (0.5 - alpha_phi)) / r_phi
     rho_psi = _tail_limit(tail ** (0.5 - alpha_psi)) / r_psi
@@ -553,7 +545,7 @@ class RadialMeasure:
 
     def moment_defects(self, eps, order: int) -> np.ndarray:
         """Relative defects |quadrature - eps_k!/(2 pi)| / (eps_k!/(2 pi)); eps increasing."""
-        exact = _increasing(eps).factorials(order) / (2.0 * math.pi)
+        exact = EpsilonSequence.of(eps).require_increasing().factorials(order) / (2.0 * math.pi)
         return np.abs(self.moments(order) - exact) / exact
 
     def scaled(self, factor: float) -> "RadialMeasure":

@@ -25,8 +25,8 @@ range check, and a flag given on the command line wins.
 
 All JSON artifacts are written through a canonical serializer (sorted
 keys, 17 significant digits), so identical configs and inputs produce
-byte-identical reports.  ISOSPEC_SEED (an integer) seeds every random
-draw; it defaults to 0.
+byte-identical reports.  ISOSPEC_SEED (a non-negative integer) seeds every
+random draw; it defaults to 0.
 """
 
 from __future__ import annotations
@@ -95,9 +95,12 @@ def _positive(name: str):
 def _seed() -> int:
     raw = os.environ.get("ISOSPEC_SEED", "0")
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"ISOSPEC_SEED must be an integer, got {raw!r}") from exc
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ParameterError(f"ISOSPEC_SEED must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _parse_scalar(text: str):
@@ -319,6 +322,7 @@ def _quantized(system: BiorthogonalSystem, eps, order: int, measure, symbol: str
 
 def cmd_coherent(args: argparse.Namespace) -> int:
     """Sweep a z-grid: per-z CSV, measure report, resolution, quantization."""
+    rng = np.random.default_rng(_seed())
     system, eps, order = _level1_inputs(args)
 
     radii = [args.grid_rmax * (i + 1) / args.grid_radial for i in range(args.grid_radial)]
@@ -351,7 +355,6 @@ def cmd_coherent(args: argparse.Namespace) -> int:
     )
 
     # measure, resolution, quantization
-    rng = np.random.default_rng(_seed())
     span = min(10, max(1, order // 2))
     quant_info = None
     try:

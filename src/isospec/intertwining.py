@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     NumericalError,
+    ParameterError,
     RegimeError,
     SpectrumError,
 )
@@ -489,53 +490,47 @@ def adjoint_descent(model: IntertwiningModel) -> float:
     return opnorm(lifted - model.theta2.conj().T) / max(1.0, model.norms["theta2"].exact)
 
 
-def make_commuting_pair(dim1: int, dim2: int, seed: int, hermitian: bool = False):
-    """Random (Theta1, X) satisfying the non-invertible regime preconditions.
-
-    X is dense complex with full column rank; Theta1 is assembled in the
-    eigenbasis of N1 = X X-adjoint, block-diagonal over N1's eigenspaces,
-    which enforces [N1, Theta1] = 0 exactly up to rounding.  Simple seed
-    spectrum is enforced by resampling; Theta1 is unitarily similar to its
-    block-diagonal form, so its spectrum is that of the blocks.
-    ``hermitian`` makes Theta1 self-adjoint (for converse-direction checks).
-    """
-    if dim2 >= dim1:
-        raise DimensionError(
-            "need dim1 > dim2: a square intertwiner is either invertible or "
-            "fails strict positivity of N2 (no-go), and dim2 > dim1 always fails it"
-        )
-    if dim2 < 1:
-        raise DimensionError("dim2 must be at least 1")
+def _plant(dim1: int, dim2: int, seed: int, sigma=None, hermitian: bool = False):
+    """(Theta1, X, exact partner) from factors drawn in a fixed order: W and V Haar
+    (QRs of complex Gaussians, diag(R) made positive; Mezzadri, Notices AMS 54, 2007),
+    sigma uniform on [1, 4] unless given, lam (real when ``hermitian``) and a Gaussian
+    (dim1 - dim2)-square B (its Hermitian part when ``hermitian``).  X = W_r diag(sigma)
+    V-adjoint and Theta1 = W (diag(lam) + B) W-adjoint, so N1 has the eigenbasis W and
+    X (V diag(lam) V-adjoint) = Theta1 X.  A draw whose spectrum lam + eig(B) is not
+    simple is drawn again."""
     rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def haar(n):
+        q, r = np.linalg.qr(gauss(n, n))
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
     for _ in range(64):
-        x = rng.standard_normal((dim1, dim2)) + 1j * rng.standard_normal((dim1, dim2))
-        s = np.linalg.svd(x, compute_uv=False)
-        if s[-1] <= 1e-6 * s[0]:
-            continue
-        n1 = x @ x.conj().T
-        w, u = np.linalg.eigh(n1)
-        groups: list[list[int]] = []
-        for i in range(dim1):
-            if groups and abs(w[i] - w[groups[-1][0]]) <= 1e-8 * max(w[-1], 1.0):
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        c = np.zeros((dim1, dim1), dtype=complex)
-        spectra = []
-        for g in groups:
-            blk = rng.standard_normal((len(g), len(g))) + 1j * rng.standard_normal(
-                (len(g), len(g))
-            )
-            if hermitian:
-                blk = (blk + blk.conj().T) / 2
-            c[np.ix_(g, g)] = blk
-            if len(g) == 1:
-                spectra.append(blk[0])
-            else:
-                spectra.append(np.linalg.eigvalsh(blk) if hermitian else np.linalg.eigvals(blk))
-        if _pairwise_gaps(np.concatenate(spectra)).min() > 1e-6:
-            theta1 = u @ c @ u.conj().T
+        w, v = haar(dim1), haar(dim2)
+        s = rng.uniform(1.0, 4.0, dim2) if sigma is None else sigma
+        lam = rng.standard_normal(dim2) if hermitian else gauss(dim2)
+        b = gauss(dim1 - dim2, dim1 - dim2)
+        if hermitian:
+            b = (b + b.conj().T) / 2
+        if np.all(_pairwise_gaps(np.concatenate([lam, np.linalg.eigvals(b)])) > 1e-6):
+            wr, wk = w[:, :dim2], w[:, dim2:]
+            theta1 = (wr * lam) @ wr.conj().T + wk @ b @ wk.conj().T
             if hermitian:
                 theta1 = (theta1 + theta1.conj().T) / 2
-            return theta1, x
+            return theta1, (wr * s) @ v.conj().T, (v * lam) @ v.conj().T
     raise NumericalError("could not draw a simple-spectrum commuting pair in 64 tries")
+
+
+def make_commuting_pair(dim1: int, dim2: int, seed: int, hermitian: bool = False):
+    """Random (Theta1, X) in the non-invertible regime, planted by ``_plant``: cond(X)
+    <= 4, [N1, Theta1] = 0 up to rounding, a simple spectrum, and dim1 - dim2 modes in
+    the kernel of X-adjoint.  ``hermitian`` makes Theta1 self-adjoint."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    if not 1 <= dim2 < dim1:
+        raise DimensionError(f"need dim1 > dim2 >= 1, got {dim1}x{dim2}: a square X is invertible "
+                             "or fails strict positivity of N2 (no-go), a wide one always fails it")
+    return _plant(dim1, dim2, seed, hermitian=hermitian)[:2]

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     NumericalError,
+    ParameterError,
     SingularityError,
 )
 
@@ -355,6 +356,12 @@ class EpsilonSequence:
         if not np.isfinite(s):
             raise ValueError(f"epsilon slope must be finite, got {s}")
         return cls(s * np.arange(count, dtype=float))
+
+    def require_increasing(self) -> "EpsilonSequence":
+        """The sequence itself; a ParameterError unless ``strictly_increasing``."""
+        if not self.strictly_increasing:
+            raise ParameterError("epsilon sequence must increase strictly from 0")
+        return self
 
     def __len__(self) -> int:
         return self.values.size

@@ -244,8 +244,7 @@ def fixture_shift(eps, theta, n: int) -> Fixture:
         raise DimensionError("shift example needs at least 2 modes")
     if len(eps) < n:
         raise DimensionError(f"need {n} epsilon values, got {len(eps)}")
-    if not eps.strictly_increasing:
-        raise ParameterError("epsilon values must increase strictly from 0")
+    eps.require_increasing()
     theta_arr = np.asarray(theta, dtype=float)
     if theta_arr.ndim == 0:
         theta_arr = np.full(n, float(theta_arr))

@@ -4,6 +4,7 @@ import functools
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from isospec import (
     MomentError,
     NumericalError,
     ParameterError,
+    RegimeError,
     adjoint,
     build_ladders,
     build_model,
@@ -38,7 +40,7 @@ from isospec import (
     solve_moment_measure,
     standard_boson,
 )
-from isospec import bicoherent
+from isospec import bicoherent, cli
 from isospec.bicoherent import _fit_growth_from_norms
 from isospec.io import canonical_json
 
@@ -998,6 +1000,24 @@ def test_resolution_check_refuses_a_non_finite_f_or_g(bad, which, with_measure):
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="f and g must be finite"):
             resolution_check(system, eps, measure if with_measure else None, f, g, order)
+
+
+# the fixture, the state gate and the convergence data refuse with one message
+# from EpsilonSequence.require_increasing; the CLI reads the same predicate
+@pytest.mark.parametrize("values", [[0.0, 2.0, 1.0, 3.0], [0.5, 1.0, 2.0, 3.0]],
+                         ids=["swapped", "eps0_not_zero"])
+def test_one_epsilon_rule_serves_the_fixture_and_the_gate(values):
+    system = coherent_demo(1.0, 2).model.system1()
+    calls = [lambda: fixture_shift(values, 0.5, 4), lambda: build_ladders(system, values),
+             lambda: radius(1.0, 0.0, 1.0, 0.0, values)]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ParameterError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"epsilon sequence must increase strictly from 0"}
+    with pytest.raises(RegimeError, match="0 = eps_0 < eps_1"):
+        cli._eps_from_model(SimpleNamespace(values=np.asarray(values, dtype=complex)))
 
 
 @pytest.mark.parametrize("fault", ["eps1_zero", "eps2_eps3_swapped"])

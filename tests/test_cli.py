@@ -113,7 +113,7 @@ def test_build_keeps_the_kernel_of_x_scaled_by_1e5(tmp_path):
                    "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     doc = json.loads((tmp_path / "model.json").read_text())
-    assert doc["kernel_set"] == [0, 4, 6, 7]
+    assert doc["kernel_set"] == [1, 4, 5, 7]
     verify = run_cli("verify", "--model", str(tmp_path / "model.json"), "--outdir", str(tmp_path))
     assert verify.returncode == 0, verify.stdout + verify.stderr
 
@@ -145,7 +145,7 @@ def test_build_of_a_small_or_ill_conditioned_x(remake, code, tmp_path):
         assert "kernel tolerance" in proc.stderr
         assert not (tmp_path / "model.json").exists()
         return
-    assert json.loads((tmp_path / "model.json").read_text())["kernel_set"] == [0, 4, 6, 7]
+    assert json.loads((tmp_path / "model.json").read_text())["kernel_set"] == [1, 4, 5, 7]
     verify = run_cli("verify", "--model", str(tmp_path / "model.json"), "--outdir", str(tmp_path))
     assert verify.returncode == code, verify.stdout + verify.stderr
 
@@ -202,6 +202,21 @@ def test_build_random_pair_is_seed_deterministic(tmp_path):
     same = (tmp_path / "a" / "model.json").read_bytes()
     assert same == (tmp_path / "b" / "model.json").read_bytes()
     assert same != (tmp_path / "c" / "model.json").read_bytes()
+
+
+# numpy's seeding refuses a negative integer with a ValueError of its own
+@pytest.mark.parametrize(
+    "seed, argv",
+    [("-1", ["build", "--random", "4x2"]), ("1.5", ["build", "--random", "4x2"]),
+     ("-1", ["coherent", "--fixture", "coherent_demo", "--params", "n_blocks=4", "--order", "8"])],
+    ids=["build_negative", "build_fraction", "coherent_negative"],
+)
+def test_a_seed_that_is_not_a_non_negative_integer_is_an_input_error(seed, argv, tmp_path):
+    proc = run_cli(*argv, "--outdir", str(tmp_path), env=seeded_env(seed))
+    assert proc.returncode == errors.ParameterError.exit_code == 1
+    lines = proc.stderr.splitlines()
+    assert lines == [f"error: ISOSPEC_SEED must be a non-negative integer, got {seed!r}"], lines
+    assert not list(tmp_path.iterdir())
 
 
 def test_build_rejects_unknown_fixture(tmp_path):

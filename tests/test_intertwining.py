@@ -13,6 +13,7 @@ from isospec import (
     CASE_INVERTIBLE_COMMUTING,
     CASE_NONINVERTIBLE,
     DimensionError,
+    ParameterError,
     RegimeError,
     SpectrumError,
     adjoint,
@@ -29,6 +30,7 @@ from isospec import (
     verify_relations,
 )
 from isospec import io as iomod
+from isospec.intertwining import _plant
 
 RELATION_TOL = 1e-9
 PROPERTY_TOL = 1e-8
@@ -192,22 +194,9 @@ def test_the_rank_rule_is_the_classification_tolerance():
 
 
 def _planted_partner(seed, d2, extra, cond):
-    """(Theta1, X, exact Theta2): X = W_r diag(geomspace(1, 1/cond)) V-adjoint and
-    Theta1 = W (diag(lam) + B) W-adjoint, so X (V diag(lam) V-adjoint) = Theta1 X."""
-    rng = np.random.default_rng(seed)
-    d1 = d2 + extra
-
-    def gauss(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    w = np.linalg.qr(gauss(d1, d1))[0]
-    v = np.linalg.qr(gauss(d2, d2))[0]
-    lam = gauss(d2)
-    x = (w[:, :d2] * np.geomspace(1.0, 1.0 / cond, d2)) @ v.conj().T
-    core = np.zeros((d1, d1), dtype=complex)
-    core[:d2, :d2] = np.diag(lam)
-    core[d2:, d2:] = gauss(extra, extra)
-    return w @ core @ w.conj().T, x, (v * lam) @ v.conj().T
+    """(Theta1, X, exact Theta2) planted as the generator plants them, with singular
+    values geomspace(1, 1/cond); extra = 0 plants a square X."""
+    return _plant(d2 + extra, d2, seed, sigma=np.geomspace(1.0, 1.0 / cond, d2))
 
 
 @given(
@@ -231,10 +220,10 @@ def test_the_partner_error_grows_with_cond_x_not_its_square(seed, d2, extra, log
 
 @pytest.mark.parametrize("scale", [1e-10, 1e-9, 1e-7, 1e-5])
 def test_a_small_x_builds_and_verifies(scale):
-    # sigma(X) is about 2.1 to 5.5: at 1e-10 sigma_min still clears the kernel tolerance
+    # sigma(X) is about 1.8 to 3.9: at 1e-10 sigma_min still clears the kernel tolerance
     theta1, x = make_commuting_pair(8, 4, 0)
     model = build_model(theta1, x * scale)
-    assert model.kernel_set == (0, 4, 6, 7)
+    assert model.kernel_set == (1, 4, 5, 7)
     assert verify_relations(model).all_passed
 
 
@@ -248,7 +237,7 @@ def test_an_x_below_the_kernel_tolerance_is_refused(scale):
         build_model(theta1, x * scale)
     assert classify(theta1, x * scale) == CASE_NONINVERTIBLE
     model = build_model(theta1, x * scale, kernel_tol=1e-14)
-    assert model.kernel_set == (0, 4, 6, 7)
+    assert model.kernel_set == (1, 4, 5, 7)
     assert verify_relations(model).all_passed
 
 
@@ -411,7 +400,7 @@ def test_structure_refuses_a_noninvertible_tag_on_an_x_that_is_not_tall(shape):
 
 
 def test_structure_skips_the_n_inverse_identities_of_a_large_x():
-    # at X * 1e5 the rounded zero eigenvalue of N1 reads about 1e-6: a positivity
+    # at X * 1e5 the rounded zero eigenvalue of N1 reads about 1e-5: a positivity
     # test would take that for strict positivity and fail theta1_reconstruction
     theta1, x = make_commuting_pair(3, 2, 3)
     report = structure_check(build_model(theta1, x * 1e5))
@@ -450,6 +439,12 @@ def test_generator_rejects_square_request():
         make_commuting_pair(4, 4, seed=0)
     with pytest.raises(DimensionError):
         make_commuting_pair(3, 0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+def test_generator_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        make_commuting_pair(4, 2, seed)
 
 
 def test_generator_hermitian_flag():
