@@ -105,10 +105,7 @@ def _gate(system: BiorthogonalSystem, eps, order: int) -> EpsilonSequence:
     the order, no kernel mode, ``order`` eps values, eps increasing from 0."""
     _check_order(system, order)
     _refuse_kernel(system.pairing[:order])
-    eps = EpsilonSequence.of(eps)
-    if len(eps) < order:
-        raise DimensionError(f"need {order} epsilon values, got {len(eps)}")
-    return eps.require_increasing()
+    return EpsilonSequence.of(eps).require_length(order).require_increasing()
 
 
 def _check_order(system: BiorthogonalSystem, order: int) -> None:
@@ -462,10 +459,7 @@ def filter_system(system2: BiorthogonalSystem, eps, convention: str = "original"
         raise ParameterError(
             f"unknown factorial convention {convention!r}; use 'original' or 'relabeled'"
         )
-    if len(eps) < system2.size:
-        raise DimensionError(
-            f"need {system2.size} epsilon values, got {len(eps)}"
-        )
+    eps.require_length(system2.size)
     key = ("filter", convention, eps.key)
     found = system2.memo.get(key)
     if found is None:
@@ -564,9 +558,7 @@ def solve_moment_measure(
     here and raises; callers fall back to the sum-form identity.  The
     Gauss-Laguerre rule is built once per node count and kept.
     """
-    eps = EpsilonSequence.of(eps)
-    if len(eps) < max(2, order):
-        raise DimensionError(f"need at least {max(2, order)} epsilon values")
+    eps = EpsilonSequence.of(eps).require_length(max(2, order))
     s = float(eps.values[1])
     if s <= 0:
         raise MomentError("eps_1 must be positive")

@@ -59,13 +59,15 @@ from .intertwining import (
 )
 from .linalg import KERNEL_TOL, MULTIPLICITY_TOL, BiorthogonalSystem, EpsilonSequence
 from .linalg import Decision, certified_ratio
-from .zoo import FIXTURE_IDS, get_fixture
+from .zoo import FIXTURE_IDS, MAX_FIXTURE_MODES, get_fixture
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 3
 # series order of coherent and quantize when --order is not given (capped at the system size)
 DEFAULT_ORDER = 40
+# largest z-grid points x system size: one complex array of that many entries is 64 MiB
+MAX_GRID_ENTRIES = 2**22
 # largest quantized-symbol defect from its ladder, relative to the ladder's largest entry
 LADDER_DEFECT_TOL = 1e-8
 # the model-file reader, under the name the benchmark's tracer times it by (io.read)
@@ -120,7 +122,8 @@ def _parse_scalar(text: str):
 
 
 def parse_params(text: str | None) -> dict:
-    """Parse `k=v,k2=v2` (keys lowercased; `a:b:c` values become arrays)."""
+    """Parse `k=v,k2=v2` (keys lowercased; `a:b:c` values become arrays of the kind
+    numpy infers: a real list stays real, and text in a list is refused)."""
     out: dict = {}
     if not text:
         return out
@@ -133,7 +136,10 @@ def parse_params(text: str | None) -> dict:
         key, value = piece.split("=", 1)
         key = key.strip().lower()
         if ":" in value:
-            out[key] = np.array([_parse_scalar(v) for v in value.split(":")], dtype=complex)
+            items = np.array([_parse_scalar(v) for v in value.split(":")])
+            if items.dtype.kind not in "iufc":  # argparse reports it as a usage error
+                raise ValueError(f"list {key} is not a list of numbers")
+            out[key] = items
         else:
             out[key] = _parse_scalar(value)
     return out
@@ -181,6 +187,9 @@ def _build_target_model(args: argparse.Namespace):
             raise ParameterError(
                 f"--random expects D1xD2 (e.g. 8x5), got {args.random!r}"
             ) from exc
+        if d1 > MAX_FIXTURE_MODES:
+            raise ParameterError(f"--random {args.random}: {d1} modes exceed the bound of "
+                                 f"{MAX_FIXTURE_MODES}")
         return _build(args, *make_commuting_pair(d1, d2, _seed()))
     if args.model_path is not None:
         doc = _load_model_doc(args.model_path)
@@ -324,6 +333,10 @@ def cmd_coherent(args: argparse.Namespace) -> int:
     """Sweep a z-grid: per-z CSV, measure report, resolution, quantization."""
     rng = np.random.default_rng(_seed())
     system, eps, order = _level1_inputs(args)
+    entries = args.grid_radial * args.grid_angular * system.dim
+    if entries > MAX_GRID_ENTRIES:
+        raise ParameterError(f"a {args.grid_radial}x{args.grid_angular} z-grid on {system.dim} "
+                             f"modes has {entries} entries, past the bound of {MAX_GRID_ENTRIES}")
 
     radii = [args.grid_rmax * (i + 1) / args.grid_radial for i in range(args.grid_radial)]
     angles = [2.0 * math.pi * j / args.grid_angular for j in range(args.grid_angular)]

@@ -23,7 +23,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     RegimeError,
-    SpectrumError,
 )
 from .linalg import (
     KERNEL_TOL,
@@ -34,6 +33,7 @@ from .linalg import (
     SpectralNorm,
     _eig,
     _pairwise_gaps,
+    _require_simple,
     as_matrix,
     biorthogonal_partner,
     certified_ratio,
@@ -332,11 +332,7 @@ def build_model(
     if eigensystem is None:
         split = (q, x.shape[1]) if case == CASE_NONINVERTIBLE else None
         eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1"], split)
-    if np.any(_pairwise_gaps(eigensystem.values) <= multiplicity_tolerance):
-        raise SpectrumError(
-            "seed spectrum is not simple at the configured multiplicity "
-            "tolerance; near-degenerate eigenvalues are never merged"
-        )
+    _require_simple(eigensystem.values, multiplicity_tolerance)
     psi1 = biorthogonal_partner(eigensystem.vectors)
     phi2, kernel_set, tilde_k, classes = _transport(eigensystem.vectors, xh, kernel_tol)
     model = IntertwiningModel(

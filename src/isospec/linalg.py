@@ -20,6 +20,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     SingularityError,
+    SpectrumError,
 )
 
 # Relative singular-value threshold for numerical kernel membership.
@@ -181,6 +182,20 @@ def _pairwise_gaps(values: np.ndarray) -> np.ndarray:
     i, j = np.triu_indices(len(values), 1)
     d = values[i] - values[j]
     return np.hypot(d.real, d.imag)
+
+
+def _require_simple(values: np.ndarray, tolerance: float) -> None:
+    """A SpectrumError naming the closest pair unless each of the _pairwise_gaps of
+    ``values`` exceeds ``tolerance`` (a NaN gap is none), as ``simple_spectrum`` decides."""
+    gaps = _pairwise_gaps(values)
+    if np.any(gaps <= tolerance):
+        k = int(np.nanargmin(gaps))
+        i, j = (int(index[k]) for index in np.triu_indices(len(values), 1))
+        raise SpectrumError(
+            f"seed spectrum is not simple: eigenvalues {i} and {j} ({values[i]:.6g}, "
+            f"{values[j]:.6g}) lie {gaps[k]:.3e} apart, within the multiplicity tolerance "
+            f"{tolerance:.1e}; close eigenvalues are never merged"
+        )
 
 
 @dataclass(frozen=True)
@@ -372,14 +387,18 @@ class EpsilonSequence:
         from the sequence.  ``values`` is a read-only copy, so the key holds."""
         return self.values.tobytes()
 
-    def factorials(self, count: int) -> np.ndarray:
-        """Array of generalized factorials eps_0! .. eps_{count-1}!."""
+    def require_length(self, count: int) -> "EpsilonSequence":
+        """The sequence itself; a DimensionError if it has fewer than ``count`` values."""
         if count > len(self):
             raise DimensionError(f"need {count} epsilon values, got {len(self)}")
-        out = np.ones(count)
-        if count > 1:
-            out[1:] = np.cumprod(self.values[1:count])
-        return out
+        return self
+
+    def factorials(self, count: int) -> np.ndarray:
+        """Generalized factorials eps_0! .. eps_{count-1}!, grown as a running
+        product: one past the float range is inf, without a warning."""
+        steps = self.require_length(count).values[1:count]
+        with np.errstate(over="ignore"):
+            return np.cumprod(np.concatenate(([1.0], steps)))[:count]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     SeedVectorError,
-    SpectrumError,
 )
 from .intertwining import (
     IntertwiningModel,
@@ -34,7 +33,7 @@ from .linalg import (
     Decision,
     EpsilonSequence,
     Eigensystem,
-    _pairwise_gaps,
+    _require_simple,
     as_matrix,
     column_defects,
     opnorm,
@@ -71,11 +70,8 @@ class Fixture:
         return build_model(self.theta1, self.x, eigensystem=self.eigensystem)
 
     def require_model(self) -> IntertwiningModel:
-        if self.model is None:
-            raise SpectrumError(
-                f"fixture {self.id} was built with a non-simple seed spectrum; "
-                "no eigensystem transport is available"
-            )
+        if self.model is None:  # the eigendata's own verdict, raised with its closest pair
+            _require_simple(self.eigensystem.values, self.eigensystem.multiplicity_tolerance)
         return self.model
 
 
@@ -172,11 +168,7 @@ def fixture_3x3(e1: float, e2: float, e3: float) -> Fixture:
     survivors.
     """
     es = (float(e1), float(e2), float(e3))
-    close = np.flatnonzero(_pairwise_gaps(np.array(es)) <= MULTIPLICITY_TOL)
-    if close.size:
-        i, j = (index[close[0]] for index in np.triu_indices(3, 1))
-        raise SpectrumError(f"eigenvalues {es[i]} and {es[j]} coincide; the example "
-                            "needs a simple spectrum")
+    _require_simple(np.array(es), MULTIPLICITY_TOL)
     phi = _phi_3x3()
     theta1 = phi @ np.diag(es) @ np.linalg.inv(phi)
     x = np.array(
@@ -242,9 +234,9 @@ def fixture_shift(eps, theta, n: int) -> Fixture:
     eps = EpsilonSequence.of(eps)
     if n < 2:
         raise DimensionError("shift example needs at least 2 modes")
-    if len(eps) < n:
-        raise DimensionError(f"need {n} epsilon values, got {len(eps)}")
-    eps.require_increasing()
+    eps.require_length(n).require_increasing()
+    if np.iscomplexobj(theta):
+        raise ParameterError("phase angles theta must be real, not complex")
     theta_arr = np.asarray(theta, dtype=float)
     if theta_arr.ndim == 0:
         theta_arr = np.full(n, float(theta_arr))
@@ -371,10 +363,6 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
     dim = 2 * n_blocks
     eps = EpsilonSequence(2.0 * alpha1 * np.arange(dim))
     survivors = tuple(range(0, dim, 2))
-    # eps_j! = (2 alpha1)^j j!, grown as a running product: past the float
-    # range they become inf, where ** and math.factorial would raise
-    with np.errstate(over="ignore"):
-        facts = np.cumprod(np.concatenate(([1.0], 2.0 * alpha1 * np.arange(1, dim - 1))))
     expected = {
         "case": "NonInvertible",
         "epsilon": eps.values.copy(),
@@ -385,7 +373,7 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
         # N(|z|) = exp(-rate * |z|^2) for the level-1 states
         "normalization_rate": 1.0 / (4.0 * alpha1),
         # survivor factorials keep original indices: prod of eps_1..eps_{2l}
-        "level2_factorials": facts[::2],
+        "level2_factorials": eps.factorials(dim - 1)[::2],
     }
     return Fixture(
         id="coherent_demo",
@@ -616,8 +604,7 @@ def nlpb_verify(a, b, eps, phi0, eta0, n_modes: int, tol: float = 1e-10) -> Rela
     eps = EpsilonSequence.of(eps)
     if n_modes < 2:
         raise DimensionError("need at least 2 modes to check ladder steps")
-    if len(eps) < n_modes:
-        raise DimensionError(f"need {n_modes} epsilon values, got {len(eps)}")
+    eps.require_length(n_modes)
     phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
     eta0 = np.asarray(eta0, dtype=complex).reshape(-1)
     if phi0.size != dim or eta0.size != dim:

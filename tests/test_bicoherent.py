@@ -20,6 +20,7 @@ from isospec import (
     KernelError,
     MomentError,
     NumericalError,
+    PairingError,
     ParameterError,
     RegimeError,
     adjoint,
@@ -34,6 +35,7 @@ from isospec import (
     fixture_3x3,
     fixture_shift,
     get_fixture,
+    nlpb_verify,
     quantize,
     radius,
     resolution_check,
@@ -798,6 +800,15 @@ def test_resolution_check_refuses_a_kernel_mode():
     assert type(result.residual) is float and type(result.sum_residual) is float
 
 
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_resolution_check_refuses_an_f_or_g_of_the_wrong_size(which):
+    system = _orthonormal_system(8)
+    right, short = np.ones(8), np.ones(7)
+    f, g = (short, right) if which == "f" else (right, short)
+    with pytest.raises(DimensionError, match="ambient space"):
+        resolution_check(system, EpsilonSequence.linear(1.0, 8), None, f, g, 8)
+
+
 def test_level2_dyad_sum_is_not_the_identity():
     # summing the transported dyads reproduces the column gram, not 1
     f = fixture_3x3(1.0, 2.0, 3.0)
@@ -1018,6 +1029,40 @@ def test_one_epsilon_rule_serves_the_fixture_and_the_gate(values):
     assert messages == {"epsilon sequence must increase strictly from 0"}
     with pytest.raises(RegimeError, match="0 = eps_0 < eps_1"):
         cli._eps_from_model(SimpleNamespace(values=np.asarray(values, dtype=complex)))
+
+
+def _shift_level2():
+    return get_fixture("shift").model.system2(include_kernel=True)
+
+
+# every caller of EpsilonSequence.require_length, on 8 modes
+_SHORT_EPS_CALLS = {
+    "gate": lambda eps: build_ladders(_orthonormal_system(8), eps),
+    "filter_system": lambda eps: filter_system(_shift_level2(), eps),
+    "solve_moment_measure": lambda eps: solve_moment_measure(eps, 8),
+    "fixture_shift": lambda eps: fixture_shift(eps, 0.5, 8),
+    "nlpb_verify": lambda eps: nlpb_verify(*standard_boson(8)[:2], eps, *standard_boson(8)[3:], 8),
+}
+
+
+@pytest.mark.parametrize("call", list(_SHORT_EPS_CALLS))
+def test_one_length_rule_refuses_a_short_sequence_everywhere(call):
+    with pytest.raises(DimensionError) as info:
+        _SHORT_EPS_CALLS[call](EpsilonSequence.linear(1.0, 7))
+    assert str(info.value) == "need 8 epsilon values, got 7"
+
+
+def test_the_moment_measure_needs_two_epsilon_values_at_any_order():
+    with pytest.raises(DimensionError, match="^need 2 epsilon values, got 1$"):
+        solve_moment_measure(EpsilonSequence([0.0]), 1)
+
+
+def test_filter_refuses_a_level2_system_that_is_not_biorthogonal():
+    # psi doubled: <phi_k, psi_k> = 3 where the pairing says 1.5
+    system2 = fixture_3x3(1.0, 2.0, 3.0).model.system2(include_kernel=True)
+    broken = replace(system2, psi=2.0 * system2.psi)
+    with pytest.raises(PairingError, match="not biorthogonal: defect 1.500e\\+00"):
+        filter_system(broken, EpsilonSequence.linear(1.0, 3))
 
 
 @pytest.mark.parametrize("fault", ["eps1_zero", "eps2_eps3_swapped"])

@@ -284,6 +284,25 @@ def test_verify_flags_corrupted_entries(built_model, tmp_path):
     assert "stored_theta2" in proc.stdout
 
 
+def test_verify_names_a_stored_case_that_does_not_match(built_model, tmp_path, capsys):
+    doc = json.loads(built_model.read_text())
+    doc["case"] = "Invertible"
+    bad = tmp_path / "model_case.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--model", str(bad), "--outdir", str(tmp_path)]) == 3
+    assert "FAILED: stored_case " in capsys.readouterr().out
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["failures"] == ["stored_case"] and report["stored"]["case_match"] is False
+
+
+def test_verify_names_a_failing_adjoint_descent(built_model, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "adjoint_descent", lambda model: 1.0)
+    assert cli.main(["verify", "--model", str(built_model), "--outdir", str(tmp_path)]) == 3
+    assert "FAILED: adjoint_descent " in capsys.readouterr().out
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["failures"] == ["adjoint_descent"] and report["adjoint_descent"] == 1.0
+
+
 def test_verify_missing_model_is_an_input_error(tmp_path):
     proc = run_cli("verify", "--model", str(tmp_path / "missing.json"))
     assert proc.returncode == 1
@@ -702,6 +721,21 @@ def test_fixture_source_honours_the_multiplicity_tolerance(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_both_fixture_paths_refuse_a_repeated_spectrum_with_one_message(tmp_path, capsys):
+    # block eigenvalues a - b, a + b per block: 0.5 and 1.5 twice over
+    params = ["--params", "alpha=1:1,beta=0.5:0.5,n_blocks=2", "--outdir", str(tmp_path)]
+    errs = []
+    for argv in (["fixture", "build", "block"], ["build", "--fixture", "block"]):
+        assert cli.main(argv + params) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == (
+        "error: seed spectrum is not simple: eigenvalues 0 and 2 (0.5+0j, 0.5+0j) lie "
+        "0.000e+00 apart, within the multiplicity tolerance 1.0e-08; close eigenvalues are "
+        "never merged\n"
+    )
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
 def test_fixture_source_at_default_tolerances_is_the_fixture_model(fixture_id):
     built = cli._build_target_model(cli.make_parser().parse_args(["build", "--fixture", fixture_id]))
@@ -943,6 +977,7 @@ BAD_FIXTURE_VALUES = [
     ("coherent_demo", "alpha1=inf"),
     ("shift", "s=nan"),
     ("shift", "n=2.5"),
+    ("shift", "theta=0.5:0.6:0.7:0.8:0.9:1.0:1.1:1.2+1i"),
 ]
 
 
@@ -955,6 +990,99 @@ def test_bad_fixture_values_are_input_errors(fixture_id, params, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert not outdir.exists()
+
+
+def test_list_parameters_keep_the_kind_of_their_elements(tmp_path, capsys):
+    params = cli.parse_params("n=1:2,theta=0.5:2,alpha=1:0.5i")
+    assert [params[key].dtype.kind for key in ("n", "theta", "alpha")] == list("ifc")
+    # text in a list is still refused where the flag is parsed, as a usage error
+    argv = ["build", "--fixture", "block", "--params", "alpha=1:abc", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --params: invalid parse_params value: 'alpha=1:abc'\n")
+
+
+def test_a_real_list_of_phases_builds_under_warnings_as_errors(tmp_path):
+    theta = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "isospec.cli", "build", "--fixture", "shift",
+         "--params", "theta=" + ":".join(map(str, theta)), "--outdir", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    # eps_0 = 0 carries no phase; each other mode carries its own angle
+    phases = np.angle(np.diag(iomod.load_model(tmp_path / "model.json")["theta1_matrix"]))
+    np.testing.assert_allclose(phases[1:], theta[1:], rtol=1e-15)
+
+
+@pytest.mark.parametrize("command", ["coherent", "quantize"])
+def test_factorials_past_the_float_range_end_in_the_moment_table_refusal(command, tmp_path):
+    import os
+
+    # alpha1 = 1e10: eps_k! is inf from k = 28, the states and the ladders stay finite
+    proc = subprocess.run(
+        CLI + [command, "--fixture", "coherent_demo", "--params", "alpha1=1e10",
+               "--outdir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONWARNINGS="error"),
+    )
+    assert proc.returncode == errors.NumericalError.exit_code == 2
+    assert proc.stderr.splitlines() == ["error: radial moment of order 50 overflows"]
+
+
+def test_a_random_pair_beyond_the_mode_bound_is_refused_before_it_draws(
+    tmp_path, monkeypatch, capsys
+):
+    drawn = []
+
+    def stub(dim1, dim2, seed):
+        drawn.append((dim1, dim2))
+        raise errors.ParameterError("drawn")
+
+    monkeypatch.setattr(cli, "make_commuting_pair", stub)
+    outdir = tmp_path / "out"
+    assert cli.main(["build", "--random", "2049x2", "--outdir", str(outdir)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "2049 modes exceed the bound of 2048" in lines[0]
+    assert drawn == [] and not outdir.exists()
+    # the bound itself is drawn
+    assert cli.main(["build", "--random", "2048x2", "--outdir", str(outdir)]) == 1
+    assert capsys.readouterr().err == "error: drawn\n"
+    assert drawn == [(2048, 2)]
+
+
+def test_the_grid_bound_counts_points_times_modes(tmp_path, monkeypatch, capsys):
+    # coherent_demo's 64 modes: 256 x 256 points reach 2^22 entries, 257 x 256 pass it
+    def stub(system, eps, zs, order):
+        raise errors.ParameterError(f"grid of {zs.size} points")
+
+    monkeypatch.setattr(cli, "coherent_grid", stub)
+    source = ["coherent", "--fixture", "coherent_demo", "--outdir", str(tmp_path)]
+    for radial, message in (("256", "grid of 65536 points"), ("257", "bound of 4194304")):
+        assert cli.main(source + ["--grid-radial", radial, "--grid-angular", "256"]) == 1
+        assert message in capsys.readouterr().err
+    assert cli.MAX_GRID_ENTRIES == 2**22
+
+
+def test_a_z_grid_past_the_entry_bound_is_refused_before_it_is_built(tmp_path):
+    # 10^10 points: without the bound an out-of-memory end, under this cap a MemoryError
+    import os
+
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    argv = ["coherent", "--fixture", "coherent_demo", "--grid-radial", "100000",
+            "--grid-angular", "100000", "--outdir", str(tmp_path)]
+    proc = subprocess.run(CLI + argv, capture_output=True, text=True, preexec_fn=limit,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "past the bound of 4194304" in lines[0]
 
 
 def test_coherent_demo_builds_beyond_the_float_range_of_its_factorials(tmp_path):

@@ -14,6 +14,7 @@ from isospec import (
     Eigensystem,
     NumericalError,
     SingularityError,
+    SpectrumError,
     adjoint,
     biorthogonal_partner,
     build_model,
@@ -188,6 +189,30 @@ def test_simple_spectrum_gap_edge(direction):
 
     assert not simple(tol)
     assert simple(np.nextafter(tol, 1.0))
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0, 1j])
+def test_a_spectrum_that_is_not_simple_is_refused_naming_its_closest_pair(direction):
+    # sorted by (Re, Im), the seed's eigenvalues 5, 0, 3 and 1e-9 * direction put the
+    # closest pair, 1e-9 apart, first; 3 and 5, the next closest, are 2 apart
+    theta1 = np.diag([5.0, 0.0, 3.0, 1e-9 * direction]).astype(complex)
+    with pytest.raises(SpectrumError) as info:
+        build_model(theta1, np.eye(4, dtype=complex))
+    message = str(info.value)
+    assert "not simple: eigenvalues 0 and 1 " in message
+    assert "lie 1.000e-09 apart, within the multiplicity tolerance 1.0e-08" in message
+    assert not eig(theta1).simple_spectrum
+    assert Eigensystem(np.diag(theta1), np.eye(4, dtype=complex), 1e-10).simple_spectrum
+
+
+def test_the_3x3_example_names_the_pair_its_simple_spectrum_loses():
+    with pytest.raises(SpectrumError, match=r"eigenvalues 0 and 2 \(1, 1\) lie 0\.000e\+00 apart"):
+        fixture_3x3(1.0, 3.0, 1.0)
+
+
+def test_a_nan_gap_is_no_gap():
+    values = np.array([0.0, np.nan, 1.0])
+    assert Eigensystem(values, np.eye(3, dtype=complex)).simple_spectrum
 
 
 @given(st.integers(0, 10**6), st.integers(2, 8))
@@ -376,6 +401,21 @@ def test_factorial_scaled_sequence():
 def test_factorial_empty_product():
     eps = EpsilonSequence.linear(1.0, 4)
     assert eps.factorials(1)[0] == 1.0
+
+
+def test_factorials_past_the_float_range_are_inf_without_a_warning():
+    # eps_k! = 1e10^k k! leaves the float range at k = 28; warnings are errors here
+    facts = EpsilonSequence.linear(1e10, 64).factorials(64)
+    assert np.isfinite(facts[:28]).all() and np.isinf(facts[28:]).all()
+
+
+def test_a_short_sequence_is_refused_by_its_length_rule():
+    eps = EpsilonSequence.linear(1.0, 4)
+    assert eps.require_length(4) is eps
+    for call in (lambda: eps.require_length(5), lambda: eps.factorials(5)):
+        with pytest.raises(DimensionError) as info:
+            call()
+        assert str(info.value) == "need 5 epsilon values, got 4"
 
 
 def test_epsilon_sequence_rejects_negative_entries():
