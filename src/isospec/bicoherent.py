@@ -35,7 +35,7 @@ from .errors import (
     PairingError,
     ParameterError,
 )
-from .linalg import BiorthogonalSystem, EpsilonSequence, column_defects, read_only
+from .linalg import BiorthogonalSystem, EpsilonSequence, read_only
 
 # Growth-fit grid over the allowed exponent range [0, 1/2].
 ALPHA_GRID_POINTS = 33
@@ -71,13 +71,6 @@ class LadderPair:
 
     a: np.ndarray
     b: np.ndarray
-    system: BiorthogonalSystem
-    eps: EpsilonSequence
-
-    def factorization_defect(self) -> float:
-        """max_n ||B A phi_n - eps_n phi_n|| / ||phi_n|| over the truncation."""
-        eps = self.eps.values[: self.system.size]
-        return float(column_defects(self.b @ self.a, self.system.phi, eps).max())
 
 
 def build_ladders(system: BiorthogonalSystem, eps) -> LadderPair:
@@ -96,7 +89,6 @@ def build_ladders(system: BiorthogonalSystem, eps) -> LadderPair:
     return LadderPair(
         a=system.phi @ np.diag(np.sqrt(steps * tk[1:] / tk[:-1]), 1) @ psih,
         b=system.phi @ np.diag(np.sqrt(steps * tk[:-1] / tk[1:]), -1) @ psih,
-        system=system, eps=eps,
     )
 
 

@@ -41,13 +41,14 @@ import numpy as np
 
 from . import io as iomod
 from .bicoherent import (
+    DEFAULT_QUADRATURE_NODES,
     build_ladders,
     coherent_grid,
     quantize,
     resolution_check,
     solve_moment_measure,
 )
-from .errors import IsospecError, MomentError, ParameterError, RegimeError
+from .errors import IsospecError, MomentError, NumericalError, ParameterError, RegimeError
 from .intertwining import (
     CASE_NONINVERTIBLE,
     RELATION_TOL,
@@ -199,26 +200,22 @@ def _build_target_model(args: argparse.Namespace):
     return _build(args, iomod.load_matrix(args.theta1_path), iomod.load_matrix(args.x_path))
 
 
-def _write_model(args: argparse.Namespace, model, relation_tol: float) -> int:
-    """Verify the model at the default tolerance and write it with those residuals;
-    exit 3 when a relation fails at ``relation_tol`` (checked again if it is another)."""
+def cmd_build(args: argparse.Namespace) -> int:
+    """Build a model, verify it at the default tolerance and write its JSON document
+    with those residuals; exit 2 on regime errors, 3 when a relation fails at the
+    run's relation tolerance (checked again if it is another)."""
+    model = _build_target_model(args)
     report = verify_relations(model)
     path = _outpath(args, "model.json")
     iomod.save_report(iomod.model_document(model, report.residuals), path)
     print(f"model written to {path} (case={model.case}, kernel_set={list(model.kernel_set)})")
-    if relation_tol != RELATION_TOL:
-        report = verify_relations(model, relation_tol)
+    if args.relation_tol != RELATION_TOL:
+        report = verify_relations(model, args.relation_tol)
     failures = sorted(report.failures())
     if failures:
-        print(f"FAILED: {', '.join(failures)} exceed {relation_tol:.1e}")
+        print(f"FAILED: {', '.join(failures)} exceed {args.relation_tol:.1e}")
         return EXIT_VERIFY
     return EXIT_OK
-
-
-def cmd_build(args: argparse.Namespace) -> int:
-    """Build a model and write its JSON document; exit 2 on regime errors, 3
-    when the model fails its own relations."""
-    return _write_model(args, _build_target_model(args), args.relation_tol)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -347,7 +344,12 @@ def cmd_coherent(args: argparse.Namespace) -> int:
     ladder = build_ladders(system, eps)
 
     vectors = np.array([state.vector_phi for state in states])
-    residuals = np.linalg.norm(vectors @ ladder.a.T - zs[:, None] * vectors, axis=1)
+    # a residual past the float range is refused below, before any file is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.linalg.norm(vectors @ ladder.a.T - zs[:, None] * vectors, axis=1)
+    if not np.all(np.isfinite(residuals)):
+        raise NumericalError(f"eigenstate residual overflowed on the z-grid (largest |z| = "
+                             f"{float(np.max(np.abs(zs))):.6g})")
     overlap = np.array([state.overlap for state in states])
     tails = np.array([state.tail_bound for state in states])
     # hypot, not np.abs: numpy's vectorized complex abs can differ by an ulp
@@ -454,8 +456,9 @@ def cmd_fixture_list(args: argparse.Namespace) -> int:
 
 
 def cmd_fixture_build(args: argparse.Namespace) -> int:
-    """Write a fixture's model, built and checked at the library's default tolerances."""
-    return _write_model(args, get_fixture(args.id, **args.params).require_model(), RELATION_TOL)
+    """`build --fixture ID` at the default tolerances, which its parser fixes."""
+    args.fixture = args.id
+    return cmd_build(args)
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
@@ -524,7 +527,8 @@ def make_parser() -> argparse.ArgumentParser:
     def add_series(p):
         p.add_argument("--order", type=_checked(int, lambda n: n >= 1, "order must be at least 1"),
                        help=f"series order (default min({DEFAULT_ORDER}, system size))")
-        p.add_argument("--nodes", default=64, help="quadrature nodes (default %(default)s)",
+        p.add_argument("--nodes", default=DEFAULT_QUADRATURE_NODES,
+                       help="quadrature nodes (default %(default)s)",
                        type=_checked(int, lambda n: n >= 2, "quadrature nodes must be at least 2"))
 
     add_common(command(sub, "build", cmd_build, "construct a model and write model JSON"))
@@ -551,6 +555,10 @@ def make_parser() -> argparse.ArgumentParser:
                           "build a fixture by id at the default tolerances")
     add_fixture(p_fix_build, "id")
     add_output(p_fix_build)
+    # build's other sources and its tolerances, fixed: no flag or config key sets them
+    p_fix_build.set_defaults(theta1_path=None, x_path=None, random=None, model_path=None,
+                             kernel_tol=KERNEL_TOL, relation_tol=RELATION_TOL,
+                             multiplicity_tol=MULTIPLICITY_TOL)
 
     p_quant = command(sub, "quantize", cmd_quantize, "emit a quantized-symbol matrix")
     add_common(p_quant)

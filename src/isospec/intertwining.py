@@ -331,7 +331,7 @@ def build_model(
     theta2 = _partner(theta1, x, q, r)
     if eigensystem is None:
         split = (q, x.shape[1]) if case == CASE_NONINVERTIBLE else None
-        eigensystem = _eig(theta1, multiplicity_tolerance, norms["theta1"], split)
+        eigensystem = _eig(theta1, norms["theta1"], split)
     _require_simple(eigensystem.values, multiplicity_tolerance)
     psi1 = biorthogonal_partner(eigensystem.vectors)
     phi2, kernel_set, tilde_k, classes = _transport(eigensystem.vectors, xh, kernel_tol)

@@ -186,7 +186,7 @@ def _pairwise_gaps(values: np.ndarray) -> np.ndarray:
 
 def _require_simple(values: np.ndarray, tolerance: float) -> None:
     """A SpectrumError naming the closest pair unless each of the _pairwise_gaps of
-    ``values`` exceeds ``tolerance`` (a NaN gap is none), as ``simple_spectrum`` decides."""
+    ``values`` exceeds ``tolerance`` (a NaN gap is none): the one simple-spectrum test."""
     gaps = _pairwise_gaps(values)
     if np.any(gaps <= tolerance):
         k = int(np.nanargmin(gaps))
@@ -208,7 +208,6 @@ class Eigensystem:
 
     values: np.ndarray
     vectors: np.ndarray
-    multiplicity_tolerance: float = MULTIPLICITY_TOL
     max_residual: float = 0.0
 
     def __post_init__(self):
@@ -219,16 +218,11 @@ class Eigensystem:
             raise DimensionError("eigenvectors must be nonzero")
 
     @property
-    def simple_spectrum(self) -> bool:
-        """True iff all pairwise eigenvalue gaps exceed the multiplicity tolerance."""
-        return not np.any(_pairwise_gaps(self.values) <= self.multiplicity_tolerance)
-
-    @property
     def dim(self) -> int:
         return self.vectors.shape[0]
 
 
-def eig(m, multiplicity_tolerance: float = MULTIPLICITY_TOL) -> Eigensystem:
+def eig(m) -> Eigensystem:
     """Full eigendecomposition of a general complex square matrix.
 
     Eigenvectors are unit-normalized with phase fixed (largest component
@@ -238,14 +232,11 @@ def eig(m, multiplicity_tolerance: float = MULTIPLICITY_TOL) -> Eigensystem:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"eig needs a square matrix, got {m.shape}")
-    return _eig(m, multiplicity_tolerance, SpectralNorm(m))
+    return _eig(m, SpectralNorm(m))
 
 
 def _eig(
-    m: np.ndarray,
-    multiplicity_tolerance: float,
-    norm: SpectralNorm,
-    split: tuple[np.ndarray, int] | None = None,
+    m: np.ndarray, norm: SpectralNorm, split: tuple[np.ndarray, int] | None = None
 ) -> Eigensystem:
     """``eig`` on a validated square matrix whose spectral ``norm`` is that of ``m``.
 
@@ -271,7 +262,7 @@ def _eig(
     max_res = certified_ratio(float(np.max(defect)), (norm,), 1e-8)
     if not max_res.passed:
         raise NumericalError(f"eigendecomposition residual {max_res} exceeds 1e-8 of ||M||")
-    return Eigensystem(values, vectors, multiplicity_tolerance, max_res.value)
+    return Eigensystem(values, vectors, max_res.value)
 
 
 def _split_pairs(m: np.ndarray, norm: SpectralNorm, q: np.ndarray, k: int):

@@ -29,11 +29,9 @@ from .intertwining import (
     build_model,
 )
 from .linalg import (
-    MULTIPLICITY_TOL,
     Decision,
     EpsilonSequence,
     Eigensystem,
-    _require_simple,
     as_matrix,
     column_defects,
     opnorm,
@@ -51,9 +49,9 @@ class Fixture:
     """A named example: operators, exact eigendata, and its documented values.
 
     ``eigensystem`` is None where ``build_model`` diagonalizes the seed.
-    ``model`` is built at the default tolerances on first use; it is None
-    only when the eigendata have a repeated spectrum (the transport is then
-    undefined), and the operators and ``expected`` closed forms remain.
+    ``model`` is built at the default tolerances on first use; eigendata with
+    a repeated spectrum make it raise the SpectrumError that names the
+    closest pair, and the operators and ``expected`` closed forms remain.
     """
 
     id: str
@@ -64,15 +62,8 @@ class Fixture:
     expected: dict = field(default_factory=dict)
 
     @cached_property
-    def model(self) -> IntertwiningModel | None:
-        if self.eigensystem is not None and not self.eigensystem.simple_spectrum:
-            return None
+    def model(self) -> IntertwiningModel:
         return build_model(self.theta1, self.x, eigensystem=self.eigensystem)
-
-    def require_model(self) -> IntertwiningModel:
-        if self.model is None:  # the eigendata's own verdict, raised with its closest pair
-            _require_simple(self.eigensystem.values, self.eigensystem.multiplicity_tolerance)
-        return self.model
 
 
 _DEFAULT_2X2_THETA1 = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
@@ -168,7 +159,6 @@ def fixture_3x3(e1: float, e2: float, e3: float) -> Fixture:
     survivors.
     """
     es = (float(e1), float(e2), float(e3))
-    _require_simple(np.array(es), MULTIPLICITY_TOL)
     phi = _phi_3x3()
     theta1 = phi @ np.diag(es) @ np.linalg.inv(phi)
     x = np.array(
@@ -282,8 +272,9 @@ def _block_operators(alpha, beta, n_blocks, sign: float):
     ``sign`` is the relative sign of the two frame vectors per block: +1
     keeps the plus-combination eigenvectors, -1 keeps the minus ones.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
+    # a scalar is a one-entry list
+    alpha = np.array(alpha, dtype=complex, ndmin=1)
+    beta = np.array(beta, dtype=complex, ndmin=1)
     if alpha.size != beta.size:
         raise DimensionError("alpha and beta lists must have equal length")
     if alpha.size < n_blocks:

@@ -45,10 +45,16 @@ from isospec import (
 from isospec import bicoherent, cli
 from isospec.bicoherent import _fit_growth_from_norms
 from isospec.io import canonical_json
+from isospec.linalg import column_defects
 
 FACTORIZATION_TOL = 1e-10
 MOMENT_REL_TOL = 1e-10
 RESOLUTION_TOL = 1e-8
+
+
+def _factorization_defect(pair, system, eps) -> float:
+    """max_n ||B A phi_n - eps_n phi_n|| / ||phi_n|| over the system's truncation."""
+    return float(column_defects(pair.b @ pair.a, system.phi, eps.values[: system.size]).max())
 
 
 def _orthonormal_system(dim, values=None):
@@ -76,8 +82,9 @@ def test_ladders_reproduce_truncated_boson_matrices():
 
 def test_ladders_factorize_the_diagonal_action():
     eps = EpsilonSequence.linear(1.0, 12)
-    pair = build_ladders(_orthonormal_system(12), eps)
-    assert pair.factorization_defect() < FACTORIZATION_TOL
+    system = _orthonormal_system(12)
+    pair = build_ladders(system, eps)
+    assert _factorization_defect(pair, system, eps) < FACTORIZATION_TOL
     # composing the other way loses exactly the top mode
     ab = pair.a @ pair.b
     top = np.zeros(12, dtype=complex)
@@ -100,8 +107,9 @@ def test_ladders_require_unit_pairing():
     level2 = BiorthogonalSystem(
         phi=eye, psi=1.5 * eye, values=np.arange(3.0), pairing=1.5 * np.ones(3)
     )
-    pair = build_ladders(level2, EpsilonSequence.linear(1.0, 3))
-    assert pair.factorization_defect() < FACTORIZATION_TOL
+    eps = EpsilonSequence.linear(1.0, 3)
+    pair = build_ladders(level2, eps)
+    assert _factorization_defect(pair, level2, eps) < FACTORIZATION_TOL
     np.testing.assert_allclose(pair.a @ eye[:, 2], math.sqrt(2.0) * eye[:, 1], atol=1e-14)
 
 
@@ -135,7 +143,7 @@ def test_level2_factorizes_on_surviving_modes():
     system2 = f.model.system2()
     eps2 = EpsilonSequence(4.0 * alpha1 * np.arange(6.0))
     pair = build_ladders(system2, eps2)
-    assert pair.factorization_defect() < FACTORIZATION_TOL
+    assert _factorization_defect(pair, system2, eps2) < FACTORIZATION_TOL
 
 
 def test_level2_two_mode_coefficient():
@@ -522,7 +530,7 @@ def test_level2_reads_the_kernel_the_model_wrote():
     eps2 = EpsilonSequence.linear(4.0, 4)
     state = coherent_pair(system2, eps2, 0.2, 4)
     assert abs(state.overlap - 1.0) < 1e-12
-    assert build_ladders(system2, eps2).factorization_defect() < FACTORIZATION_TOL
+    assert _factorization_defect(build_ladders(system2, eps2), system2, eps2) < FACTORIZATION_TOL
 
 
 def test_filter_steps_do_not_overflow_past_the_float_range():

@@ -745,6 +745,40 @@ def test_fixture_source_at_default_tolerances_is_the_fixture_model(fixture_id):
     assert built.kernel_set == model.kernel_set
 
 
+@pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
+def test_fixture_build_writes_what_build_fixture_writes(fixture_id, tmp_path, capsys):
+    # one output path, so that the stdout lines naming it can match
+    outputs = []
+    for argv in (["fixture", "build", fixture_id], ["build", "--fixture", fixture_id]):
+        code = cli.main(argv + ["--outdir", str(tmp_path)])
+        outputs.append((code, (tmp_path / "model.json").read_bytes(), capsys.readouterr()))
+        (tmp_path / "model.json").unlink()
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+# e2 = 1 + 1e-9: the gap of eigenvalues 0 and 1 lies between 1e-12 and the default 1e-8
+CLOSE_3X3 = ["--fixture", "ex3x3", "--params", "e1=1,e2=1.000000001,e3=3"]
+
+
+def test_a_3x3_seed_with_close_eigenvalues_builds_and_verifies_at_a_finer_tolerance(tmp_path):
+    tol = ["--multiplicity-tol", "1e-12", "--outdir", str(tmp_path)]
+    assert cli.main(["build", *CLOSE_3X3, *tol]) == 0
+    assert cli.main(["verify", "--model", str(tmp_path / "model.json"), *tol]) == 0
+
+
+def test_a_3x3_seed_with_close_eigenvalues_is_refused_at_the_default_tolerance(tmp_path, capsys):
+    outdir = ["--outdir", str(tmp_path)]
+    for argv in (["build", *CLOSE_3X3], ["fixture", "build", "ex3x3", *CLOSE_3X3[2:]]):
+        assert cli.main(argv + outdir) == 2
+        assert capsys.readouterr().err == (
+            "error: seed spectrum is not simple: eigenvalues 0 and 1 (1+0j, 1+0j) lie "
+            "1.000e-09 apart, within the multiplicity tolerance 1.0e-08; close eigenvalues "
+            "are never merged\n"
+        )
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -992,6 +1026,16 @@ def test_bad_fixture_values_are_input_errors(fixture_id, params, tmp_path):
     assert not outdir.exists()
 
 
+def test_scalar_block_parameters_are_one_entry_lists(tmp_path, capsys):
+    block = ["build", "--fixture", "block", "--params"]
+    assert cli.main(block + ["alpha=1,beta=1,n_blocks=1", "--outdir", str(tmp_path / "one")]) == 0
+    assert "kernel_set=[0]" in capsys.readouterr().out
+    # at the default four blocks one pair is too few
+    assert cli.main(block + ["alpha=1,beta=1", "--outdir", str(tmp_path / "four")]) == 1
+    assert capsys.readouterr().err == "error: need 4 (alpha, beta) pairs, got 1\n"
+    assert not (tmp_path / "four").exists()
+
+
 def test_list_parameters_keep_the_kind_of_their_elements(tmp_path, capsys):
     params = cli.parse_params("n=1:2,theta=0.5:2,alpha=1:0.5i")
     assert [params[key].dtype.kind for key in ("n", "theta", "alpha")] == list("ifc")
@@ -1155,6 +1199,29 @@ def test_a_model_whose_powers_overflow_is_a_numerical_error(alpha1, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert not (outdir / "model.json").exists()
+
+
+# coherent_demo's disc is the whole plane, so the gate passes the grid; its states
+# overflow in the eigenstate residual, which is refused before any file is written
+HUGE_GRID = ["coherent", "--fixture", "coherent_demo", "--params", "n_blocks=2",
+             "--grid-rmax", "1e155"]
+HUGE_GRID_ERROR = "error: eigenstate residual overflowed on the z-grid (largest |z| = 1e+155)"
+
+
+def test_a_z_grid_whose_states_overflow_is_a_numerical_error(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert cli.main(HUGE_GRID + ["--outdir", str(outdir)]) == errors.NumericalError.exit_code
+    assert capsys.readouterr().err == HUGE_GRID_ERROR + "\n"
+    assert not outdir.exists()
+
+
+def test_a_z_grid_whose_states_overflow_warns_nothing(tmp_path):
+    outdir = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "isospec.cli", *HUGE_GRID,
+                           "--outdir", str(outdir)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [HUGE_GRID_ERROR]
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", ["quantize", "coherent"])

@@ -273,8 +273,8 @@ def test_map_refuses_degenerate_spectrum():
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["eig", "eigensystem"])
 def test_build_model_decides_simple_spectrum_at_its_multiplicity_tolerance(supplied):
-    # eigenvalues 0, 2, 4, ...: simple at the default gap tolerance, not at 10;
-    # a supplied Eigensystem's own tolerance does not override the argument
+    # eigenvalues 0, 2, 4, ...: simple at the default gap tolerance, not at 10,
+    # whether build_model diagonalizes the seed or is given the eigendata
     f = coherent_demo(1.0, 8)
     eigensystem = f.eigensystem if supplied else None
     build_model(f.theta1, f.x, eigensystem=eigensystem)

@@ -111,8 +111,9 @@ def test_3x3_level2_pairing_constant():
 
 
 def test_3x3_rejects_repeated_eigenvalues():
-    with pytest.raises(SpectrumError):
-        fixture_3x3(1.0, 1.0, 3.0)
+    f = fixture_3x3(1.0, 1.0, 3.0)
+    with pytest.raises(SpectrumError, match="eigenvalues 0 and 1 "):
+        f.model
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +184,8 @@ def test_block_degenerate_spectrum_still_exposes_direct_partner():
     alpha = np.array([1.0, 1.0])
     beta = np.array([0.5, 0.5])
     f = fixture_block(alpha, beta, 2)
-    assert f.model is None
     with pytest.raises(SpectrumError):
-        f.require_model()
+        f.model
     # the closed-form partner still intertwines: X Theta2 = Theta1 X
     np.testing.assert_allclose(f.expected["theta2"], np.diag(alpha + beta), atol=1e-12)
     np.testing.assert_allclose(f.x @ f.expected["theta2"], f.theta1 @ f.x, atol=1e-12)
@@ -193,7 +193,8 @@ def test_block_degenerate_spectrum_still_exposes_direct_partner():
 
 def test_block_zero_operator_sanity():
     f = fixture_block(np.zeros(2), np.zeros(2), 2)
-    assert f.model is None
+    with pytest.raises(SpectrumError):
+        f.model
     np.testing.assert_allclose(f.expected["theta2"], np.zeros((2, 2)), atol=1e-14)
     np.testing.assert_allclose(f.theta1 @ f.x, np.zeros((4, 2)), atol=1e-14)
 
