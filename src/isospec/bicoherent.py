@@ -51,7 +51,7 @@ RADIUS_GROWTH_THRESHOLD = 0.02
 TAIL_RATIO_LIMIT = 0.9
 # Double-precision unit roundoff, the floor of every reported tail bound.
 _UNIT_ROUNDOFF = float(np.finfo(float).eps)
-# Default Gauss-type quadrature size for radial measures.
+# Fewest Gauss-Laguerre nodes of a radial measure; a higher order takes ceil(order/2).
 DEFAULT_QUADRATURE_NODES = 64
 # Gauss-Laguerre rules kept by solve_moment_measure, one per node count.
 LAGUERRE_RULES_KEPT = 8
@@ -539,16 +539,17 @@ class RadialMeasure:
         return replace(self, weights=self.weights * factor)
 
 
-def solve_moment_measure(
-    eps, order: int, nodes: int = DEFAULT_QUADRATURE_NODES
-) -> RadialMeasure:
+def solve_moment_measure(eps, order: int) -> RadialMeasure:
     """Radial measure with moments eps_k!/(2 pi), for linear eps_k = s*k only.
 
     For s > 0 the solution is dlambda(r) = r exp(-r^2/s) / (pi s) dr on
-    [0, inf); the quadrature is Gauss-Laguerre in t = r^2/s, exact for all
-    moments up to k = 2*nodes - 1.  Any other sequence has no closed form
-    here and raises; callers fall back to the sum-form identity.  The
-    Gauss-Laguerre rule is built once per node count and kept.
+    [0, inf); the quadrature is Gauss-Laguerre in t = r^2/s.  An n-node
+    rule is exact for the moments up to k = 2n - 1, so n is the larger of
+    DEFAULT_QUADRATURE_NODES and ceil(order/2): every moment k < order is
+    exact.  Any other sequence has no closed form here and raises, as does
+    an order whose rule leaves the float range; callers fall back to the
+    sum-form identity.  The Gauss-Laguerre rule is built once per node
+    count and kept.
     """
     eps = EpsilonSequence.of(eps).require_length(max(2, order))
     s = float(eps.values[1])
@@ -561,17 +562,22 @@ def solve_moment_measure(
             "measure not available: the closed-form radial measure exists "
             "only for the linear family eps_k = s*k"
         )
-    if nodes < 2:
-        raise ParameterError("need at least 2 quadrature nodes")
+    nodes = max(DEFAULT_QUADRATURE_NODES, (order + 1) // 2)
     t, w = _laguerre_rule(nodes)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
+        raise MomentError(
+            f"measure not available at order {order}: its {nodes}-node Gauss-Laguerre "
+            "rule leaves the float range"
+        )
     return RadialMeasure(s=s, nodes=np.sqrt(s * t), weights=w / (2.0 * math.pi))
 
 
-# typed: a float count is laggauss's TypeError, never the rule of an equal int
-@functools.lru_cache(maxsize=LAGUERRE_RULES_KEPT, typed=True)
-def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Laguerre nodes and weights, built once per node count."""
-    t, w = np.polynomial.laguerre.laggauss(nodes)
+@functools.lru_cache(maxsize=LAGUERRE_RULES_KEPT)
+def _laguerre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Laguerre nodes and weights, built once per node count;
+    past the float range (from about 187 nodes) a weight is NaN, without a warning."""
+    with np.errstate(all="ignore"):
+        t, w = np.polynomial.laguerre.laggauss(count)
     return read_only(t), read_only(w)
 
 

@@ -41,7 +41,6 @@ import numpy as np
 
 from . import io as iomod
 from .bicoherent import (
-    DEFAULT_QUADRATURE_NODES,
     build_ladders,
     coherent_grid,
     quantize,
@@ -373,7 +372,7 @@ def cmd_coherent(args: argparse.Namespace) -> int:
     span = min(10, max(1, order // 2))
     quant_info = None
     try:
-        measure = solve_moment_measure(eps, order, args.nodes)
+        measure = solve_moment_measure(eps, order)
     except MomentError as exc:
         measure, measure_info = None, {"available": False, "reason": str(exc)}
     else:
@@ -464,7 +463,7 @@ def cmd_fixture_build(args: argparse.Namespace) -> int:
 def cmd_quantize(args: argparse.Namespace) -> int:
     """Write the quantized-symbol matrix and its ladder-agreement defect."""
     system, eps, order = _level1_inputs(args)
-    measure = solve_moment_measure(eps, order, args.nodes)
+    measure = solve_moment_measure(eps, order)
     op, defect = _quantized(system, eps, order, measure, args.symbol)
     out = {
         "schema": "isospec-quantize-v1",
@@ -527,9 +526,6 @@ def make_parser() -> argparse.ArgumentParser:
     def add_series(p):
         p.add_argument("--order", type=_checked(int, lambda n: n >= 1, "order must be at least 1"),
                        help=f"series order (default min({DEFAULT_ORDER}, system size))")
-        p.add_argument("--nodes", default=DEFAULT_QUADRATURE_NODES,
-                       help="quadrature nodes (default %(default)s)",
-                       type=_checked(int, lambda n: n >= 2, "quadrature nodes must be at least 2"))
 
     add_common(command(sub, "build", cmd_build, "construct a model and write model JSON"))
 
@@ -607,7 +603,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (OSError, MemoryError) as exc:
-        # a size no allocation can meet (--nodes 100000000) is an input error
+        # a size no allocation can meet (a million-point z-grid) is an input error
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,7 +12,6 @@ on the partner side.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,8 +42,6 @@ from .linalg import (
 
 # Relative tolerance for the numerical commutation / relation checks.
 RELATION_TOL = 1e-9
-# k-tilde values closer than this are reported as one degeneracy class.
-DEGENERACY_TOL = 1e-8
 
 # The operands of a model, each with one SpectralNorm (IntertwiningModel.norms).
 _OPERANDS = ("theta1", "x", "n1", "n2", "theta2")
@@ -72,12 +69,6 @@ def _check_shapes(theta1: np.ndarray, x: np.ndarray) -> None:
         )
 
 
-def _grams(x: np.ndarray):
-    """X-adjoint, N1 = X X-adjoint and N2 = X-adjoint X; an overflowed Gram is refused."""
-    xh = x.conj().T
-    return xh, as_matrix(x @ xh), as_matrix(xh @ x)
-
-
 def _singular_values(r, tol: float) -> np.ndarray:
     """Singular values of a square or tall X, from the square top of the R of a QR
     of X (any mode), after the one rank rule: full column rank, sigma_min > tol * sigma_max.
@@ -101,7 +92,10 @@ def _classify(theta1, n1, square: bool, tol: float):
     classification bounded.
     """
     norms = {"n1": SpectralNorm(n1), "theta1": SpectralNorm(theta1)}
-    comm = certified_ratio(n1 @ theta1 - theta1 @ n1, (norms["n1"], norms["theta1"]), tol)
+    # an overflowed commutator ends in opnorm's NumericalError, not in a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        commutator = n1 @ theta1 - theta1 @ n1
+    comm = certified_ratio(commutator, (norms["n1"], norms["theta1"]), tol)
     if square:
         return (CASE_INVERTIBLE_COMMUTING if comm.passed else CASE_INVERTIBLE), norms
     if not comm.passed:
@@ -124,7 +118,7 @@ def classify(theta1, x, tol: float = RELATION_TOL) -> str:
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
     _check_shapes(theta1, x)
-    _, n1, _ = _grams(x)
+    n1 = as_matrix(x @ x.conj().T)
     _singular_values(np.linalg.qr(x, mode="r"), tol)
     return _classify(theta1, n1, x.shape[0] == x.shape[1], tol)[0]
 
@@ -141,7 +135,7 @@ def _partner(m, x, q, r) -> np.ndarray:
 
 
 def _transport(phi1, xh, tol: float):
-    """(phi2, kernel_set, tilde_k, degeneracy_classes) of the columns ``phi1``."""
+    """(phi2, kernel_set, tilde_k) of the columns ``phi1``."""
     if xh.shape[1] != phi1.shape[0]:
         raise DimensionError("intertwiner rows must match the seed space dimension")
     phi2 = xh @ phi1
@@ -149,35 +143,8 @@ def _transport(phi1, xh, tol: float):
     norms2 = np.linalg.norm(phi2, axis=0)
     kernel_mask = norms2 <= tol * norms1
     tilde_k = np.where(kernel_mask, 0.0, (norms2 / norms1) ** 2)
-    classes = _degeneracy_classes(tilde_k.tolist(), np.flatnonzero(~kernel_mask).tolist())
     kernel_set = tuple(int(n) for n in np.nonzero(kernel_mask)[0])
-    return phi2, kernel_set, tilde_k, classes
-
-
-def _degeneracy_classes(values: list[float], indices: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Group ``indices`` by ``values``: each joins the earliest class whose first
-    member lies within DEGENERACY_TOL of it (no chaining), or opens a new class.
-
-    First members are pairwise more than the tolerance apart, so their sorted
-    values hold every candidate between the slots of v - tol and v + tol,
-    widened by one slot on each side against the rounding of v -/+ tol.
-    """
-    classes: list[list[int]] = []
-    leaders: list[float] = []  # first-member values, sorted
-    owners: list[int] = []  # the class of each entry of ``leaders``
-    for n in indices:
-        v = values[n]
-        lo = max(bisect_left(leaders, v - DEGENERACY_TOL) - 1, 0)
-        hi = min(bisect_right(leaders, v + DEGENERACY_TOL) + 1, len(leaders))
-        near = [owners[j] for j in range(lo, hi) if abs(v - leaders[j]) <= DEGENERACY_TOL]
-        if near:
-            classes[min(near)].append(n)
-        else:
-            slot = bisect_left(leaders, v)
-            leaders.insert(slot, v)
-            owners.insert(slot, len(classes))
-            classes.append([n])
-    return tuple(tuple(c) for c in classes)
+    return phi2, kernel_set, tilde_k
 
 
 @dataclass(frozen=True)
@@ -252,7 +219,6 @@ class IntertwiningModel:
     psi2: np.ndarray
     kernel_set: tuple[int, ...]
     tilde_k: np.ndarray
-    degeneracy_classes: tuple[tuple[int, ...], ...] = ()
 
     @cached_property
     def norms(self) -> dict[str, SpectralNorm]:
@@ -268,12 +234,7 @@ class IntertwiningModel:
 
     def system1(self) -> BiorthogonalSystem:
         """Level-1 system: seed eigenvectors with unit pairing."""
-        return BiorthogonalSystem(
-            phi=self.phi1,
-            psi=self.psi1,
-            values=self.values,
-            pairing=np.ones(len(self.values)),
-        )
+        return BiorthogonalSystem(phi=self.phi1, psi=self.psi1, pairing=np.ones(len(self.values)))
 
     def system2(self, include_kernel: bool = False) -> BiorthogonalSystem:
         """Level-2 system: transported families with pairing tilde_k.
@@ -285,9 +246,7 @@ class IntertwiningModel:
             raise RegimeError(
                 "level-2 biorthogonal structure requires a commuting regime"
             )
-        transported = BiorthogonalSystem(
-            phi=self.phi2, psi=self.psi2, values=self.values, pairing=self.tilde_k
-        )
+        transported = BiorthogonalSystem(phi=self.phi2, psi=self.psi2, pairing=self.tilde_k)
         idx = range(len(self.values)) if include_kernel else self.survivors
         return transported.columns(list(idx))
 
@@ -314,7 +273,9 @@ def build_model(
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
     _check_shapes(theta1, x)
-    xh, n1, n2 = _grams(x)
+    # N1 = X X-adjoint and N2 = X-adjoint X; an overflowed Gram is refused
+    xh = x.conj().T
+    n1, n2 = as_matrix(x @ xh), as_matrix(xh @ x)
     # Q = [Q_r | Q_k]: Q_r spans range(X), Q_k ker(X-adjoint).  In the non-invertible
     # regime [N1, Theta1] = 0 makes both invariant under Theta1: the modes of the
     # first survive into Theta2, those of the second are the kernel losses
@@ -334,7 +295,7 @@ def build_model(
         eigensystem = _eig(theta1, norms["theta1"], split)
     _require_simple(eigensystem.values, multiplicity_tolerance)
     psi1 = biorthogonal_partner(eigensystem.vectors)
-    phi2, kernel_set, tilde_k, classes = _transport(eigensystem.vectors, xh, kernel_tol)
+    phi2, kernel_set, tilde_k = _transport(eigensystem.vectors, xh, kernel_tol)
     model = IntertwiningModel(
         theta1=theta1,
         x=x,
@@ -349,7 +310,6 @@ def build_model(
         psi2=xh @ psi1,
         kernel_set=kernel_set,
         tilde_k=tilde_k,
-        degeneracy_classes=classes,
     )
     # the norms classification bounded, and any SVD it took, carry over
     model.norms.update(norms)
@@ -435,7 +395,7 @@ def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rel
         # similarity regime: partner eigenvectors come from X inverse
         phit = np.linalg.solve(x, model.phi1)
         found["theta2_eigen"] = rel(_worst_defect(t2, phit, model.values), nt2)
-    return RelationReport(found, tol, skipped, {"degeneracy_classes": model.degeneracy_classes})
+    return RelationReport(found, tol, skipped)
 
 
 def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> RelationReport:

@@ -407,7 +407,6 @@ class BiorthogonalSystem:
 
     phi: np.ndarray
     psi: np.ndarray
-    values: np.ndarray
     pairing: np.ndarray
 
     def __post_init__(self):
@@ -415,14 +414,11 @@ class BiorthogonalSystem:
         psi = as_matrix(self.psi)
         if phi.shape != psi.shape:
             raise DimensionError("phi and psi families must have equal shapes")
-        n = phi.shape[1]
-        values = np.asarray(self.values, dtype=complex)
         pairing = np.asarray(self.pairing, dtype=float)
-        if values.shape != (n,) or pairing.shape != (n,):
-            raise DimensionError("one eigenvalue and one pairing constant per column")
+        if pairing.shape != (phi.shape[1],):
+            raise DimensionError("one pairing constant per column")
         object.__setattr__(self, "phi", read_only(phi))
         object.__setattr__(self, "psi", read_only(psi))
-        object.__setattr__(self, "values", read_only(values))
         object.__setattr__(self, "pairing", read_only(pairing))
 
     @cached_property
@@ -443,10 +439,7 @@ class BiorthogonalSystem:
     def columns(self, index) -> "BiorthogonalSystem":
         """The sub-system of the columns ``index`` (a slice or an index list)."""
         return BiorthogonalSystem(
-            phi=self.phi[:, index],
-            psi=self.psi[:, index],
-            values=self.values[index],
-            pairing=self.pairing[index],
+            phi=self.phi[:, index], psi=self.psi[:, index], pairing=self.pairing[index]
         )
 
     def pairing_defect(self) -> float:

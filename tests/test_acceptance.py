@@ -155,7 +155,7 @@ def test_acceptance_4_measure_and_resolution():
 
         eye = np.eye(size, dtype=complex)
         system = BiorthogonalSystem(
-            phi=eye, psi=eye, values=eps.values, pairing=np.ones(size)
+            phi=eye, psi=eye, pairing=np.ones(size)
         )
         worst_res = 0.0
         for _ in range(50):
@@ -177,7 +177,7 @@ def test_acceptance_5_symbol_quantization():
     order = 20
     eps = EpsilonSequence.linear(1.0, order)
     eye = np.eye(order, dtype=complex)
-    system = BiorthogonalSystem(phi=eye, psi=eye, values=eps.values, pairing=np.ones(order))
+    system = BiorthogonalSystem(phi=eye, psi=eye, pairing=np.ones(order))
     measure = solve_moment_measure(eps, order)
     pair = build_ladders(system, eps)
     lead = order - 2

@@ -57,11 +57,9 @@ def _factorization_defect(pair, system, eps) -> float:
     return float(column_defects(pair.b @ pair.a, system.phi, eps.values[: system.size]).max())
 
 
-def _orthonormal_system(dim, values=None):
+def _orthonormal_system(dim):
     eye = np.eye(dim, dtype=complex)
-    if values is None:
-        values = np.arange(float(dim))
-    return BiorthogonalSystem(phi=eye, psi=eye, values=values, pairing=np.ones(dim))
+    return BiorthogonalSystem(phi=eye, psi=eye, pairing=np.ones(dim))
 
 
 def _bounded_eps(dim, limit=4.0):
@@ -105,7 +103,7 @@ def test_ladders_require_unit_pairing():
     # pairing-weighted ladders, which factorize its diagonal action
     eye = np.eye(3, dtype=complex)
     level2 = BiorthogonalSystem(
-        phi=eye, psi=1.5 * eye, values=np.arange(3.0), pairing=1.5 * np.ones(3)
+        phi=eye, psi=1.5 * eye, pairing=1.5 * np.ones(3)
     )
     eps = EpsilonSequence.linear(1.0, 3)
     pair = build_ladders(level2, eps)
@@ -171,7 +169,6 @@ def _phi_fit(norms):
     system = BiorthogonalSystem(
         phi=np.diag(norms).astype(complex),
         psi=np.diag(1.0 / norms).astype(complex),
-        values=np.arange(float(norms.size)),
         pairing=np.ones(norms.size),
     )
     conv = convergence_for_system(system, EpsilonSequence.linear(1.0, norms.size))
@@ -479,7 +476,7 @@ def test_filter_rejects_unknown_convention():
 def test_filter_rejects_fully_degenerate_system():
     eye = np.eye(3, dtype=complex)
     dead = BiorthogonalSystem(
-        phi=0.0 * eye, psi=0.0 * eye, values=np.arange(3.0), pairing=np.zeros(3)
+        phi=0.0 * eye, psi=0.0 * eye, pairing=np.zeros(3)
     )
     with pytest.raises(DegenerateError):
         filter_system(dead, EpsilonSequence.linear(1.0, 3))
@@ -507,7 +504,7 @@ def test_filtered_states_match_both_printed_conventions():
 def test_filter_without_kernel_matches_level2_states():
     eye = np.eye(6, dtype=complex)
     system = BiorthogonalSystem(
-        phi=eye, psi=1.5 * eye, values=np.arange(6.0), pairing=1.5 * np.ones(6)
+        phi=eye, psi=1.5 * eye, pairing=1.5 * np.ones(6)
     )
     eps = EpsilonSequence.linear(1.0, 6)
     z = 0.4 + 0.1j
@@ -565,8 +562,7 @@ def _copied(system):
     """A fresh system, with a fresh memo, on copies of ``system``'s arrays in
     their own memory layout (a matrix product rounds by layout)."""
     return BiorthogonalSystem(
-        phi=np.copy(system.phi), psi=np.copy(system.psi),
-        values=np.copy(system.values), pairing=np.copy(system.pairing),
+        phi=np.copy(system.phi), psi=np.copy(system.psi), pairing=np.copy(system.pairing)
     )
 
 
@@ -680,16 +676,15 @@ def test_conventions_alternate_on_one_system_with_their_own_steps():
 def test_a_system_is_a_read_only_snapshot_of_the_callers_arrays():
     phi = np.eye(3, dtype=complex)
     psi = 2.0 * np.eye(3, dtype=complex)
-    values = np.arange(3.0) + 0j
     pairing = np.full(3, 2.0)
-    system = BiorthogonalSystem(phi=phi, psi=psi, values=values, pairing=pairing)
+    system = BiorthogonalSystem(phi=phi, psi=psi, pairing=pairing)
     with pytest.raises(ValueError):
         system.phi[0, 0] = 1
-    for name in ("psi", "values", "pairing"):
+    for name in ("psi", "pairing"):
         with pytest.raises(ValueError):
             getattr(system, name)[0] = 1
     # views, not copies: the caller's arrays are shared and stay writable
-    for array, name in ((phi, "phi"), (psi, "psi"), (values, "values"), (pairing, "pairing")):
+    for array, name in ((phi, "phi"), (psi, "psi"), (pairing, "pairing")):
         assert np.shares_memory(array, getattr(system, name))
         assert array.flags.writeable
     assert not system.columns([0, 2]).phi.flags.writeable
@@ -718,7 +713,7 @@ def test_measure_matches_gamma_moments():
 def test_measure_scaled_family():
     alpha1 = 0.75
     eps = EpsilonSequence.linear(2.0 * alpha1, 24)
-    measure = solve_moment_measure(eps, 24, nodes=64)
+    measure = solve_moment_measure(eps, 24)
     for k in (0, 1, 5, 20):
         expected = (2.0 * alpha1) ** k * math.factorial(k) / (2.0 * math.pi)
         assert measure.moment(k) == pytest.approx(expected, rel=MOMENT_REL_TOL)
@@ -738,10 +733,11 @@ def test_measure_scaling_is_linear():
 
 def test_a_kept_gauss_laguerre_rule_gives_the_fresh_rule_bit_for_bit():
     measures = []
-    for nodes in (64, 20, 64, 2, 20):
+    # orders 40 and 128 take 64 nodes, 200 takes 100 and 300 takes 150
+    for order, nodes in ((40, 64), (200, 100), (128, 64), (300, 150), (200, 100)):
         t, w = np.polynomial.laguerre.laggauss(nodes)
         for s in (0.5, 2.0):
-            measure = solve_moment_measure(EpsilonSequence.linear(s, 40), 40, nodes)
+            measure = solve_moment_measure(EpsilonSequence.linear(s, order), order)
             assert measure.nodes.tobytes() == np.sqrt(s * t).tobytes()
             assert measure.weights.tobytes() == (w / (2.0 * math.pi)).tobytes()
             measures.append(measure)
@@ -756,12 +752,38 @@ def test_a_kept_gauss_laguerre_rule_gives_the_fresh_rule_bit_for_bit():
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
             assert not np.shares_memory(a, b)
-    # a float count stays laggauss's TypeError, even once an equal count is kept
-    eps = EpsilonSequence.linear(1.0, 40)
-    solve_moment_measure(eps, 40, np.int64(48))
-    with pytest.raises(TypeError):
-        solve_moment_measure(eps, 40, 48.0)
     assert bicoherent._laguerre_rule.cache_info().maxsize == bicoherent.LAGUERRE_RULES_KEPT
+
+
+@pytest.mark.parametrize("order, nodes", [(1, 64), (128, 64), (129, 65), (200, 100)])
+def test_the_node_count_follows_the_order(order, nodes):
+    # an n-node rule is exact for the moments k <= 2n - 1, so ceil(order/2) nodes
+    # cover every moment k < order; no order takes fewer than 64
+    eps = EpsilonSequence.linear(0.02, order + 1)
+    measure = solve_moment_measure(eps, order)
+    assert measure.nodes.size == nodes
+    assert np.max(measure.moment_defects(eps, order)) < 1e-9
+
+
+def _first_rule_past_the_float_range() -> int:
+    """The fewest nodes whose laggauss rule is not finite (187 with numpy 2.4)."""
+    with np.errstate(all="ignore"):
+        for nodes in range(bicoherent.DEFAULT_QUADRATURE_NODES, 1024):
+            if not all(np.all(np.isfinite(a)) for a in np.polynomial.laguerre.laggauss(nodes)):
+                return nodes
+    raise AssertionError("laggauss stays finite up to 1024 nodes")
+
+
+def test_both_sides_of_the_gauss_laguerre_limit_warn_nothing():
+    # pytest turns a warning into an error: neither side may print one
+    limit = _first_rule_past_the_float_range()
+    last = 2 * (limit - 1)  # the highest order whose rule is finite
+    eps = EpsilonSequence.linear(0.002, last + 2)
+    measure = solve_moment_measure(eps, last)
+    assert measure.nodes.size == limit - 1
+    assert np.all(np.isfinite(measure.weights))
+    with pytest.raises(MomentError, match=rf"order {last + 1}: its {limit}-node"):
+        solve_moment_measure(eps, last + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +915,6 @@ def test_quantize_agrees_with_ladders_on_skewed_system():
     truncated = BiorthogonalSystem(
         phi=system.phi[:, :order],
         psi=system.psi[:, :order],
-        values=system.values[:order],
         pairing=system.pairing[:order],
     )
     pair = build_ladders(truncated, EpsilonSequence(eps.values[:order]))

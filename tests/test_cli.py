@@ -641,6 +641,46 @@ def test_coherent_and_quantize_share_an_outdir(tmp_path, capsys):
     )
 
 
+# the quadrature size follows the order: 64 nodes cover orders up to 128, order 200
+# takes 100, and the 200-node rule of order 400 leaves the float range
+ORDER_200 = ["--fixture", "coherent_demo", "--params", "alpha1=0.01,n_blocks=100",
+             "--order", "200"]
+ORDER_400 = ["--fixture", "coherent_demo", "--params", "alpha1=0.001,n_blocks=200",
+             "--order", "400"]
+ORDER_400_REASON = ("measure not available at order 400: its 200-node Gauss-Laguerre rule "
+                    "leaves the float range")
+
+
+def test_quantize_at_order_200_recovers_its_ladder(tmp_path, capsys):
+    assert cli.main(["quantize", *ORDER_200, "--outdir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "quantize_z.json").read_text())["ladder_defect"] < 1e-10
+
+
+def test_coherent_at_order_200_takes_100_nodes(tmp_path, capsys):
+    argv = ["coherent", *ORDER_200, "--grid-rmax", "0.05", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "coherent_report.json").read_text())
+    assert report["measure"]["nodes"] == 100
+    assert report["measure"]["max_moment_defect"] < 1e-10
+    assert report["all_passed"]
+
+
+def test_quantize_at_order_400_is_a_moment_error_naming_the_order(tmp_path, capsys):
+    assert cli.main(["quantize", *ORDER_400, "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {ORDER_400_REASON}"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_coherent_at_order_400_reports_the_measure_unavailable(tmp_path, capsys):
+    argv = ["coherent", *ORDER_400, "--grid-rmax", "0.05", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert "measure unavailable" in capsys.readouterr().out
+    report = json.loads((tmp_path / "coherent_report.json").read_text())
+    assert report["measure"] == {"available": False, "reason": ORDER_400_REASON}
+    assert report["resolution"]["mode"] == "sum-form"
+    assert report["quantization"] is None
+
+
 # ---------------------------------------------------------------------------
 # fixture
 
@@ -784,8 +824,10 @@ def test_a_3x3_seed_with_close_eigenvalues_is_refused_at_the_default_tolerance(t
     [
         ["coherent", "--fixture", "coherent_demo", "--output", "f"],
         ["build", "--fixture", "ex3x3", "--truncation", "8"],
+        ["coherent", "--fixture", "coherent_demo", "--nodes", "100"],
+        ["quantize", "--fixture", "coherent_demo", "--nodes", "100"],
     ],
-    ids=["coherent-output", "build-truncation"],
+    ids=["coherent-output", "build-truncation", "coherent-nodes", "quantize-nodes"],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, capsys):
     assert cli.main([*argv, "--outdir", str(tmp_path)]) == 1
@@ -839,7 +881,7 @@ def _config_cases(model) -> dict:
     """Subcommand -> (its words, options it takes: strings and numbers both)."""
     tolerances = {"kernel_tol": 1e-11, "relation_tol": "1e-8", "multiplicity_tol": 1e-7}
     demo = {"fixture": "coherent_demo", "params": "alpha1=0.5,n_blocks=4",
-            "order": 6, "nodes": "32"}
+            "order": 6}
     return {
         "build": (["build"],
                   {**tolerances, "fixture": "ex3x3", "params": "e1=1.5,e2=2.5,e3=4"}),
@@ -879,7 +921,7 @@ BAD_CONFIGS = {
     "kernel-tol-null": ("build", {"kernel_tol": None}),
     "grid-rmax-word": ("coherent", {"grid_rmax": "big"}),
     "relation-tol-true": ("build", {"relation_tol": True}),
-    "nodes-list": ("coherent", {"nodes": [64]}),
+    "grid-radial-list": ("coherent", {"grid_radial": [20]}),
     "params-dict": ("build", {"params": {"e1": 2.0}}),
     "symbol-unknown": ("quantize", {"symbol": "w"}),
 }
@@ -900,7 +942,7 @@ def test_bad_config_values_are_input_errors(name, tmp_path, capsys):
 
 # a key each subcommand refuses, taken from another subcommand's options
 FOREIGN_KEYS = {
-    "build": (["build", "--fixture", "ex3x3"], "nodes"),
+    "build": (["build", "--fixture", "ex3x3"], "order"),
     "verify": (["verify"], "fixture"),
     "coherent": (["coherent", "--fixture", "coherent_demo"], "symbol"),
     "quantize": (["quantize", "--fixture", "coherent_demo"], "grid_rmax"),
@@ -924,9 +966,9 @@ COMMAND_DEFAULTS = {
     "build": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL],
     "verify": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL],
     "coherent": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL,
-                 f"min({cli.DEFAULT_ORDER}, system size)", 64, 20, 16, 2.0],
+                 f"min({cli.DEFAULT_ORDER}, system size)", 20, 16, 2.0],
     "quantize": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL, "z",
-                 f"min({cli.DEFAULT_ORDER}, system size)", 64],
+                 f"min({cli.DEFAULT_ORDER}, system size)"],
     "fixture build": ["."],
     "fixture list": [],
 }
@@ -1137,9 +1179,9 @@ def test_coherent_demo_builds_beyond_the_float_range_of_its_factorials(tmp_path)
 
 
 def test_an_allocation_no_machine_can_meet_is_an_input_error(tmp_path):
-    # --nodes 100000000 asks for a 1e8 x 1e8 quadrature matrix (71 PiB).
-    # numpy first builds a 1e8-entry list (0.8 GB), so the child's address
-    # space is capped at 512 MiB: that list fails at once too.
+    # a 1024x1024 z-grid on 4 modes sits at the grid bound, and its million
+    # states' bookkeeping outgrows a 512 MiB address space: the child fails
+    # its allocation at once instead of filling the machine
     import os
 
     resource = pytest.importorskip("resource")
@@ -1149,13 +1191,15 @@ def test_an_allocation_no_machine_can_meet_is_an_input_error(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     argv = ["coherent", "--fixture", "coherent_demo", "--params", "n_blocks=2",
-            "--nodes", "100000000", "--outdir", str(tmp_path)]
+            "--grid-radial", "1024", "--grid-angular", "1024", "--grid-rmax", "0.5",
+            "--outdir", str(tmp_path)]
     proc = subprocess.run(CLI + argv, capture_output=True, text=True, preexec_fn=limit,
                           env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -1244,6 +1288,27 @@ def test_verify_relations_of_an_overflowing_model_raises_numerical_error():
     model = get_fixture("coherent_demo", alpha1=1e200, n_blocks=4).model
     with pytest.raises(errors.NumericalError):
         verify_relations(model)
+
+
+# pytest makes a RuntimeWarning an error, so each refusal below also warns nothing
+def test_a_seed_whose_commutator_overflows_is_a_numerical_error(tmp_path, capsys):
+    # s = 1e300: [N1, Theta1] overflows while the regime is classified
+    outdir = tmp_path / "out"
+    argv = ["build", "--fixture", "shift", "--params", "s=1e300", "--outdir", str(outdir)]
+    assert cli.main(argv) == errors.NumericalError.exit_code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not outdir.exists()
+
+
+def test_a_3x3_seed_past_the_float_range_is_one_input_error(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    argv = ["build", "--fixture", "ex3x3", "--params", "e1=1e308,e2=-1e308",
+            "--outdir", str(outdir)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: matrix entries must be finite (no NaN/Inf)"]
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -260,12 +260,6 @@ def test_map_identity_frame_keeps_everything():
     np.testing.assert_allclose(model.tilde_k, [1.0, 1.0, 1.0], atol=1e-14)
 
 
-def test_map_groups_degenerate_tilde_values():
-    f = fixture_3x3(1.0, 2.0, 3.0)
-    model = build_model(f.theta1, f.x)
-    assert (0, 1) in model.degeneracy_classes
-
-
 def test_map_refuses_degenerate_spectrum():
     with pytest.raises(SpectrumError):
         build_model(np.diag([1.0, 1.0, 2.0]).astype(complex), np.eye(3, dtype=complex))

@@ -62,7 +62,7 @@ def _random_system(rng, n, pairing):
     """A skewed frame with its C-ordered partner scaled to ``pairing``."""
     phi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3.0 * np.eye(n)
     psi = np.ascontiguousarray(np.linalg.inv(phi).conj().T) * pairing
-    return BiorthogonalSystem(phi=phi, psi=psi, values=np.arange(n), pairing=pairing)
+    return BiorthogonalSystem(phi=phi, psi=psi, pairing=pairing)
 
 
 def _assert_bit_identical(pair, reference):

@@ -360,12 +360,11 @@ def test_columns_take_a_sub_system_in_the_given_order():
     rng = np.random.default_rng(11)
     phi = _random_complex(rng, 4, 4) + 3.0 * np.eye(4)
     system = BiorthogonalSystem(
-        phi=phi, psi=biorthogonal_partner(phi), values=np.arange(4.0), pairing=[1, 0, 2, 3]
+        phi=phi, psi=biorthogonal_partner(phi), pairing=[1, 0, 2, 3]
     )
     sub = system.columns([3, 0])
     np.testing.assert_array_equal(sub.phi, phi[:, [3, 0]])
     np.testing.assert_array_equal(sub.psi, system.psi[:, [3, 0]])
-    np.testing.assert_array_equal(sub.values, [3.0, 0.0])
     np.testing.assert_array_equal(sub.pairing, [3.0, 1.0])
     head = system.columns(slice(2))
     assert head.size == 2

@@ -35,7 +35,6 @@ from isospec import (
     verify_relations,
 )
 
-DEGENERACY_TOL = 1e-8
 COLUMN_RESIDUALS = {
     "psi1_eigen",
     "theta2_eigen",
@@ -126,7 +125,7 @@ def _eigen_defect(theta1, eigensystem):
 
 
 def _reference_map(x, phi1, tol=1e-10):
-    """kernel_set, tilde_k, N-residuals and degeneracy classes, column by column."""
+    """kernel_set, tilde_k and N-residuals, column by column."""
     phi2 = x.conj().T @ phi1
     norms1 = np.linalg.norm(phi1, axis=0)
     norms2 = np.linalg.norm(phi2, axis=0)
@@ -142,22 +141,8 @@ def _reference_map(x, phi1, tol=1e-10):
             continue
         res1[n] = np.linalg.norm(n1 @ phi1[:, n] - tilde_k[n] * phi1[:, n]) / norms1[n]
         res2[n] = np.linalg.norm(n2 @ phi2[:, n] - tilde_k[n] * phi2[:, n]) / norms2[n]
-    classes = _reference_classes(tilde_k, [n for n in range(count) if not kernel_mask[n]])
     kernel_set = tuple(int(n) for n in np.nonzero(kernel_mask)[0])
-    return kernel_set, tilde_k, res1, res2, classes
-
-
-def _reference_classes(values, indices):
-    """Each index joins the first class whose first member is within the tolerance."""
-    classes = []
-    for n in indices:
-        for cls in classes:
-            if abs(values[n] - values[cls[0]]) <= DEGENERACY_TOL:
-                cls.append(n)
-                break
-        else:
-            classes.append([n])
-    return tuple(tuple(c) for c in classes)
+    return kernel_set, tilde_k, res1, res2
 
 
 def _rel(num, scale):
@@ -316,10 +301,9 @@ def _check_against_reference(model, eigensystem):
     theta2 = _reference_partner(theta1, x, *np.linalg.qr(x, mode="complete"))
     assert np.array_equal(model.theta2, theta2)
     assert np.array_equal(model.phi1, eigensystem.vectors)
-    kernel_set, tilde_k, _, _, classes = _reference_map(x, eigensystem.vectors)
+    kernel_set, tilde_k, _, _ = _reference_map(x, eigensystem.vectors)
     assert model.kernel_set == kernel_set
     assert np.array_equal(model.tilde_k, tilde_k)
-    assert model.degeneracy_classes == classes
 
     report = verify_relations(model)
     residuals, skipped = _reference_verify(model)
@@ -582,18 +566,3 @@ def test_similarity_model_svd_budget(svd_count):
     # sigma(X) comes from one SVD outside opnorm
     verify_relations(model)
     assert len(svd_count) == 0
-
-
-@given(
-    st.sampled_from([0.0, 1e-9, 1.0, 1.5, 1e3]),
-    st.lists(st.tuples(st.integers(-4, 4), st.sampled_from([-1, 0, 1]), st.booleans()),
-             min_size=1, max_size=40),
-)
-@settings(max_examples=300, deadline=None)
-def test_degeneracy_classes_match_the_loop(base, draws):
-    # values on the grid m * tol * (1 + d * 1e-6): neighbours sit just inside, on
-    # or just outside the tolerance of one another; ``alive`` drops some indices
-    values = [base + m * DEGENERACY_TOL * (1.0 + d * 1e-6) for m, d, _ in draws]
-    alive = [n for n, (_, _, keep) in enumerate(draws) if keep]
-    got = intertwining._degeneracy_classes(values, alive)
-    assert got == _reference_classes(values, alive)

@@ -158,8 +158,7 @@ def _demo_systems():
 def _copied(system):
     """A fresh system, with an empty memo, on copies of ``system``'s arrays."""
     return BiorthogonalSystem(
-        phi=np.copy(system.phi), psi=np.copy(system.psi),
-        values=np.copy(system.values), pairing=np.copy(system.pairing),
+        phi=np.copy(system.phi), psi=np.copy(system.psi), pairing=np.copy(system.pairing)
     )
 
 
