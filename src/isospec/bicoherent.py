@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -279,7 +279,6 @@ class BicoherentState:
     """
 
     z: complex
-    order: int
     coefficients: np.ndarray
     vector_phi: np.ndarray
     vector_psi: np.ndarray
@@ -367,7 +366,7 @@ def _assemble_states(
         # the last, passes (and is never divided by)
         prev = last_two[0] if order >= 2 else 0.0
         ok = prev <= 0 or last / prev <= TAIL_RATIO_LIMIT
-        states.append(BicoherentState(z, order, c, vphi, vpsi, norm, ov, tail, ok, conv))
+        states.append(BicoherentState(z, c, vphi, vpsi, norm, ov, tail, ok, conv))
     return states
 
 
@@ -525,18 +524,10 @@ class RadialMeasure:
                 raise NumericalError(f"radial moment of order {2 * k} overflows")
         return table
 
-    def moment(self, k: int) -> float:
-        """Quadrature value of the 2k-th radial moment."""
-        return float(self.moments(k + 1)[k])
-
     def moment_defects(self, eps, order: int) -> np.ndarray:
         """Relative defects |quadrature - eps_k!/(2 pi)| / (eps_k!/(2 pi)); eps increasing."""
         exact = EpsilonSequence.of(eps).require_increasing().factorials(order) / (2.0 * math.pi)
         return np.abs(self.moments(order) - exact) / exact
-
-    def scaled(self, factor: float) -> "RadialMeasure":
-        """Same nodes, weights multiplied by ``factor`` (linearity checks)."""
-        return replace(self, weights=self.weights * factor)
 
 
 def solve_moment_measure(eps, order: int) -> RadialMeasure:
@@ -569,7 +560,9 @@ def solve_moment_measure(eps, order: int) -> RadialMeasure:
             f"measure not available at order {order}: its {nodes}-node Gauss-Laguerre "
             "rule leaves the float range"
         )
-    return RadialMeasure(s=s, nodes=np.sqrt(s * t), weights=w / (2.0 * math.pi))
+    # nodes past the float range are inf, and the moment table refuses them
+    with np.errstate(over="ignore"):
+        return RadialMeasure(s=s, nodes=np.sqrt(s * t), weights=w / (2.0 * math.pi))
 
 
 @functools.lru_cache(maxsize=LAGUERRE_RULES_KEPT)

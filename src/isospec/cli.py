@@ -294,7 +294,9 @@ def _eps_from_model(model) -> EpsilonSequence:
     real = values.real.copy()
     if abs(real[0]) <= 1e-10 * scale:
         real[0] = 0.0
-    eps = EpsilonSequence(np.maximum(real, 0.0)) if np.all(real >= -1e-12) else None
+    # an eigenvalue past the float range (inf) is no epsilon value either
+    in_range = np.all((real >= -1e-12) & (real < np.inf))
+    eps = EpsilonSequence(np.maximum(real, 0.0)) if in_range else None
     if eps is None or not eps.strictly_increasing:
         raise RegimeError(
             "model eigenvalues must satisfy 0 = eps_0 < eps_1 < ... for the "

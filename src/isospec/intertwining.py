@@ -131,7 +131,9 @@ def _partner(m, x, q, r) -> np.ndarray:
     without the normal equations, whose error grows with cond(X)^2.
     """
     d2 = x.shape[1]
-    return np.linalg.solve(r[:d2], q[:, :d2].conj().T @ m @ x)
+    # an overflowed product ends in opnorm's NumericalError, not in a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.solve(r[:d2], q[:, :d2].conj().T @ m @ x)
 
 
 def _transport(phi1, xh, tol: float):

@@ -320,14 +320,14 @@ def _json_pieces(obj, indent: int):
         yield _scalar_json(obj)
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, 17-significant-digit floats.
 
     Complex scalars become [re, im] pairs; numpy scalars and arrays are
     converted; non-finite floats are emitted as the strings "inf", "-inf",
     "nan" (standard JSON has no literal for them).
     """
-    return "".join(_json_pieces(obj, indent))
+    return "".join(_json_pieces(obj, 0))
 
 
 def save_report(obj, path) -> None:

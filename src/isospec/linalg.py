@@ -166,7 +166,9 @@ def commutator(a, b) -> np.ndarray:
 
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
+    """Rotate each column so its largest-magnitude component is real positive up to
+    rounding: the pivot p is multiplied by |p|/p in complex arithmetic, which can
+    leave it an imaginary part of rounding size, not exactly 0."""
     rows = np.argmax(np.abs(vectors), axis=0)
     pivot = vectors[rows, np.arange(vectors.shape[1])]
     # hypot, not np.abs: numpy's vectorized complex abs can differ by an ulp
@@ -180,7 +182,9 @@ def _fix_phase(vectors: np.ndarray) -> np.ndarray:
 def _pairwise_gaps(values: np.ndarray) -> np.ndarray:
     """|values[i] - values[j]| for every i < j, rounded as scalar abs() rounds it."""
     i, j = np.triu_indices(len(values), 1)
-    d = values[i] - values[j]
+    # a gap past the float range is inf, which separates the pair, without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = values[i] - values[j]
     return np.hypot(d.real, d.imag)
 
 
@@ -217,17 +221,13 @@ class Eigensystem:
         if np.any(norms == 0):
             raise DimensionError("eigenvectors must be nonzero")
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
 
 def eig(m) -> Eigensystem:
     """Full eigendecomposition of a general complex square matrix.
 
     Eigenvectors are unit-normalized with phase fixed (largest component
-    real positive) and pairs are sorted by (Re, Im) of the eigenvalue, so
-    repeated runs and fixture comparisons are deterministic.
+    real positive, up to rounding) and pairs are sorted by (Re, Im) of the
+    eigenvalue, so repeated runs and fixture comparisons are deterministic.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -361,7 +361,9 @@ class EpsilonSequence:
         s = float(s)
         if not np.isfinite(s):
             raise ValueError(f"epsilon slope must be finite, got {s}")
-        return cls(s * np.arange(count, dtype=float))
+        # a slope past the float range overflows to inf, which __post_init__ refuses
+        with np.errstate(over="ignore"):
+            return cls(s * np.arange(count, dtype=float))
 
     def require_increasing(self) -> "EpsilonSequence":
         """The sequence itself; a ParameterError unless ``strictly_increasing``."""

@@ -11,7 +11,7 @@ and the block example loses the even positions (the first vector of each
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +55,6 @@ class Fixture:
     """
 
     id: str
-    parameters: dict
     theta1: np.ndarray
     x: np.ndarray
     eigensystem: Eigensystem | None = None
@@ -66,11 +65,8 @@ class Fixture:
         return build_model(self.theta1, self.x, eigensystem=self.eigensystem)
 
 
-_DEFAULT_2X2_THETA1 = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
-
-
-def fixture_2x2(x11: complex, x12: complex, theta1=None) -> Fixture:
-    """2x2 example: X = [[x11, x12], [-conj(x12), conj(x11)]].
+def fixture_2x2(x11: complex, x12: complex) -> Fixture:
+    """2x2 example: Theta1 = [[1, 1], [0, 2]], X = [[x11, x12], [-conj(x12), conj(x11)]].
 
     X X-adjoint = X-adjoint X = xt * identity with xt = |x11|^2 + |x12|^2,
     so X is invertible (det = xt) and commutes-compatible with every seed:
@@ -82,10 +78,9 @@ def fixture_2x2(x11: complex, x12: complex, theta1=None) -> Fixture:
     xt = abs(x11) ** 2 + abs(x12) ** 2
     if xt == 0.0:
         raise DegenerateError("(x11, x12) = (0, 0) gives X = 0; no invertible intertwiner")
+    if xt == math.inf:
+        raise ParameterError("|x11|^2 + |x12|^2 leaves the float range")
     x = np.array([[x11, x12], [-np.conj(x12), np.conj(x11)]], dtype=complex)
-    theta1 = _DEFAULT_2X2_THETA1 if theta1 is None else as_matrix(theta1)
-    if theta1.shape != (2, 2):
-        raise DimensionError("the 2x2 example needs a 2x2 seed")
     expected = {
         "xtilde": xt,
         "case": "InvertibleCommuting",
@@ -97,8 +92,7 @@ def fixture_2x2(x11: complex, x12: complex, theta1=None) -> Fixture:
     }
     return Fixture(
         id="ex2x2",
-        parameters={"x11": x11, "x12": x12},
-        theta1=theta1,
+        theta1=np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex),
         x=x,
         expected=expected,
     )
@@ -210,7 +204,6 @@ def fixture_3x3(e1: float, e2: float, e3: float) -> Fixture:
     }
     return Fixture(
         id="ex3x3",
-        parameters={"e1": es[0], "e2": es[1], "e3": es[2]},
         theta1=theta1,
         x=x,
         eigensystem=eigensystem,
@@ -257,7 +250,6 @@ def fixture_shift(eps, theta, n: int) -> Fixture:
     }
     return Fixture(
         id="shift",
-        parameters={"eps": eps.values[:n].copy(), "theta": theta_arr.copy(), "n": n},
         theta1=theta1,
         x=x,
         eigensystem=eigensystem,
@@ -295,8 +287,10 @@ def _block_operators(alpha, beta, n_blocks, sign: float):
     theta1[idx, idx ^ 1] = beta[block]
     x = np.zeros((dim, n_blocks), dtype=complex)
     x[idx, block] = np.where(odd, sign * inv_s2, inv_s2)
-    # eigenvalue order: minus combination first within each block
-    values = np.where(odd, alpha[block] + beta[block], alpha[block] - beta[block])
+    # eigenvalue order: minus combination first within each block; past the float
+    # range a value is inf or NaN, without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.where(odd, alpha[block] + beta[block], alpha[block] - beta[block])
     vectors = np.zeros((dim, dim), dtype=complex)
     vectors[idx, idx] = inv_s2
     vectors[idx, idx ^ 1] = np.where(odd, -inv_s2, inv_s2)
@@ -318,7 +312,7 @@ def fixture_block(alpha, beta, n_blocks: int) -> Fixture:
     eigensystem = Eigensystem(values=values, vectors=vectors)
     expected = {
         "case": "NonInvertible",
-        "theta2": np.diag(alpha + beta),
+        "theta2": np.diag(values[1::2]),
         "n2": np.eye(n_blocks, dtype=complex),
         "n1": (np.eye(2 * n_blocks, dtype=complex) + _pair_swap(n_blocks)) / 2,
         "kernel_set": tuple(range(0, 2 * n_blocks, 2)),
@@ -327,7 +321,6 @@ def fixture_block(alpha, beta, n_blocks: int) -> Fixture:
     }
     return Fixture(
         id="block",
-        parameters={"alpha": alpha.copy(), "beta": beta.copy(), "n_blocks": n_blocks},
         theta1=theta1,
         x=x,
         eigensystem=eigensystem,
@@ -349,14 +342,17 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
         raise ParameterError(f"alpha1 must be positive and finite, got {alpha1}")
     if n_blocks < 2:
         raise DimensionError("need at least 2 blocks")
-    alpha = (4 * np.arange(n_blocks) + 1) * alpha1
+    dim = 2 * n_blocks
+    # past the float range the ladder holds inf or NaN, which EpsilonSequence
+    # refuses, without a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = (4 * np.arange(n_blocks) + 1) * alpha1
+        eps = EpsilonSequence(2.0 * alpha1 * np.arange(dim))
     beta = np.full(n_blocks, alpha1)
     _, _, theta1, x, values, vectors = _block_operators(
         alpha, beta, n_blocks, sign=-1.0
     )
     eigensystem = Eigensystem(values=values, vectors=vectors)
-    dim = 2 * n_blocks
-    eps = EpsilonSequence(2.0 * alpha1 * np.arange(dim))
     survivors = tuple(range(0, dim, 2))
     expected = {
         "case": "NonInvertible",
@@ -372,7 +368,6 @@ def coherent_demo(alpha1: float, n_blocks: int) -> Fixture:
     }
     return Fixture(
         id="coherent_demo",
-        parameters={"alpha1": alpha1, "n_blocks": n_blocks},
         theta1=theta1,
         x=x,
         eigensystem=eigensystem,
@@ -432,12 +427,9 @@ def get_fixture(fixture_id: str, **params) -> Fixture:
         )
     values = {**defaults, **params}
     try:
-        fixture = builder(**values)
+        return builder(**values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"fixture {fixture_id}: {exc}") from exc
-    # record the names accepted here, so that parameters round-trip through get_fixture
-    recorded = {name: fixture.parameters.get(name, value) for name, value in values.items()}
-    return replace(fixture, parameters=recorded)
 
 
 # ---------------------------------------------------------------------------

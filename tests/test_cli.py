@@ -703,20 +703,40 @@ def test_fixture_build_by_id(tmp_path):
 
 # block lists its kernel modes as (0, 2, 4, 6); the rebuilt seed's (Re, Im) eigenvalue
 # sort breaks the tie of each block's a - b, a + b on rounding and gives (1, 2, 4, 6)
-BLOCK_MODE_ORDER = pytest.mark.xfail(
+MODE_ORDER = pytest.mark.xfail(
     strict=True,
-    reason="verify compares modes by index, not by eigenvalue: stored_kernel_set and "
-    "stored_tilde_k fail on block (ROADMAP item 8); remove this mark when it is mended",
+    raises=AssertionError,
+    reason="verify compares stored per-mode fields by index, not by eigenvalue: a model "
+    "whose eigendata are not in eig's (Re, Im) order fails stored_kernel_set or "
+    "stored_tilde_k (ROADMAP item 8); remove this mark when it is mended",
 )
 
 
 @pytest.mark.parametrize(
-    "fixture_id", [pytest.param(f, marks=BLOCK_MODE_ORDER) if f == "block" else f
+    "fixture_id", [pytest.param(f, marks=MODE_ORDER) if f == "block" else f
                    for f in FIXTURE_IDS]
 )
 def test_fixture_build_then_verify_round_trips(fixture_id, tmp_path, capsys):
     outdir = str(tmp_path)
     assert cli.main(["fixture", "build", fixture_id, "--outdir", outdir]) == 0
+    assert cli.main(["verify", "--model", str(tmp_path / "model.json"), "--outdir", outdir]) == 0
+
+
+# valid models whose fixture eigendata are not in eig's order; the shift phases are
+# the README's own per-mode example
+@MODE_ORDER
+@pytest.mark.parametrize("fixture_id, params", [
+    ("shift", "theta=2"),
+    ("shift", "theta=0.5:0.6:0.7:0.8:0.9:1.0:1.1:1.2"),
+    ("ex3x3", "e1=3,e2=2,e3=1"),
+    ("block", "alpha=1:2:3:4,beta=0.5j:0.5j:0.5j:0.5j"),
+])
+def test_a_model_off_the_eig_order_builds_then_verifies(fixture_id, params, tmp_path, capsys):
+    outdir = str(tmp_path)
+    argv = ["build", "--fixture", fixture_id, "--params", params, "--outdir", outdir]
+    if cli.main(argv) != 0:
+        # not the defect the mark expects, so a plain failure
+        pytest.fail(f"build refused {fixture_id} {params}")
     assert cli.main(["verify", "--model", str(tmp_path / "model.json"), "--outdir", outdir]) == 0
 
 
@@ -1309,6 +1329,41 @@ def test_a_3x3_seed_past_the_float_range_is_one_input_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: matrix entries must be finite (no NaN/Inf)"]
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("params, code", [
+    ("coherent_demo alpha1=1e308", 1),
+    ("block alpha=1e308,beta=1e308,n_blocks=1", 2),
+    ("shift s=1e308", 1),
+    # a gap of the seed spectrum past the float range, and a 2x2 norm that overflows
+    ("block alpha=1,beta=1e308j,n_blocks=1", 2),
+    ("ex2x2 x11=1e154,x12=1e154", 1),
+])
+def test_a_fixture_parameter_past_the_float_range_is_one_error_line(params, code, tmp_path,
+                                                                   capsys):
+    fixture_id, values = params.split()
+    outdir = tmp_path / "out"
+    argv = ["build", "--fixture", fixture_id, "--params", values, "--outdir", str(outdir)]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["coherent", "quantize"])
+@pytest.mark.parametrize("params", [
+    # a model eigenvalue of inf is no epsilon value
+    "block alpha=1e308,beta=1e308,n_blocks=1",
+    # quadrature nodes past the float range end in the moment table's refusal
+    "coherent_demo alpha1=1e306,n_blocks=2",
+])
+def test_a_series_on_a_model_past_the_float_range_is_one_error_line(command, params,
+                                                                    tmp_path, capsys):
+    fixture_id, values = params.split()
+    argv = [command, "--fixture", fixture_id, "--params", values, "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 # ---------------------------------------------------------------------------

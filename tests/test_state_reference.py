@@ -123,7 +123,7 @@ def _reference_assemble_states(system, zs, order, disc):
     normalization = np.exp(-0.5 * log_norm2[:, 0])
     return [
         BicoherentState(
-            z=z, order=order, coefficients=c, vector_phi=vphi, vector_psi=vpsi,
+            z=z, coefficients=c, vector_phi=vphi, vector_psi=vpsi,
             normalization=norm, overlap=ov, tail_bound=tail, converged=ok,
             convergence=convergence,
         )
@@ -173,10 +173,10 @@ def _bits(value):
     return np.asarray(value).tobytes()
 
 
-FIELDS = ("z", "order", "coefficients", "vector_phi", "vector_psi",
+FIELDS = ("z", "coefficients", "vector_phi", "vector_psi",
           "normalization", "overlap", "tail_bound", "converged")
 # the fields that a matrix product of the whole batch does not touch
-ROW_FIELDS = ("z", "order", "coefficients", "normalization", "tail_bound", "converged")
+ROW_FIELDS = ("z", "coefficients", "normalization", "tail_bound", "converged")
 
 
 def _assert_same_state(got, want, fields=FIELDS):

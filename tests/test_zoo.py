@@ -10,6 +10,7 @@ from isospec import (
     CASE_NONINVERTIBLE,
     DegenerateError,
     DimensionError,
+    EpsilonSequence,
     FIXTURE_IDS,
     ParameterError,
     SeedVectorError,
@@ -17,10 +18,12 @@ from isospec import (
     adjoint,
     block_pseudo_fermion_params,
     coherent_demo,
+    coherent_pair,
     ex3x3_pseudo_fermion_params,
     fixture_2x2,
     fixture_3x3,
     fixture_block,
+    filter_system,
     fixture_shift,
     get_fixture,
     nlpb_verify,
@@ -28,7 +31,7 @@ from isospec import (
     standard_boson,
     verify_relations,
 )
-from isospec.zoo import MAX_FIXTURE_MODES, _count
+from isospec.zoo import _FIXTURE_BUILDERS, MAX_FIXTURE_MODES, _count
 
 SQRT3 = math.sqrt(3.0)
 ALGEBRA_TOL = 1e-12
@@ -259,15 +262,85 @@ def test_fixture_registry_ids():
 
 def test_fixture_registry_forwards_parameters():
     f = get_fixture("ex3x3", e1=2.0, e2=3.0, e3=5.0)
-    assert f.parameters == {"e1": 2.0, "e2": 3.0, "e3": 5.0}
+    assert f.theta1.tobytes() == fixture_3x3(2, 3, 5).theta1.tobytes()
+    np.testing.assert_array_equal(f.eigensystem.values, [2.0, 3.0, 5.0])
 
 
 @pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
 def test_fixture_parameters_rebuild_the_fixture(fixture_id):
+    # the registry's defaults, passed back by name, build the default fixture
     f = get_fixture(fixture_id)
-    again = get_fixture(fixture_id, **f.parameters)
+    again = get_fixture(fixture_id, **_FIXTURE_BUILDERS[fixture_id][1])
     assert again.theta1.tobytes() == f.theta1.tobytes()
     assert again.x.tobytes() == f.x.tobytes()
+
+
+def _equal(got, want):
+    assert got == want
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+def _eigenpairs(model, values):
+    """``values`` are the seed's eigenvalues, one per eigenvector column, in order."""
+    _close(model.theta1 @ model.phi1, model.phi1 * values)
+
+
+def _survivor_pairing(model, pairing):
+    alive = list(model.survivors)
+    _close(adjoint(model.phi2[:, alive]) @ model.psi2[:, alive], pairing * np.eye(len(alive)))
+
+
+def _normalization_rate(model, rate):
+    # N(|z|) = exp(-rate |z|^2) for the level-1 state; at |z| = 1.5 the full order is exact
+    z = 1.5
+    eps = EpsilonSequence(model.values.real)
+    state = coherent_pair(model.system1(), eps, z, len(eps))
+    assert state.normalization == pytest.approx(math.exp(-rate * z * z), rel=1e-12)
+
+
+def _level2_factorials(model, factorials):
+    eps = EpsilonSequence(model.values.real)
+    _, steps, _ = filter_system(model.system2(include_kernel=True), eps, "original")
+    _close(steps.factorials(len(steps)), factorials)
+
+
+# Fixture.expected key -> the check of its stated value against the fixture's model
+EXPECTED_CHECKS = {
+    "case": lambda m, v: _equal(m.case, v),
+    "kernel_set": lambda m, v: _equal(m.kernel_set, v),
+    "survivors": lambda m, v: _equal(m.survivors, v),
+    "xtilde": lambda m, v: _close(m.n1, v * np.eye(len(m.n1))),
+    "x_inverse": lambda m, v: _close(v, np.linalg.inv(m.x)),
+    "theta1_closed_form": lambda m, v: _close(m.theta1, v),
+    "theta2": lambda m, v: _close(m.theta2, v),
+    "theta2_diag": lambda m, v: _close(m.theta2, np.diag(v)),
+    "n1": lambda m, v: _close(m.n1, v),
+    "n2": lambda m, v: _close(m.n2, v),
+    "n1_diag": lambda m, v: _close(m.n1, np.diag(v)),
+    "n2_diag": lambda m, v: _close(m.n2, np.diag(v)),
+    "tilde_k": lambda m, v: _close(m.tilde_k, v),
+    "tilde_k_survivor": lambda m, v: _close(m.tilde_k[list(m.survivors)], v),
+    "psi1": lambda m, v: _close(m.psi1, v),
+    "phi2_survivors": lambda m, v: _close(m.phi2[:, list(m.survivors)], v),
+    "psi2_survivors": lambda m, v: _close(m.psi2[:, list(m.survivors)], v),
+    "pairing_level2": _survivor_pairing,
+    "values": _eigenpairs,
+    "epsilon": _eigenpairs,
+    "normalization_rate": _normalization_rate,
+    "level2_factorials": _level2_factorials,
+}
+
+
+@pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
+def test_every_closed_form_a_fixture_states_holds_on_its_model(fixture_id):
+    f = get_fixture(fixture_id)
+    unchecked = sorted(set(f.expected) - set(EXPECTED_CHECKS))
+    assert not unchecked, f"{fixture_id} states {unchecked}, which no check reads"
+    for key, value in f.expected.items():
+        EXPECTED_CHECKS[key](f.model, value)
 
 
 def test_fixture_model_is_built_once_from_the_fixture_eigendata():
