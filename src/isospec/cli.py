@@ -57,7 +57,7 @@ from .intertwining import (
     structure_check,
     verify_relations,
 )
-from .linalg import KERNEL_TOL, MULTIPLICITY_TOL, BiorthogonalSystem, EpsilonSequence
+from .linalg import MULTIPLICITY_TOL, BiorthogonalSystem, EpsilonSequence
 from .linalg import Decision, certified_ratio
 from .zoo import FIXTURE_IDS, MAX_FIXTURE_MODES, get_fixture
 
@@ -153,12 +153,11 @@ def _outpath(args: argparse.Namespace, default_name: str) -> str:
 
 
 def _build(args: argparse.Namespace, theta1, x, eigensystem=None):
-    """build_model with the run's relation, kernel and multiplicity tolerances."""
+    """build_model with the run's relation and multiplicity tolerances."""
     return build_model(
         theta1,
         x,
         relation_tol=args.relation_tol,
-        kernel_tol=args.kernel_tol,
         multiplicity_tolerance=args.multiplicity_tol,
         eigensystem=eigensystem,
     )
@@ -511,8 +510,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_common(p, sources=True, output=True):
         add_output(p, output)
-        p.add_argument("--kernel-tol", type=_positive("kernel_tol"), default=KERNEL_TOL,
-                       help="kernel test, relative to the column norm (default %(default)s)")
         p.add_argument("--relation-tol", type=_positive("relation_tol"), default=RELATION_TOL,
                        help="relation residual, relative to operand norms (default %(default)s)")
         p.add_argument("--multiplicity-tol", type=_positive("multiplicity_tol"),
@@ -555,8 +552,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_output(p_fix_build)
     # build's other sources and its tolerances, fixed: no flag or config key sets them
     p_fix_build.set_defaults(theta1_path=None, x_path=None, random=None, model_path=None,
-                             kernel_tol=KERNEL_TOL, relation_tol=RELATION_TOL,
-                             multiplicity_tol=MULTIPLICITY_TOL)
+                             relation_tol=RELATION_TOL, multiplicity_tol=MULTIPLICITY_TOL)
 
     p_quant = command(sub, "quantize", cmd_quantize, "emit a quantized-symbol matrix")
     add_common(p_quant)

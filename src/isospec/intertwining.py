@@ -71,10 +71,13 @@ def _check_shapes(theta1: np.ndarray, x: np.ndarray) -> None:
 
 def _singular_values(r, tol: float) -> np.ndarray:
     """Singular values of a square or tall X, from the square top of the R of a QR
-    of X (any mode), after the one rank rule: full column rank, sigma_min > tol * sigma_max.
+    of X (any mode), after the one rank rule: full column rank, sigma_min/sigma_max
+    above max(tol, KERNEL_TOL).  A surviving mode has ||X-adjoint phi|| >= sigma_min
+    ||phi||, so past this rule the kernel test of _transport cannot file it as a loss.
     """
     d2 = r.shape[1]
     s = np.linalg.svd(r[:d2], compute_uv=False)
+    tol = max(tol, KERNEL_TOL)
     ratio = s[-1] / s[0] if s[0] > 0 else 0.0
     if not ratio > tol:
         raise RegimeError(
@@ -83,6 +86,19 @@ def _singular_values(r, tol: float) -> np.ndarray:
             "positive, and no regime applies"
         )
     return s
+
+
+def _gram(a, b, s) -> np.ndarray:
+    """a @ b, the Gram N1 = X X-adjoint or N2 = X-adjoint X of an X with singular values
+    ``s``.  It holds sigma(X)^2: one that overflows, or a sigma_min^2 below the normal
+    floats (where the kernel test reads a surviving mode as zero), is a NumericalError,
+    not a RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a @ b
+    if not (np.isfinite(gram).all() and s[-1] ** 2 >= np.finfo(float).tiny):
+        raise NumericalError(f"sigma(X) runs from {s[-1]:.3e} to {s[0]:.3e}: X X-adjoint and "
+                             "X-adjoint X would leave the range of normal floats")
+    return gram
 
 
 def _classify(theta1, n1, square: bool, tol: float):
@@ -110,7 +126,7 @@ def classify(theta1, x, tol: float = RELATION_TOL) -> str:
     """Decide which construction regime applies to (Theta1, X).
 
     A wide X is refused by its shape; any other X must have full column
-    rank, sigma_min > tol*sigma_max.  A square X is then Invertible, and
+    rank, sigma_min > max(tol, KERNEL_TOL)*sigma_max.  A square X is then Invertible, and
     additionally InvertibleCommuting when [X X-adjoint, Theta1] vanishes
     relative to the operand norms.  A strictly tall X needs [N1, Theta1] = 0
     (NonInvertible regime); anything else is refused.
@@ -118,8 +134,8 @@ def classify(theta1, x, tol: float = RELATION_TOL) -> str:
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
     _check_shapes(theta1, x)
-    n1 = as_matrix(x @ x.conj().T)
-    _singular_values(np.linalg.qr(x, mode="r"), tol)
+    s = _singular_values(np.linalg.qr(x, mode="r"), tol)
+    n1 = _gram(x, x.conj().T, s)
     return _classify(theta1, n1, x.shape[0] == x.shape[1], tol)[0]
 
 
@@ -136,14 +152,16 @@ def _partner(m, x, q, r) -> np.ndarray:
         return np.linalg.solve(r[:d2], q[:, :d2].conj().T @ m @ x)
 
 
-def _transport(phi1, xh, tol: float):
-    """(phi2, kernel_set, tilde_k) of the columns ``phi1``."""
+def _transport(phi1, xh, sigma_max: float):
+    """(phi2, kernel_set, tilde_k) of the columns ``phi1``: column n is a kernel loss
+    when ||X-adjoint phi_n|| <= KERNEL_TOL sigma_max(X) ||phi_n||, a test that gives
+    the same answer at every scale of X."""
     if xh.shape[1] != phi1.shape[0]:
         raise DimensionError("intertwiner rows must match the seed space dimension")
     phi2 = xh @ phi1
     norms1 = np.linalg.norm(phi1, axis=0)
     norms2 = np.linalg.norm(phi2, axis=0)
-    kernel_mask = norms2 <= tol * norms1
+    kernel_mask = norms2 <= KERNEL_TOL * sigma_max * norms1
     tilde_k = np.where(kernel_mask, 0.0, (norms2 / norms1) ** 2)
     kernel_set = tuple(int(n) for n in np.nonzero(kernel_mask)[0])
     return phi2, kernel_set, tilde_k
@@ -258,7 +276,6 @@ def build_model(
     x,
     *,
     relation_tol: float = RELATION_TOL,
-    kernel_tol: float = KERNEL_TOL,
     multiplicity_tolerance: float = MULTIPLICITY_TOL,
     eigensystem: Eigensystem | None = None,
 ) -> IntertwiningModel:
@@ -268,36 +285,32 @@ def build_model(
     normalization and ordering); by default the seed is diagonalized here,
     a non-invertible one on range(X) and ker(X-adjoint) separately.
     Either way the spectrum counts as simple only if every pairwise
-    eigenvalue gap exceeds ``multiplicity_tolerance``.  Past the rank rule
-    of ``classify``, sigma_min(X) must exceed ``kernel_tol``, or the
-    absolute kernel test would file surviving modes as kernel losses.
+    eigenvalue gap exceeds ``multiplicity_tolerance``.
     """
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
     _check_shapes(theta1, x)
-    # N1 = X X-adjoint and N2 = X-adjoint X; an overflowed Gram is refused
     xh = x.conj().T
-    n1, n2 = as_matrix(x @ xh), as_matrix(xh @ x)
     # Q = [Q_r | Q_k]: Q_r spans range(X), Q_k ker(X-adjoint).  In the non-invertible
     # regime [N1, Theta1] = 0 makes both invariant under Theta1: the modes of the
     # first survive into Theta2, those of the second are the kernel losses
     q, r = np.linalg.qr(x, mode="complete")
     s = _singular_values(r, relation_tol)
-    if not s[-1] > kernel_tol:
-        # a surviving mode has ||X-adjoint phi|| >= sigma_min ||phi||
-        raise RegimeError(
-            f"sigma_min(X) = {s[-1]:.3e} is not above the kernel tolerance "
-            f"{kernel_tol:.1e}: the kernel test ||X-adjoint phi|| <= kernel_tol ||phi|| "
-            "cannot tell a surviving mode from a kernel loss"
-        )
+    n1, n2 = _gram(x, xh, s), _gram(xh, x, s)
     case, norms = _classify(theta1, n1, x.shape[0] == x.shape[1], relation_tol)
     theta2 = _partner(theta1, x, q, r)
     if eigensystem is None:
         split = (q, x.shape[1]) if case == CASE_NONINVERTIBLE else None
         eigensystem = _eig(theta1, norms["theta1"], split)
+    else:
+        finite = np.isfinite(eigensystem.values) & np.isfinite(eigensystem.vectors).all(axis=0)
+        if not finite.all():
+            n = int(np.argmin(finite))
+            raise NumericalError(f"the supplied eigensystem is not finite at mode {n} "
+                                 f"(eigenvalue {eigensystem.values[n]})")
     _require_simple(eigensystem.values, multiplicity_tolerance)
     psi1 = biorthogonal_partner(eigensystem.vectors)
-    phi2, kernel_set, tilde_k = _transport(eigensystem.vectors, xh, kernel_tol)
+    phi2, kernel_set, tilde_k = _transport(eigensystem.vectors, xh, s[0])
     model = IntertwiningModel(
         theta1=theta1,
         x=x,
@@ -319,8 +332,13 @@ def build_model(
 
 
 def _worst_defect(op, vectors, values) -> float:
-    """max_n ||op v_n - values_n v_n|| / ||v_n|| over the columns v_n of ``vectors``."""
-    return float(column_defects(op, vectors, values).max(initial=0.0))
+    """max_n ||op v_n - values_n v_n|| / ||v_n|| over the columns v_n of ``vectors``;
+    one past the float range is a NumericalError, not a RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float(column_defects(op, vectors, values).max(initial=0.0))
+    if not worst < np.inf:
+        raise NumericalError("an eigen defect ||M v - lambda v|| overflowed")
+    return worst
 
 
 def verify_relations(model: IntertwiningModel, tol: float = RELATION_TOL) -> RelationReport:

@@ -75,7 +75,7 @@ def fixture_2x2(x11: complex, x12: complex) -> Fixture:
     """
     x11 = complex(x11)
     x12 = complex(x12)
-    xt = abs(x11) ** 2 + abs(x12) ** 2
+    xt = abs(x11) * abs(x11) + abs(x12) * abs(x12)
     if xt == 0.0:
         raise DegenerateError("(x11, x12) = (0, 0) gives X = 0; no invertible intertwiner")
     if xt == math.inf:

@@ -515,9 +515,9 @@ def test_filter_without_kernel_matches_level2_states():
 
 
 def test_level2_reads_the_kernel_the_model_wrote():
-    # every tilde_k is 9e-12 here, below the default kernel tolerance, but
-    # X^H phi_n is not small relative to phi_n on the even modes, so the
-    # model keeps them; the level-2 constructions must keep the same modes
+    # every tilde_k is 9e-12 here, below KERNEL_TOL, but X^H phi_n is not small
+    # relative to sigma_max(X) phi_n on the even modes, so the model keeps them;
+    # the level-2 constructions must keep the same modes
     f = coherent_demo(1.0, 4)
     model = build_model(f.theta1, f.x * 3e-6, relation_tol=1e-13, eigensystem=f.eigensystem)
     eps = EpsilonSequence(f.expected["epsilon"])

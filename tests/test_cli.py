@@ -17,7 +17,7 @@ from isospec import FIXTURE_IDS, errors, get_fixture, make_commuting_pair
 from isospec import bicoherent, intertwining, linalg, zoo
 from isospec import io as iomod
 from isospec.intertwining import RELATION_TOL
-from isospec.linalg import KERNEL_TOL, MULTIPLICITY_TOL
+from isospec.linalg import MULTIPLICITY_TOL
 from isospec.io import jsonable_to_matrix, save_matrix_csv, save_matrix_json
 
 CLI = [sys.executable, "-m", "isospec.cli"]
@@ -89,16 +89,20 @@ def test_build_refuses_square_singular_intertwiner(tmp_path):
 
 
 def test_build_of_a_model_failing_its_own_relations_exits_3(tmp_path):
-    # X scaled by 1e7: the construction goes through, its eigen relations do not
+    # X scaled by 1e7: the construction keeps the kernel (1, 4, 5, 7), but the verifier's
+    # kernel relations are absolute in ||X||, and its kernel modes read ||X-adjoint phi||
+    # of about 5e-9 ||phi||, rounding at that scale
     theta1, x = make_commuting_pair(8, 4, 0)
     save_matrix_json(theta1, tmp_path / "t.json")
     save_matrix_json(x * 1e7, tmp_path / "x.json")
     proc = run_cli("build", "--theta1", str(tmp_path / "t.json"), "--x", str(tmp_path / "x.json"),
                    "--outdir", str(tmp_path))
     assert proc.returncode == 3
-    assert "FAILED: " in proc.stdout and "theta2_eigen" in proc.stdout
+    assert "FAILED: kernel_phi2_zero, kernel_psi2_zero exceed" in proc.stdout
     doc = json.loads((tmp_path / "model.json").read_text())
-    assert doc["residuals"]["theta2_eigen"] > RELATION_TOL
+    assert doc["kernel_set"] == [1, 4, 5, 7]
+    assert doc["residuals"]["kernel_phi2_zero"] > RELATION_TOL
+    assert doc["residuals"]["theta2_eigen"] <= RELATION_TOL
     verify = run_cli("verify", "--model", str(tmp_path / "model.json"), "--outdir", str(tmp_path))
     assert verify.returncode == 3
 
@@ -124,14 +128,16 @@ def _refactored(x, cond):
     return (u * np.geomspace(1.0, 1.0 / cond, x.shape[1])) @ vh
 
 
-# the rank rule is relative to sigma_max and the partner comes from a QR of X: a tall X
-# of condition 1e4 builds and verifies; at 1e8 the model is built and fails its own
-# relations (exit 3); X scaled by 1e-11 has sigma_min below the kernel tolerance and is
-# refused (exit 2, no model written); none ends in a traceback
+# the rank rule and the kernel test are relative to sigma_max and the partner comes from
+# a QR of X: a tall X of condition 1e4 builds and verifies, and so do X scaled by 1e-11
+# (refused while the kernel test was absolute) and by 2e5 (then two kernel modes were
+# lost); at condition 1e8 the model is built, keeps its kernel and fails its own
+# relations (exit 3); none ends in a traceback
 @pytest.mark.parametrize(
     "remake, code",
-    [(lambda x: _refactored(x, 1e4), 0), (lambda x: _refactored(x, 1e8), 3), (lambda x: x * 1e-11, 2)],
-    ids=["cond_1e4", "cond_1e8", "scale_1e-11"],
+    [(lambda x: _refactored(x, 1e4), 0), (lambda x: _refactored(x, 1e8), 3),
+     (lambda x: x * 1e-11, 0), (lambda x: x * 2e5, 0)],
+    ids=["cond_1e4", "cond_1e8", "scale_1e-11", "scale_2e5"],
 )
 def test_build_of_a_small_or_ill_conditioned_x(remake, code, tmp_path):
     theta1, x = make_commuting_pair(8, 4, 0)
@@ -141,10 +147,6 @@ def test_build_of_a_small_or_ill_conditioned_x(remake, code, tmp_path):
                    "--outdir", str(tmp_path))
     assert proc.returncode == code, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
-    if code == errors.RegimeError.exit_code:
-        assert "kernel tolerance" in proc.stderr
-        assert not (tmp_path / "model.json").exists()
-        return
     assert json.loads((tmp_path / "model.json").read_text())["kernel_set"] == [1, 4, 5, 7]
     verify = run_cli("verify", "--model", str(tmp_path / "model.json"), "--outdir", str(tmp_path))
     assert verify.returncode == code, verify.stdout + verify.stderr
@@ -178,11 +180,13 @@ def test_build_refuses_a_wide_intertwiner_by_its_shape(draw, tmp_path, capsys):
     assert not (tmp_path / "out" / "model.json").exists()
 
 
-# an overflowing eigen residual (Theta1 * 1e300) and an overflowing intertwining
-# relation (X * 1e150) end in the NumericalError alone; pytest makes a
-# RuntimeWarning an error, so a warning on the way would end the run first
-@pytest.mark.parametrize("theta_scale, x_scale", [(1e300, 1.0), (1.0, 1e150)],
-                         ids=["theta1_1e300", "x_1e150"])
+# an overflowing eigen residual (Theta1 * 1e300), an overflowing intertwining
+# relation (X * 1e150), an overflowing eigen defect of N (X * 1e80) and an
+# overflowing Gram N1 = X X-adjoint (X * 1e160) end in the NumericalError alone;
+# pytest makes a RuntimeWarning an error, so a warning on the way would end the run first
+@pytest.mark.parametrize("theta_scale, x_scale",
+                         [(1e300, 1.0), (1.0, 1e150), (1.0, 1e80), (1.0, 1e160)],
+                         ids=["theta1_1e300", "x_1e150", "x_1e80", "x_1e160"])
 def test_an_overflowing_build_ends_in_the_numerical_error_only(theta_scale, x_scale, tmp_path,
                                                                capsys):
     theta1, x = make_commuting_pair(8, 4, 0)
@@ -855,6 +859,22 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, capsy
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["build", "verify", "coherent", "quantize"])
+def test_kernel_tol_is_no_flag_and_no_config_key(command, built_model, tmp_path, capsys):
+    # the kernel test is relative to sigma_max(X) and has no tolerance to set
+    source = ["--model", str(built_model)]
+    if command != "verify":
+        source = ["--fixture", "coherent_demo" if command != "build" else "ex3x3"]
+    out = ["--outdir", str(tmp_path / "o")]
+    assert cli.main([command, *source, "--kernel-tol", "1e-11", *out]) == 1
+    assert "unrecognized arguments: --kernel-tol 1e-11" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"kernel_tol": 1e-11}\n')
+    assert cli.main(["--config", str(cfg), command, *source, *out]) == 1
+    assert "unknown config keys: ['kernel_tol']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_truncation_is_an_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"fixture": "ex3x3", "truncation": 8}\n')
@@ -874,7 +894,8 @@ NON_FINITE_CASES = [
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("command,key,value", NON_FINITE_CASES)
 def test_non_finite_option_values_are_input_errors(command, key, value, via, tmp_path, capsys):
-    # `build --kernel-tol nan` wrote kernel_set [] for ex3x3, whose kernel is [2]
+    # `build --kernel-tol nan` wrote kernel_set [] for ex3x3, whose kernel is [2]; the
+    # kernel test now has no tolerance to set, so that flag and config key are unknown
     source = ["--fixture", "ex3x3" if command == "build" else "coherent_demo"]
     flag = "--" + key.replace("_", "-")
     if via == "flag":
@@ -884,7 +905,13 @@ def test_non_finite_option_values_are_input_errors(command, key, value, via, tmp
         cfg.write_text(json.dumps({key: float(value)}))
         argv = ["--config", str(cfg), command, *source]
     assert cli.main([*argv, "--outdir", str(tmp_path / "o")]) == 1
-    assert f"argument {flag}: must be finite" in capsys.readouterr().err
+    if key != "kernel_tol":
+        refusal = f"argument {flag}: must be finite"
+    elif via == "flag":
+        refusal = f"unrecognized arguments: {flag}={value}"
+    else:
+        refusal = f"unknown config keys: ['{key}']"
+    assert refusal in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -899,7 +926,7 @@ def _flags(options: dict) -> list:
 
 def _config_cases(model) -> dict:
     """Subcommand -> (its words, options it takes: strings and numbers both)."""
-    tolerances = {"kernel_tol": 1e-11, "relation_tol": "1e-8", "multiplicity_tol": 1e-7}
+    tolerances = {"relation_tol": "1e-8", "multiplicity_tol": 1e-7}
     demo = {"fixture": "coherent_demo", "params": "alpha1=0.5,n_blocks=4",
             "order": 6}
     return {
@@ -938,7 +965,7 @@ def test_config_values_act_as_their_flags(command, built_model, tmp_path, capsys
 BAD_CONFIGS = {
     "order-fraction": ("coherent", {"order": 5.5}),
     "order-word": ("coherent", {"order": "five"}),
-    "kernel-tol-null": ("build", {"kernel_tol": None}),
+    "kernel-tol-null": ("build", {"kernel_tol": None}),  # no option: an unknown key
     "grid-rmax-word": ("coherent", {"grid_rmax": "big"}),
     "relation-tol-true": ("build", {"relation_tol": True}),
     "grid-radial-list": ("coherent", {"grid_radial": [20]}),
@@ -983,11 +1010,11 @@ def test_config_keys_of_other_subcommands_are_refused(command, built_model, tmp_
 
 
 COMMAND_DEFAULTS = {
-    "build": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL],
-    "verify": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL],
-    "coherent": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL,
+    "build": [".", RELATION_TOL, MULTIPLICITY_TOL],
+    "verify": [".", RELATION_TOL, MULTIPLICITY_TOL],
+    "coherent": [".", RELATION_TOL, MULTIPLICITY_TOL,
                  f"min({cli.DEFAULT_ORDER}, system size)", 20, 16, 2.0],
-    "quantize": [".", KERNEL_TOL, RELATION_TOL, MULTIPLICITY_TOL, "z",
+    "quantize": [".", RELATION_TOL, MULTIPLICITY_TOL, "z",
                  f"min({cli.DEFAULT_ORDER}, system size)"],
     "fixture build": ["."],
     "fixture list": [],
@@ -1338,6 +1365,7 @@ def test_a_3x3_seed_past_the_float_range_is_one_input_error(tmp_path, capsys):
     # a gap of the seed spectrum past the float range, and a 2x2 norm that overflows
     ("block alpha=1,beta=1e308j,n_blocks=1", 2),
     ("ex2x2 x11=1e154,x12=1e154", 1),
+    ("ex2x2 x11=1e155", 1),
 ])
 def test_a_fixture_parameter_past_the_float_range_is_one_error_line(params, code, tmp_path,
                                                                    capsys):
@@ -1347,6 +1375,7 @@ def test_a_fixture_parameter_past_the_float_range_is_one_error_line(params, code
     assert cli.main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "(34, 'Numerical result out of range')" not in err[0]
     assert not outdir.exists()
 
 

@@ -13,6 +13,8 @@ from isospec import (
     CASE_INVERTIBLE_COMMUTING,
     CASE_NONINVERTIBLE,
     DimensionError,
+    Eigensystem,
+    NumericalError,
     ParameterError,
     RegimeError,
     SpectrumError,
@@ -31,6 +33,7 @@ from isospec import (
 )
 from isospec import io as iomod
 from isospec.intertwining import _plant
+from isospec.linalg import KERNEL_TOL
 
 RELATION_TOL = 1e-9
 PROPERTY_TOL = 1e-8
@@ -182,14 +185,16 @@ def test_one_rank_rule_refuses_either_shape_quoting_the_ratio(dims):
 
 
 def test_the_rank_rule_is_the_classification_tolerance():
-    # no second rank threshold: below 1e-12 a square X is decided at relation_tol alone,
-    # and sigma_min = 1e-13 must clear the kernel tolerance too
-    x = np.diag([1.0, 1e-13]).astype(complex)
-    with pytest.raises(RegimeError, match="singular"):
-        build_model(PLAIN_THETA1, x)
-    with pytest.raises(RegimeError, match="kernel tolerance"):
-        build_model(PLAIN_THETA1, x, relation_tol=1e-14)
-    model = build_model(PLAIN_THETA1, x, relation_tol=1e-14, kernel_tol=1e-14)
+    # one rank rule: sigma_min/sigma_max above max(relation_tol, KERNEL_TOL), in
+    # classify and build_model alike; below KERNEL_TOL a survivor would read as a loss
+    x = np.diag([1.0, 2e-10]).astype(complex)
+    for check, tol in ((classify, "tol"), (build_model, "relation_tol")):
+        with pytest.raises(RegimeError, match=r"2\.000e-10 is not above 1\.0e-09"):
+            check(PLAIN_THETA1, x)
+        with pytest.raises(RegimeError, match=r"1\.000e-10 is not above 1\.0e-10"):
+            check(PLAIN_THETA1, np.diag([1.0, 1e-10]), **{tol: 1e-14})
+    assert classify(PLAIN_THETA1, x, tol=1e-14) == CASE_INVERTIBLE
+    model = build_model(PLAIN_THETA1, x * 1e-100, relation_tol=1e-14)
     assert model.case == CASE_INVERTIBLE and model.kernel_set == ()
 
 
@@ -218,27 +223,92 @@ def test_the_partner_error_grows_with_cond_x_not_its_square(seed, d2, extra, log
         assert verify_relations(model).all_passed, verify_relations(model).failures()
 
 
-@pytest.mark.parametrize("scale", [1e-10, 1e-9, 1e-7, 1e-5])
+# the kernel test is relative to sigma_max(X), so no scale of X is too small for it
+# (an absolute test refused 1e-11 and 1e-12, whose sigma_min is below 1e-10) or too
+# large (2e5 kept only two kernel modes, 1e6 none)
+@pytest.mark.parametrize("scale", [1e-150, 1e-12, 1e-11, 1e-10, 1e-9, 1e-7, 1e-5, 2e5, 1e6])
 def test_a_small_x_builds_and_verifies(scale):
-    # sigma(X) is about 1.8 to 3.9: at 1e-10 sigma_min still clears the kernel tolerance
     theta1, x = make_commuting_pair(8, 4, 0)
     model = build_model(theta1, x * scale)
     assert model.kernel_set == (1, 4, 5, 7)
     assert verify_relations(model).all_passed
 
 
-# a surviving mode has ||X-adjoint phi|| >= sigma_min ||phi||: once sigma_min is at or
-# below the kernel tolerance the absolute kernel test would file it as a kernel loss
-# (at 1e-11 all eight modes, with every relation passing), so the build is refused
-@pytest.mark.parametrize("scale", [1e-11, 1e-12])
-def test_an_x_below_the_kernel_tolerance_is_refused(scale):
+def _scaled(seed, dims, d):
+    """(model of make_commuting_pair(d1, d2, seed), the model at X d or None): None where
+    X d leaves the float range of N2 = X-adjoint X or of a relation, a NumericalError.
+    The verifier runs too, so an overflow on the way ends the test as a warning."""
+    theta1, x = make_commuting_pair(*dims, seed)
+    base = build_model(theta1, x)
+    try:
+        model = build_model(theta1, x * d)
+        verify_relations(model)
+    except NumericalError:
+        return base, None
+    return base, model
+
+
+DIMS = st.integers(1, 11).flatmap(lambda d2: st.tuples(st.integers(d2 + 1, 12), st.just(d2)))
+
+
+# the scaling stratum of X: X Theta2 = Theta1 X is homogeneous in X, so a scale of X
+# keeps the kernel set and Theta2, and scales tilde_k by d^2; past the tested range the
+# only other outcome is the NumericalError of a Gram or a relation leaving the float range
+@given(seed=st.integers(0, 10_000), dims=DIMS, k=st.integers(-600, 600))
+@settings(max_examples=80, deadline=None)
+def test_a_power_of_two_scale_of_x_scales_the_model_exactly(seed, dims, k):
+    base, model = _scaled(seed, dims, 2.0**k)
+    if model is None:
+        assert not -480 <= k <= 170, k
+        return
+    assert model.kernel_set == base.kernel_set
+    assert model.theta2.tobytes() == base.theta2.tobytes()
+    assert model.phi1.tobytes() == base.phi1.tobytes()
+    assert model.tilde_k.tobytes() == (base.tilde_k * 4.0**k).tobytes()
+
+
+@given(seed=st.integers(0, 10_000), dims=DIMS, log_d=st.floats(-170.0, 300.0))
+@settings(max_examples=80, deadline=None)
+def test_a_scale_of_x_keeps_the_kernel_and_the_partner(seed, dims, log_d):
+    d = 10.0**log_d
+    base, model = _scaled(seed, dims, d)
+    if model is None:
+        assert not 1e-150 <= d <= 1e50, d
+        return
+    assert model.kernel_set == base.kernel_set
+
+    def near(a, b):  # max-entry relative error; a norm would square entries near 1e-300
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    assert near(model.theta2, base.theta2)
+    assert near(model.phi1, base.phi1)
+    assert near(model.tilde_k / (d * d), base.tilde_k)
+
+
+# sigma(X)^2 must be a normal float for the Grams N1 and N2, and so for the kernel
+# test, which reads every mode of X * 1e-200 as zero; pytest makes a warning an error
+@pytest.mark.parametrize("scale", [1e-200, 1e160])
+def test_an_x_whose_grams_leave_the_float_range_is_a_numerical_error(scale):
     theta1, x = make_commuting_pair(8, 4, 0)
-    with pytest.raises(RegimeError, match=r"sigma_min\(X\) = .* is not above the kernel tolerance 1\.0e-10"):
-        build_model(theta1, x * scale)
-    assert classify(theta1, x * scale) == CASE_NONINVERTIBLE
-    model = build_model(theta1, x * scale, kernel_tol=1e-14)
-    assert model.kernel_set == (1, 4, 5, 7)
-    assert verify_relations(model).all_passed
+    for check in (classify, build_model):
+        with pytest.raises(NumericalError, match="would leave the range of normal floats"):
+            check(theta1, x * scale)
+
+
+# column 2 reads ||X-adjoint phi|| / (sigma_max ||phi||) = t exactly: sigma_max = 2^k, and
+# ||phi|| = 1 in floating point; the decision flips between KERNEL_TOL and the next float
+@given(k=st.integers(-400, 100), ratio=st.floats(1e-8, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_the_kernel_decision_flips_at_kernel_tol_times_sigma_max(k, ratio):
+    x = np.array([[1.0, 0.0], [0.0, ratio], [0.0, 0.0]], dtype=complex) * 2.0**k
+    theta1 = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    kernel_sets = []
+    for t in (math.nextafter(KERNEL_TOL, 0.0), KERNEL_TOL, math.nextafter(KERNEL_TOL, 1.0)):
+        vectors = np.eye(3, dtype=complex)
+        vectors[0, 2] = t
+        system = Eigensystem(np.array([1.0, 2.0, 3.0], dtype=complex), vectors)
+        kernel_sets.append(build_model(theta1, x, eigensystem=system).kernel_set)
+    assert kernel_sets == [(2,), (2,), ()]
 
 
 # ---------------------------------------------------------------------------

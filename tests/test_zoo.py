@@ -12,6 +12,7 @@ from isospec import (
     DimensionError,
     EpsilonSequence,
     FIXTURE_IDS,
+    NumericalError,
     ParameterError,
     SeedVectorError,
     SpectrumError,
@@ -61,6 +62,13 @@ def test_2x2_complex_frame():
 def test_2x2_rejects_zero_frame():
     with pytest.raises(DegenerateError):
         fixture_2x2(0.0, 0.0)
+
+
+@pytest.mark.parametrize("x11, x12", [(1e155, 0.0), (1.0, 1e155j), (1e154, 1e154)])
+def test_2x2_refuses_a_frame_past_the_float_range_naming_its_parameters(x11, x12):
+    # |x11| ** 2 raised Python's OverflowError from about 1.3e154, naming no parameter
+    with pytest.raises(ParameterError, match=r"\|x11\|\^2 \+ \|x12\|\^2 leaves the float range"):
+        fixture_2x2(x11, x12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +200,14 @@ def test_block_degenerate_spectrum_still_exposes_direct_partner():
     # the closed-form partner still intertwines: X Theta2 = Theta1 X
     np.testing.assert_allclose(f.expected["theta2"], np.diag(alpha + beta), atol=1e-12)
     np.testing.assert_allclose(f.x @ f.expected["theta2"], f.theta1 @ f.x, atol=1e-12)
+
+
+def test_block_eigenvalues_past_the_float_range_are_refused_before_transport():
+    # alpha = beta = 1e308 gives the eigenvalue 2e308 = inf: no model holds it
+    f = fixture_block(1e308, 1e308, 1)
+    assert not np.all(np.isfinite(f.eigensystem.values))
+    with pytest.raises(NumericalError, match=r"supplied eigensystem is not finite at mode 1 \(eigenvalue \(inf\+0j\)\)"):
+        f.model
 
 
 def test_block_zero_operator_sanity():
