@@ -12,9 +12,8 @@ parameters), 2 regime or domain error (no-go configurations, divergent z,
 unavailable measure where one is required), 3 verification failure.
 
 Each subcommand's parser is the one schema of its options: name, type,
-default and range.  The tolerance flags act on every model source
-(--fixture, --theta1/--x, --random, --model); --order defaults to
-min(40, system size).
+default and range.  --relation-tol acts on every model source (--fixture,
+--theta1/--x, --random, --model); --order defaults to min(40, system size).
 
 --config FILE (given before the subcommand) holds a JSON object whose keys
 are the chosen subcommand's own option destinations (theta1_path, x_path
@@ -57,7 +56,7 @@ from .intertwining import (
     structure_check,
     verify_relations,
 )
-from .linalg import MULTIPLICITY_TOL, BiorthogonalSystem, EpsilonSequence
+from .linalg import BiorthogonalSystem, EpsilonSequence
 from .linalg import Decision, certified_ratio
 from .zoo import FIXTURE_IDS, MAX_FIXTURE_MODES, get_fixture
 
@@ -152,17 +151,6 @@ def _outpath(args: argparse.Namespace, default_name: str) -> str:
     return os.path.join(args.outdir, default_name)
 
 
-def _build(args: argparse.Namespace, theta1, x, eigensystem=None):
-    """build_model with the run's relation and multiplicity tolerances."""
-    return build_model(
-        theta1,
-        x,
-        relation_tol=args.relation_tol,
-        multiplicity_tolerance=args.multiplicity_tol,
-        eigensystem=eigensystem,
-    )
-
-
 def _build_target_model(args: argparse.Namespace):
     """Resolve the model a command operates on (fixture, files, or random)."""
     sources = [
@@ -177,7 +165,8 @@ def _build_target_model(args: argparse.Namespace):
         )
     if args.fixture is not None:
         fixture = get_fixture(args.fixture, **args.params)
-        return _build(args, fixture.theta1, fixture.x, fixture.eigensystem)
+        return build_model(fixture.theta1, fixture.x, relation_tol=args.relation_tol,
+                           eigensystem=fixture.eigensystem)
     if args.random is not None:
         try:
             d1_text, d2_text = args.random.lower().split("x")
@@ -189,13 +178,14 @@ def _build_target_model(args: argparse.Namespace):
         if d1 > MAX_FIXTURE_MODES:
             raise ParameterError(f"--random {args.random}: {d1} modes exceed the bound of "
                                  f"{MAX_FIXTURE_MODES}")
-        return _build(args, *make_commuting_pair(d1, d2, _seed()))
+        return build_model(*make_commuting_pair(d1, d2, _seed()), relation_tol=args.relation_tol)
     if args.model_path is not None:
         doc = _load_model_doc(args.model_path)
-        return _build(args, doc["theta1_matrix"], doc["x_matrix"])
+        return build_model(doc["theta1_matrix"], doc["x_matrix"], relation_tol=args.relation_tol)
     if args.theta1_path is None or args.x_path is None:
         raise ParameterError("--theta1 and --x must be given together")
-    return _build(args, iomod.load_matrix(args.theta1_path), iomod.load_matrix(args.x_path))
+    return build_model(iomod.load_matrix(args.theta1_path), iomod.load_matrix(args.x_path),
+                       relation_tol=args.relation_tol)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -221,7 +211,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.model_path is None:
         raise ParameterError("verify needs --model FILE")
     doc = _load_model_doc(args.model_path)
-    model = _build(args, doc["theta1_matrix"], doc["x_matrix"])
+    model = build_model(doc["theta1_matrix"], doc["x_matrix"], relation_tol=args.relation_tol)
     tilde = doc.get("tilde_k", np.empty(0))
     same_length = tilde.shape == model.tilde_k.shape
     stored = {
@@ -456,7 +446,7 @@ def cmd_fixture_list(args: argparse.Namespace) -> int:
 
 
 def cmd_fixture_build(args: argparse.Namespace) -> int:
-    """`build --fixture ID` at the default tolerances, which its parser fixes."""
+    """`build --fixture ID` at the default tolerance, which its parser fixes."""
     args.fixture = args.id
     return cmd_build(args)
 
@@ -512,9 +502,6 @@ def make_parser() -> argparse.ArgumentParser:
         add_output(p, output)
         p.add_argument("--relation-tol", type=_positive("relation_tol"), default=RELATION_TOL,
                        help="relation residual, relative to operand norms (default %(default)s)")
-        p.add_argument("--multiplicity-tol", type=_positive("multiplicity_tol"),
-                       default=MULTIPLICITY_TOL,
-                       help="absolute eigenvalue gap of a simple spectrum (default %(default)s)")
         if sources:
             add_fixture(p, "--fixture")
             p.add_argument("--theta1", dest="theta1_path", help="seed matrix file (.json/.csv)")
@@ -547,12 +534,12 @@ def make_parser() -> argparse.ArgumentParser:
     fix_sub = p_fix.add_subparsers(dest="fixture_action", required=True)
     command(fix_sub, "list", cmd_fixture_list, "print available fixture ids")
     p_fix_build = command(fix_sub, "build", cmd_fixture_build,
-                          "build a fixture by id at the default tolerances")
+                          "build a fixture by id at the default tolerance")
     add_fixture(p_fix_build, "id")
     add_output(p_fix_build)
-    # build's other sources and its tolerances, fixed: no flag or config key sets them
+    # build's other sources and its tolerance, fixed: no flag or config key sets them
     p_fix_build.set_defaults(theta1_path=None, x_path=None, random=None, model_path=None,
-                             relation_tol=RELATION_TOL, multiplicity_tol=MULTIPLICITY_TOL)
+                             relation_tol=RELATION_TOL)
 
     p_quant = command(sub, "quantize", cmd_quantize, "emit a quantized-symbol matrix")
     add_common(p_quant)

@@ -17,15 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    NumericalError,
-    ParameterError,
-    RegimeError,
-)
+from .errors import (DimensionError, NumericalError, ParameterError, RegimeError,
+                     SingularityError)
 from .linalg import (
     KERNEL_TOL,
-    MULTIPLICITY_TOL,
     BiorthogonalSystem,
     Decision,
     Eigensystem,
@@ -276,7 +271,6 @@ def build_model(
     x,
     *,
     relation_tol: float = RELATION_TOL,
-    multiplicity_tolerance: float = MULTIPLICITY_TOL,
     eigensystem: Eigensystem | None = None,
 ) -> IntertwiningModel:
     """Classify, build the partner, and transport the eigensystem.
@@ -284,8 +278,8 @@ def build_model(
     ``eigensystem`` lets fixtures supply exact eigendata (their own
     normalization and ordering); by default the seed is diagonalized here,
     a non-invertible one on range(X) and ker(X-adjoint) separately.
-    Either way the spectrum counts as simple only if every pairwise
-    eigenvalue gap exceeds ``multiplicity_tolerance``.
+    Either way the spectrum counts as simple only if the Gershgorin discs of
+    the eigenvalues are disjoint (``linalg._require_simple``).
     """
     theta1 = as_matrix(theta1)
     x = as_matrix(x)
@@ -308,8 +302,11 @@ def build_model(
             n = int(np.argmin(finite))
             raise NumericalError(f"the supplied eigensystem is not finite at mode {n} "
                                  f"(eigenvalue {eigensystem.values[n]})")
-    _require_simple(eigensystem.values, multiplicity_tolerance)
-    psi1 = biorthogonal_partner(eigensystem.vectors)
+    try:
+        psi1 = biorthogonal_partner(eigensystem.vectors)
+    except SingularityError:  # a defective seed: unbounded discs, refused below
+        psi1 = None
+    _require_simple(theta1, norms["theta1"], eigensystem.values, eigensystem.vectors, psi1)
     phi2, kernel_set, tilde_k = _transport(eigensystem.vectors, xh, s[0])
     model = IntertwiningModel(
         theta1=theta1,
@@ -438,8 +435,8 @@ def structure_check(model: IntertwiningModel, tol: float = RELATION_TOL) -> Rela
     skipped: dict[str, str] = {}
 
     found["commutator_n2_theta2"] = certified_ratio(n2 @ t2 - t2 @ n2, (nn2, nt2), tol)
-    sa1 = certified_ratio(t1 - t1.conj().T, (nt1,), tol, 1.0)
-    sa2 = certified_ratio(t2 - t2.conj().T, (nt2,), tol, 1.0)
+    sa1 = certified_ratio(t1 - t1.conj().T, (nt1,), tol)
+    sa2 = certified_ratio(t2 - t2.conj().T, (nt2,), tol)
     if sa1.passed:
         found["theta2_self_adjoint"] = sa2
     else:

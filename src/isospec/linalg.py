@@ -25,8 +25,6 @@ from .errors import (
 
 # Relative singular-value threshold for numerical kernel membership.
 KERNEL_TOL = 1e-10
-# Absolute pairwise eigenvalue gap below which a spectrum is not simple.
-MULTIPLICITY_TOL = 1e-8
 # Relative threshold for treating a vector family as rank deficient.
 RANK_TOL = 1e-12
 # Relative margin of certified_ratio: the rounding of the bounds and of the SVD.
@@ -188,18 +186,34 @@ def _pairwise_gaps(values: np.ndarray) -> np.ndarray:
     return np.hypot(d.real, d.imag)
 
 
-def _require_simple(values: np.ndarray, tolerance: float) -> None:
-    """A SpectrumError naming the closest pair unless each of the _pairwise_gaps of
-    ``values`` exceeds ``tolerance`` (a NaN gap is none): the one simple-spectrum test."""
+def _require_simple(theta1, norm: SpectralNorm, values, phi, psi) -> None:
+    """The one simple-spectrum test: every margin |values_i - values_j| / (rho_i + rho_j)
+    must exceed 1 (NaN does not), else a SpectrumError names the least, closest pair first.
+    rho_i = sum_j |F_ij| + ||psi_i|| ||phi_i|| n u ||Theta1|| bounds a Gershgorin disc of
+    Psi^H Theta1 Phi = Lambda + F: disjoint, they hold one eigenvalue each of Theta1 + E for
+    ||E|| <= u ||Theta1|| (Bauer and Fike 1960); ``psi`` None, a singular ``phi``: rho = inf."""
+    n = len(values)
+    radii = np.full(n, np.inf)
+    if psi is not None:
+        scale = norm.bounds[1] if norm.bounds[1] < math.inf else norm.exact  # no SVD if it can
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = psi.conj().T @ (theta1 @ phi - phi * values)
+            kappa = np.linalg.norm(psi, axis=0) * np.linalg.norm(phi, axis=0)
+            radii = np.abs(f).sum(axis=1) + kappa * (n * np.finfo(float).eps * scale)
+        if not np.all(np.isfinite(radii)):
+            raise NumericalError("a disc radius of the seed's eigenvalues overflowed")
+    i, j = np.triu_indices(n, 1)
     gaps = _pairwise_gaps(values)
-    if np.any(gaps <= tolerance):
-        k = int(np.nanargmin(gaps))
-        i, j = (int(index[k]) for index in np.triu_indices(len(values), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margins = gaps / (radii[i] + radii[j])
+    if not np.all(margins > 1.0):
+        k = int(np.lexsort((gaps, margins))[0])
+        a, b = int(i[k]), int(j[k])
         raise SpectrumError(
-            f"seed spectrum is not simple: eigenvalues {i} and {j} ({values[i]:.6g}, "
-            f"{values[j]:.6g}) lie {gaps[k]:.3e} apart, within the multiplicity tolerance "
-            f"{tolerance:.1e}; close eigenvalues are never merged"
-        )
+            f"seed spectrum is not simple: eigenvalues {a} and {b} ({values[a]:.6g}, "
+            f"{values[b]:.6g}) lie {gaps[k]:.3e} apart, within their discs of radius "
+            f"{radii[a]:.3e} and {radii[b]:.3e} (margin {margins[k]:.3e}); close eigenvalues "
+            "are never merged")
 
 
 @dataclass(frozen=True)

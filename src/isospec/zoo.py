@@ -488,13 +488,19 @@ def pseudo_fermion(
     alpha, beta = complex(alpha), complex(beta)
     alpha12, beta12 = complex(alpha12), complex(beta12)
     gamma_sq = -alpha12 * beta12
-    defect = abs((alpha - beta) ** 2 * gamma_sq - 1.0)
-    if defect > tol:
+    # squares by *, not **, which raises OverflowError: past the float range they are
+    # inf or NaN, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = abs((alpha - beta) * (alpha - beta) * gamma_sq - 1.0)
+        a = alpha12 * np.array([[alpha, 1.0], [-alpha * alpha, -alpha]], dtype=complex)
+        b = beta12 * np.array([[beta, 1.0], [-beta * beta, -beta]], dtype=complex)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("the pseudo-fermion parameters leave the float range: a or b "
+                             "is not finite")
+    if not defect <= tol:
         raise ParameterError(
             f"(alpha-beta)^2 * (-alpha12*beta12) = 1 violated by {defect:.3e}"
         )
-    a = alpha12 * np.array([[alpha, 1.0], [-alpha**2, -alpha]], dtype=complex)
-    b = beta12 * np.array([[beta, 1.0], [-beta**2, -beta]], dtype=complex)
     return PseudoFermionPair(
         a=a,
         b=b,

@@ -17,7 +17,6 @@ from isospec import FIXTURE_IDS, errors, get_fixture, make_commuting_pair
 from isospec import bicoherent, intertwining, linalg, zoo
 from isospec import io as iomod
 from isospec.intertwining import RELATION_TOL
-from isospec.linalg import MULTIPLICITY_TOL
 from isospec.io import jsonable_to_matrix, save_matrix_csv, save_matrix_json
 
 CLI = [sys.executable, "-m", "isospec.cli"]
@@ -776,15 +775,6 @@ def test_fixture_source_honours_the_relation_tolerance(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
-def test_fixture_source_honours_the_multiplicity_tolerance(tmp_path, capsys):
-    # coherent_demo's eigenvalues are 2 apart: not simple at a gap tolerance of 10
-    argv = ["build", "--fixture", "coherent_demo", "--params", "n_blocks=4",
-            "--multiplicity-tol", "10", "--outdir", str(tmp_path)]
-    assert cli.main(argv) == 2
-    assert "not simple" in capsys.readouterr().err
-    assert not (tmp_path / "model.json").exists()
-
-
 def test_both_fixture_paths_refuse_a_repeated_spectrum_with_one_message(tmp_path, capsys):
     # block eigenvalues a - b, a + b per block: 0.5 and 1.5 twice over
     params = ["--params", "alpha=1:1,beta=0.5:0.5,n_blocks=2", "--outdir", str(tmp_path)]
@@ -792,11 +782,11 @@ def test_both_fixture_paths_refuse_a_repeated_spectrum_with_one_message(tmp_path
     for argv in (["fixture", "build", "block"], ["build", "--fixture", "block"]):
         assert cli.main(argv + params) == 2
         errs.append(capsys.readouterr().err)
-    assert errs[0] == errs[1] == (
-        "error: seed spectrum is not simple: eigenvalues 0 and 2 (0.5+0j, 0.5+0j) lie "
-        "0.000e+00 apart, within the multiplicity tolerance 1.0e-08; close eigenvalues are "
-        "never merged\n"
-    )
+    assert errs[0] == errs[1]
+    assert re.fullmatch(
+        r"error: seed spectrum is not simple: eigenvalues 0 and 2 \(0\.5\+0j, 0\.5\+0j\) lie "
+        r"0\.000e\+00 apart, within their discs of radius \S+ and \S+ \(margin 0\.000e\+00\); "
+        r"close eigenvalues are never merged\n", errs[0])
     assert not (tmp_path / "model.json").exists()
 
 
@@ -821,26 +811,47 @@ def test_fixture_build_writes_what_build_fixture_writes(fixture_id, tmp_path, ca
     assert outputs[0][0] == 0
 
 
-# e2 = 1 + 1e-9: the gap of eigenvalues 0 and 1 lies between 1e-12 and the default 1e-8
+# e2 = 1 + 1e-9: eigenvalues 0 and 1 have a disc margin of 6.6e4
 CLOSE_3X3 = ["--fixture", "ex3x3", "--params", "e1=1,e2=1.000000001,e3=3"]
 
 
-def test_a_3x3_seed_with_close_eigenvalues_builds_and_verifies_at_a_finer_tolerance(tmp_path):
-    tol = ["--multiplicity-tol", "1e-12", "--outdir", str(tmp_path)]
-    assert cli.main(["build", *CLOSE_3X3, *tol]) == 0
-    assert cli.main(["verify", "--model", str(tmp_path / "model.json"), *tol]) == 0
-
-
-def test_a_3x3_seed_with_close_eigenvalues_is_refused_at_the_default_tolerance(tmp_path, capsys):
-    outdir = ["--outdir", str(tmp_path)]
+def test_a_3x3_seed_with_close_eigenvalues_builds_and_verifies_at_a_finer_tolerance(tmp_path, capsys):
+    # the disc rule resolves eigenvalues 1e-9 apart, finer than the former absolute gap
+    # tolerance of 1e-8: both fixture paths build the seed at the defaults, with one output
+    outputs = []
     for argv in (["build", *CLOSE_3X3], ["fixture", "build", "ex3x3", *CLOSE_3X3[2:]]):
-        assert cli.main(argv + outdir) == 2
-        assert capsys.readouterr().err == (
-            "error: seed spectrum is not simple: eigenvalues 0 and 1 (1+0j, 1+0j) lie "
-            "1.000e-09 apart, within the multiplicity tolerance 1.0e-08; close eigenvalues "
-            "are never merged\n"
-        )
-    assert not list(tmp_path.iterdir())
+        assert cli.main(argv + ["--outdir", str(tmp_path)]) == 0
+        outputs.append(((tmp_path / "model.json").read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].err == ""
+    assert cli.main(["verify", "--model", str(tmp_path / "model.json"),
+                     "--outdir", str(tmp_path)]) == 0
+
+
+def _seed_files(tmp_path, theta1) -> list:
+    """--theta1/--x arguments of a seed with X = I, saved in ``tmp_path``."""
+    save_matrix_json(np.asarray(theta1, dtype=complex), tmp_path / "t.json")
+    save_matrix_json(np.eye(len(theta1), dtype=complex), tmp_path / "x.json")
+    return ["--theta1", str(tmp_path / "t.json"), "--x", str(tmp_path / "x.json")]
+
+
+def test_eigenvalues_5e_9_apart_build_and_verify_at_the_defaults(tmp_path):
+    # disc margin 4e6: the spectrum is certified simple
+    out = ["--outdir", str(tmp_path / "o")]
+    assert cli.main(["build", *_seed_files(tmp_path, np.diag([1.0, 1.0 + 5e-9])), *out]) == 0
+    assert cli.main(["verify", "--model", str(tmp_path / "o" / "model.json"), *out]) == 0
+
+
+def test_the_near_jordan_seed_is_refused_naming_its_margin(tmp_path, capsys):
+    # eigenvalues 1e-7 apart whose discs, of radius 0.44, overlap: margin 1.1e-7
+    seed = _seed_files(tmp_path, [[1.0, 1e4], [0.0, 1.0 + 1e-7]])
+    assert cli.main(["build", *seed, "--outdir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed spectrum is not simple: eigenvalues 0 and 1 (1+0j, 1+0j) "
+                          "lie 1.000e-07 apart")
+    assert re.search(r"\(margin 1\.1\d\de-07\)", err)
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -859,20 +870,32 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, capsy
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["build", "verify", "coherent", "quantize"])
-def test_kernel_tol_is_no_flag_and_no_config_key(command, built_model, tmp_path, capsys):
-    # the kernel test is relative to sigma_max(X) and has no tolerance to set
+def _assert_removed_option(key, command, built_model, tmp_path, capsys):
+    """``key``, as a flag and as a config key, is an input error of ``command``."""
     source = ["--model", str(built_model)]
     if command != "verify":
         source = ["--fixture", "coherent_demo" if command != "build" else "ex3x3"]
     out = ["--outdir", str(tmp_path / "o")]
-    assert cli.main([command, *source, "--kernel-tol", "1e-11", *out]) == 1
-    assert "unrecognized arguments: --kernel-tol 1e-11" in capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    assert cli.main([command, *source, flag, "1e-11", *out]) == 1
+    assert f"unrecognized arguments: {flag} 1e-11" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"kernel_tol": 1e-11}\n')
+    cfg.write_text(json.dumps({key: 1e-11}))
     assert cli.main(["--config", str(cfg), command, *source, *out]) == 1
-    assert "unknown config keys: ['kernel_tol']" in capsys.readouterr().err
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "coherent", "quantize"])
+def test_kernel_tol_is_no_flag_and_no_config_key(command, built_model, tmp_path, capsys):
+    # the kernel test is relative to sigma_max(X) and has no tolerance to set
+    _assert_removed_option("kernel_tol", command, built_model, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "coherent", "quantize"])
+def test_multiplicity_tol_is_no_flag_and_no_config_key(command, built_model, tmp_path, capsys):
+    # a simple spectrum is decided by disjoint eigenvalue discs, with no tolerance to set
+    _assert_removed_option("multiplicity_tol", command, built_model, tmp_path, capsys)
 
 
 def test_truncation_is_an_unknown_config_key(tmp_path, capsys):
@@ -895,7 +918,8 @@ NON_FINITE_CASES = [
 @pytest.mark.parametrize("command,key,value", NON_FINITE_CASES)
 def test_non_finite_option_values_are_input_errors(command, key, value, via, tmp_path, capsys):
     # `build --kernel-tol nan` wrote kernel_set [] for ex3x3, whose kernel is [2]; the
-    # kernel test now has no tolerance to set, so that flag and config key are unknown
+    # kernel and simple-spectrum tests now have no tolerance to set, so those flags and
+    # config keys are unknown
     source = ["--fixture", "ex3x3" if command == "build" else "coherent_demo"]
     flag = "--" + key.replace("_", "-")
     if via == "flag":
@@ -905,7 +929,7 @@ def test_non_finite_option_values_are_input_errors(command, key, value, via, tmp
         cfg.write_text(json.dumps({key: float(value)}))
         argv = ["--config", str(cfg), command, *source]
     assert cli.main([*argv, "--outdir", str(tmp_path / "o")]) == 1
-    if key != "kernel_tol":
+    if key not in ("kernel_tol", "multiplicity_tol"):
         refusal = f"argument {flag}: must be finite"
     elif via == "flag":
         refusal = f"unrecognized arguments: {flag}={value}"
@@ -926,7 +950,7 @@ def _flags(options: dict) -> list:
 
 def _config_cases(model) -> dict:
     """Subcommand -> (its words, options it takes: strings and numbers both)."""
-    tolerances = {"relation_tol": "1e-8", "multiplicity_tol": 1e-7}
+    tolerances = {"relation_tol": 1e-8}
     demo = {"fixture": "coherent_demo", "params": "alpha1=0.5,n_blocks=4",
             "order": 6}
     return {
@@ -1010,11 +1034,11 @@ def test_config_keys_of_other_subcommands_are_refused(command, built_model, tmp_
 
 
 COMMAND_DEFAULTS = {
-    "build": [".", RELATION_TOL, MULTIPLICITY_TOL],
-    "verify": [".", RELATION_TOL, MULTIPLICITY_TOL],
-    "coherent": [".", RELATION_TOL, MULTIPLICITY_TOL,
+    "build": [".", RELATION_TOL],
+    "verify": [".", RELATION_TOL],
+    "coherent": [".", RELATION_TOL,
                  f"min({cli.DEFAULT_ORDER}, system size)", 20, 16, 2.0],
-    "quantize": [".", RELATION_TOL, MULTIPLICITY_TOL, "z",
+    "quantize": [".", RELATION_TOL, "z",
                  f"min({cli.DEFAULT_ORDER}, system size)"],
     "fixture build": ["."],
     "fixture list": [],

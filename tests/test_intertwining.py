@@ -336,14 +336,34 @@ def test_map_refuses_degenerate_spectrum():
 
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["eig", "eigensystem"])
-def test_build_model_decides_simple_spectrum_at_its_multiplicity_tolerance(supplied):
-    # eigenvalues 0, 2, 4, ...: simple at the default gap tolerance, not at 10,
-    # whether build_model diagonalizes the seed or is given the eigendata
+def test_build_model_decides_simple_spectrum_from_its_discs(supplied):
+    # one rule whether build_model diagonalizes the seed or is given the eigendata:
+    # coherent_demo's eigenvalues 0, 2, 4, ... are simple, and the near-Jordan seed's,
+    # 1e-7 apart, lie inside discs of radius 0.44
     f = coherent_demo(1.0, 8)
-    eigensystem = f.eigensystem if supplied else None
-    build_model(f.theta1, f.x, eigensystem=eigensystem)
-    with pytest.raises(SpectrumError):
-        build_model(f.theta1, f.x, multiplicity_tolerance=10.0, eigensystem=eigensystem)
+    build_model(f.theta1, f.x, eigensystem=f.eigensystem if supplied else None)
+    jordan = np.array([[1.0, 1e4], [0.0, 1.0 + 1e-7]], dtype=complex)
+    with pytest.raises(SpectrumError, match=r"eigenvalues 0 and 1 .* \(margin 1\.1\d\de-07\)"):
+        build_model(jordan, np.eye(2, dtype=complex), eigensystem=eig(jordan) if supplied else None)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_seed_scaled_by_a_power_of_two_gets_the_same_decisions():
+    # the disc margins and the self-adjointness defects are relative to ||Theta1||: at
+    # every scale the spectrum is simple, the kernel is the same, Theta2 scales bit for
+    # bit and the seed (relative defect 0.67) is read as not self-adjoint
+    theta1, x = make_commuting_pair(8, 4, 0)
+    theta2 = build_model(theta1, x).theta2
+    for k in range(-100, 101):
+        model = build_model(theta1 * 2.0**k, x)
+        assert model.kernel_set == (1, 4, 5, 7), k
+        assert model.theta2.tobytes() == (theta2 * 2.0**k).tobytes(), k
+        assert verify_relations(model).all_passed, k
+        structure = structure_check(model)
+        assert structure.all_passed, k
+        assert structure.skipped["theta2_self_adjoint"].startswith("seed not self-adjoint"), k
+        assert structure.skipped["theta1_self_adjoint"].startswith("partner not self-adjoint"), k
+        assert adjoint_descent(model) <= RELATION_TOL, k
 
 
 def test_inverse_map_reconstructs_seed_eigenvectors():

@@ -25,7 +25,6 @@ from isospec import (
     is_strictly_positive,
     opnorm,
 )
-from isospec.linalg import MULTIPLICITY_TOL, _require_simple
 
 EIG_RESIDUAL_TOL = 1e-10
 PAIRING_TOL = 1e-10
@@ -38,13 +37,20 @@ def _random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def _simple(values, tol=MULTIPLICITY_TOL) -> bool:
-    """The verdict of the one simple-spectrum rule, which build_model applies."""
+def _simple(theta1) -> bool:
+    """The verdict of the one simple-spectrum rule, as build_model applies it with X = I."""
+    theta1 = np.asarray(theta1, dtype=complex)
     try:
-        _require_simple(np.asarray(values), tol)
+        build_model(theta1, np.eye(len(theta1), dtype=complex))
     except SpectrumError:
         return False
     return True
+
+
+def _diagonal_radius(theta1) -> float:
+    """The disc radius of each eigenvalue of a diagonal seed: eig returns its diagonal
+    and unit vectors exactly, so F = 0 and kappa = 1, leaving n u ||Theta1||_F."""
+    return len(theta1) * np.finfo(float).eps * float(np.linalg.norm(theta1))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +161,7 @@ def test_eig_diagonal():
     es = eig(np.diag([1.0, 2.0, 3.0]).astype(complex))
     np.testing.assert_allclose(es.values, [1.0, 2.0, 3.0], atol=1e-14)
     np.testing.assert_allclose(np.abs(es.vectors), np.eye(3), atol=1e-14)
-    assert _simple(es.values)
+    assert _simple(np.diag([1.0, 2.0, 3.0]))
 
 
 def test_eig_recovers_printed_seed_eigenvectors():
@@ -185,44 +191,53 @@ def test_eig_symmetric_block():
 
 
 def test_eig_flags_degenerate_spectrum():
-    es = eig(np.diag([1.0, 1.0 + 1e-12, 5.0]).astype(complex))
-    assert not _simple(es.values)
+    # 1e-12 apart is far outside discs of radius 3 u ||Theta1|| (about 3.5e-15), one
+    # ulp of 1 apart is inside them
+    assert _simple(np.diag([1.0, 1.0 + 1e-12, 5.0]))
+    assert not _simple(np.diag([1.0, np.nextafter(1.0, 2.0), 5.0]))
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0, 1j])
 def test_simple_spectrum_gap_edge(direction):
-    tol = 1e-8
+    # the edge is a margin of 1: a gap of two radii is not simple, one ulp more is
+    radius = _diagonal_radius(np.diag([5.0, 0.0, 0.0]))
 
     def simple(gap):
-        return _simple(np.array([5.0, 0.0, direction * gap]), tol)
+        return _simple(np.diag([5.0, 0.0, direction * gap]))
 
-    assert not simple(tol)
-    assert simple(np.nextafter(tol, 1.0))
+    assert not simple(2 * radius)
+    assert simple(np.nextafter(2 * radius, 1.0))
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0, 1j])
 def test_a_spectrum_that_is_not_simple_is_refused_naming_its_closest_pair(direction):
-    # sorted by (Re, Im), the seed's eigenvalues 5, 0, 3 and 1e-9 * direction put the
-    # closest pair, 1e-9 apart, first; 3 and 5, the next closest, are 2 apart
-    theta1 = np.diag([5.0, 0.0, 3.0, 1e-9 * direction]).astype(complex)
+    # sorted by (Re, Im), the seed's eigenvalues 5, 0, 3 and 1e-15 * direction put the
+    # closest pair, 1e-15 apart and inside each other's discs, first; 1e-9 apart they
+    # are well outside them
+    theta1 = np.diag([5.0, 0.0, 3.0, 1e-15 * direction]).astype(complex)
+    radius = _diagonal_radius(theta1)
     with pytest.raises(SpectrumError) as info:
         build_model(theta1, np.eye(4, dtype=complex))
     message = str(info.value)
     assert "not simple: eigenvalues 0 and 1 " in message
-    assert "lie 1.000e-09 apart, within the multiplicity tolerance 1.0e-08" in message
-    assert not _simple(eig(theta1).values)
-    assert _simple(np.diag(theta1), 1e-10)
+    assert (f"lie 1.000e-15 apart, within their discs of radius {radius:.3e} and "
+            f"{radius:.3e} (margin {1e-15 / (2 * radius):.3e}); close eigenvalues") in message
+    assert _simple(np.diag([5.0, 0.0, 3.0, 1e-9 * direction]))
 
 
 def test_the_3x3_example_names_the_pair_its_simple_spectrum_loses():
     fixture = fixture_3x3(1.0, 3.0, 1.0)
-    match = r"eigenvalues 0 and 2 \(1\+0j, 1\+0j\) lie 0\.000e\+00 apart"
+    match = r"eigenvalues 0 and 2 \(1\+0j, 1\+0j\) lie 0\.000e\+00 apart, .* \(margin 0\.000e\+00\)"
     with pytest.raises(SpectrumError, match=match):
         fixture.model
 
 
 def test_a_nan_gap_is_no_gap():
-    assert _simple(np.array([0.0, np.nan, 1.0]))
+    # a NaN margin does not exceed 1: the zero seed's gaps and discs are all 0, its
+    # margins 0/0
+    match = r"eigenvalues 0 and 1 \(0\+0j, 0\+0j\) lie 0\.000e\+00 apart, .* \(margin nan\)"
+    with pytest.raises(SpectrumError, match=match):
+        build_model(np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex))
 
 
 @given(st.integers(0, 10**6), st.integers(2, 8))

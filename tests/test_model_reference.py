@@ -12,6 +12,8 @@ side of the tolerance, beyond the reference value.
 
 import contextlib
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -61,12 +63,32 @@ def _reference_fix_phase(vectors):
     return out
 
 
-def _reference_simple_spectrum(vals, tol):
+def _reference_disc_radii(theta1, vals, phi, psi):
+    """The disc radius of each eigenvalue, one entry F_ij = <psi_i, Theta1 phi_j - vals_j
+    phi_j> at a time, plus ||psi_i|| ||phi_i|| n u ||Theta1||_F."""
+    n = len(vals)
+    unit = n * np.finfo(float).eps * np.linalg.norm(theta1)
+    radii = []
+    for i in range(n):
+        row = sum(abs(np.vdot(psi[:, i], theta1 @ phi[:, j] - vals[j] * phi[:, j]))
+                  for j in range(n))
+        radii.append(row + np.linalg.norm(psi[:, i]) * np.linalg.norm(phi[:, i]) * unit)
+    return radii
+
+
+def _reference_simple_spectrum(vals, radii):
+    """(simple, i, j): whether every pair's margin gap / (rho_i + rho_j) exceeds 1, and the
+    pair of least margin (a NaN margin counts as above all), the closest of those tied."""
+    simple, least = True, None
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= tol:
-                return False
-    return True
+            gap, total = abs(vals[i] - vals[j]), radii[i] + radii[j]
+            margin = gap / total if total > 0 else (math.inf if gap > 0 else math.nan)
+            simple = simple and margin > 1.0
+            key = (math.isnan(margin), 0.0 if math.isnan(margin) else margin, gap)
+            if least is None or key < least[0]:
+                least = (key, i, j)
+    return (simple, *least[1:]) if least else (simple, None, None)
 
 
 def _reference_split_eig(theta1, x):
@@ -252,8 +274,8 @@ def _reference_structure(model, tol=1e-9):
     t1, t2, x = model.theta1, model.theta2, model.x
     n1, n2 = model.n1, model.n2
     residuals = {"commutator_n2_theta2": _rel_comm(n2, t2)}
-    sa1 = _rel(opnorm(t1 - t1.conj().T), max(1.0, opnorm(t1)))
-    sa2 = _rel(opnorm(t2 - t2.conj().T), max(1.0, opnorm(t2)))
+    sa1 = _rel(opnorm(t1 - t1.conj().T), max(1e-300, opnorm(t1)))
+    sa2 = _rel(opnorm(t2 - t2.conj().T), max(1e-300, opnorm(t2)))
     if sa1 <= tol:
         residuals["theta2_self_adjoint"] = sa2
     n1_positive = is_strictly_positive(n1, tol)
@@ -457,14 +479,78 @@ def test_fix_phase_matches_the_column_loop(seed, rows, cols):
     assert got.flags["C_CONTIGUOUS"] == want.flags["C_CONTIGUOUS"]
 
 
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 30), tol=st.sampled_from([1e-8, 0.3]))
-@settings(max_examples=40, deadline=None)
-def test_simple_spectrum_matches_the_pair_loop(seed, n, tol):
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12), noise=st.integers(1, 8),
+       repeat=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_simple_spectrum_matches_the_pair_loop(seed, n, noise, repeat):
+    # Theta1 = Phi Lambda Phi^-1 plus a perturbation of 10^-noise: margins on both sides
+    # of 1, and an exact repeat (the last eigenvalue the first) when ``repeat``
     rng = np.random.default_rng(seed)
     values = np.round(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1)
-    simple = _reference_simple_spectrum(values, tol)
-    with contextlib.nullcontext() if simple else pytest.raises(SpectrumError):
-        linalg._require_simple(values, tol)
+    if repeat:
+        values[-1] = values[0]
+    phi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    phi /= np.linalg.norm(phi, axis=0)
+    psi = np.linalg.inv(phi).conj().T
+    theta1 = (phi * values) @ psi.conj().T + 10.0**-noise * rng.standard_normal((n, n))
+    radii = _reference_disc_radii(theta1, values, phi, psi)
+    simple, i, j = _reference_simple_spectrum(values, radii)
+    with contextlib.nullcontext() if simple else pytest.raises(SpectrumError) as info:
+        linalg._require_simple(theta1, linalg.SpectralNorm(theta1), values, phi, psi)
+    if not simple:
+        named = re.search(r"eigenvalues (\d+) and (\d+) .* radius (\S+) and (\S+) \(",
+                          str(info.value))
+        assert (int(named[1]), int(named[2])) == (i, j)
+        np.testing.assert_allclose([float(named[3]), float(named[4])], [radii[i], radii[j]],
+                                   rtol=1e-3)
+
+
+@st.composite
+def _exact_similar_seeds(draw):
+    """(Theta1, diag(T)) with Theta1 = S T S^-1 exact in floats: S unimodular (a unit lower
+    times a unit upper integer triangle), T integer upper triangular with a distinct
+    diagonal in [-9, 9] and entries up to 1000 above it, which the rule refuses about a
+    third of the time."""
+    n = draw(st.integers(1, 6))
+    entries, above = st.integers(-3, 3), st.integers(-1000, 1000)
+    lower = np.eye(n, dtype=np.int64)
+    upper = np.eye(n, dtype=np.int64)
+    t = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lower[j, i], upper[i, j], t[i, j] = draw(entries), draw(entries), draw(above)
+    diagonal = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n, unique=True))
+    t[np.diag_indices(n)] = diagonal
+    s = lower @ upper
+    s_inv = np.rint(np.linalg.inv(s)).astype(np.int64)
+    assert np.array_equal(s @ s_inv, np.eye(n, dtype=np.int64))
+    theta1 = s @ t @ s_inv
+    assert np.abs(theta1).max() < 2**52
+    return theta1.astype(complex), np.array(diagonal, dtype=complex)
+
+
+@given(_exact_similar_seeds())
+@settings(max_examples=200, deadline=None)
+def test_an_accepted_seed_has_each_exact_eigenvalue_in_its_own_disc(seed):
+    # the eigenvalues of S T S^-1 are T's diagonal exactly: past the rule, each lies in one
+    # disc, and no two in the same one
+    theta1, exact = seed
+    try:
+        model = build_model(theta1, np.eye(len(exact), dtype=complex))
+    except SpectrumError:
+        return
+    radii = _reference_disc_radii(theta1, model.values, model.phi1, model.psi1)
+    inside = np.abs(exact[:, None] - model.values[None, :]) <= np.array(radii)[None, :]
+    assert np.all(inside.sum(axis=1) == 1)
+    assert sorted(np.argmax(inside, axis=1)) == list(range(len(exact)))
+
+
+def test_the_near_jordan_seed_is_refused():
+    # eigenvalues 1 and 1 + 1e-7 of a seed whose perturbations of u ||Theta1|| move them
+    # by about 1e-4
+    theta1 = np.array([[1.0, 1e4], [0.0, 1.0 + 1e-7]], dtype=complex)
+    with pytest.raises(SpectrumError, match=r"eigenvalues 0 and 1 \(1\+0j, 1\+0j\) lie 1\.000e-07"):
+        build_model(theta1, np.eye(2, dtype=complex))
 
 
 def _planted_factors(dim1, dim2, seed):

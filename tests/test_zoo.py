@@ -403,6 +403,22 @@ def test_pair_rejects_violated_constraint():
         pseudo_fermion(1.0, 0.0, 1.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [1e160, 1e160 + 1e160j])
+def test_a_pair_past_the_float_range_is_a_parameter_error(alpha):
+    # alpha^2 overflows: 1e160 once raised OverflowError from **, and 1e160 + 1e160j
+    # returned an `a` holding NaN, its NaN defect passing the constraint check
+    with pytest.raises(ParameterError, match="leave the float range"):
+        pseudo_fermion(alpha, 0.0, 1e-160, -1e-160)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_pair_with_a_nan_defect_violates_the_constraint():
+    # a and b are finite, but (alpha - beta)^2 = 4e308 overflows: inf * 0 is a NaN defect
+    with pytest.raises(ParameterError, match="violated by nan"):
+        pseudo_fermion(1e154, -1e154, 0.0, 1.0)
+
+
 def test_pair_hamiltonian_spectrum():
     pf = _closed_pair(1.5, -0.25, 0.75)
     omega, rho = 2.0, 0.5
