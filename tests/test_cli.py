@@ -828,6 +828,21 @@ def test_a_3x3_seed_with_close_eigenvalues_builds_and_verifies_at_a_finer_tolera
                      "--outdir", str(tmp_path)]) == 0
 
 
+def test_a_3x3_seed_with_close_eigenvalues_is_refused_at_the_default_tolerance(tmp_path, capsys):
+    # e2 = 1 + 1e-15: the pair lies inside the rounding floor of its discs, margin below 1
+    params = ["--params", "e1=1,e2=1.000000000000001,e3=3", "--outdir", str(tmp_path)]
+    errs = []
+    for argv in (["build", "--fixture", "ex3x3"], ["fixture", "build", "ex3x3"]):
+        assert cli.main(argv + params) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert re.fullmatch(
+        r"error: seed spectrum is not simple: eigenvalues 0 and 1 \(1\+0j, 1\+0j\) lie "
+        r"1\.110e-15 apart, within their discs of radius \S+ and \S+ \(margin \d\.\d{3}e-\d\d\); "
+        r"close eigenvalues are never merged\n", errs[0])
+    assert not list(tmp_path.iterdir())
+
+
 def _seed_files(tmp_path, theta1) -> list:
     """--theta1/--x arguments of a seed with X = I, saved in ``tmp_path``."""
     save_matrix_json(np.asarray(theta1, dtype=complex), tmp_path / "t.json")
